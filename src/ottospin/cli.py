@@ -2,7 +2,8 @@
 work/heat atom distributions, and process-matrix diagnostics.
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
-out-of-range values), 2 I/O problem (unreadable config, unwritable output).
+out-of-range values, a propagator that does not converge), 2 I/O problem
+(unreadable config, unwritable output).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .process import (
     process_trace_distance,
     unitality_defect,
 )
-from .propagator import evolve_unitary, transition_probability
+from .propagator import ConvergenceError, evolve_unitary, transition_probability
 from .tpm import (
     engine_heat_distribution,
     engine_work_distribution,
@@ -168,7 +169,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "qpt": _cmd_qpt,
         }[args.command]
         handler(cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

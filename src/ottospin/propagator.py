@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import slice_product
 from .spin import DriveProtocol, Phase, eigensystem
 
 #: Starting slice count for the converged propagator.
@@ -17,6 +16,63 @@ DEFAULT_N_STEPS = 5000
 CONVERGENCE_TOLERANCE = 1e-8
 
 _MAX_DOUBLINGS = 6
+
+
+def slice_product(
+    nu_start_khz: float,
+    nu_end_khz: float,
+    tau_us: float,
+    n_steps: int,
+    compression: bool,
+) -> np.ndarray:
+    """Time-ordered product of midpoint slice exponentials for the gap drive.
+
+    Each slice is the exact exponential of the drive generator frozen at the
+    slice midpoint.  For a gap frequency ``nu`` (kHz) held for ``dt`` (us) the
+    slice unitary in the computational basis is
+
+        cos(theta) * I + 1j * s * sin(theta) * [[0, e^{-i phi}], [e^{i phi}, 0]]
+
+    with ``theta = pi * nu * dt * 1e-3`` (the 1e-3 converts kHz*us to cycles),
+    ``phi`` the instantaneous rotation angle of the field axis, and ``s = +1``
+    for the forward (expansion) ramp, ``-1`` for the reversed (compression)
+    ramp.  Factors are applied in time order: the latest slice ends up
+    leftmost in the product.  All slices are built in one vectorized pass and
+    multiplied by a pairwise (balanced-tree) reduction, so the Python-level
+    loop runs O(log n) times.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if tau_us <= 0.0:
+        raise ValueError(f"tau_us must be positive, got {tau_us}")
+
+    dt = tau_us / n_steps
+    t_mid = (np.arange(n_steps) + 0.5) * dt
+    # the compression drive replays the forward ramp backwards and negated
+    s_arg = tau_us - t_mid if compression else t_mid
+    nu = nu_start_khz + (nu_end_khz - nu_start_khz) * (s_arg / tau_us)
+    phi = 0.5 * np.pi * s_arg / tau_us
+    theta = np.pi * nu * dt * 1e-3
+    sign = -1.0 if compression else 1.0
+
+    cos_t = np.cos(theta)
+    flip = 1j * sign * np.sin(theta)
+    mats = np.empty((n_steps, 2, 2), dtype=np.complex128)
+    mats[:, 0, 0] = cos_t
+    mats[:, 1, 1] = cos_t
+    mats[:, 0, 1] = flip * np.exp(-1j * phi)
+    mats[:, 1, 0] = flip * np.exp(1j * phi)
+
+    # pairwise reduction; mats stays ordered earliest -> latest throughout,
+    # and each pair collapses as later @ earlier
+    while len(mats) > 1:
+        if len(mats) % 2:
+            tail, body = mats[-1:], mats[:-1]
+        else:
+            tail, body = None, mats
+        paired = body[1::2] @ body[0::2]
+        mats = paired if tail is None else np.concatenate([paired, tail])
+    return mats[0]
 
 
 class ConvergenceError(RuntimeError):

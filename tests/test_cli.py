@@ -189,6 +189,15 @@ def test_invalid_config_value_is_a_usage_error(tmp_path, capsys):
     assert "error" in err and "line 2" in err
 
 
+def test_unconverged_propagator_is_a_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("[drive]\nn_steps = 1\n")
+    rc, out, err = _run(capsys, ["cycle", "--config", str(cfg), "--tau", "700"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_unwritable_output_path_is_an_io_error(capsys):
     rc, _, _ = _run(capsys, ["cycle", "--tau", "300", "--mc-samples", "2",
                              "--out", "/no/such/dir/out.csv"])

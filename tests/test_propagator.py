@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 
 import ottospin as o
-from ottospin.propagator import ConvergenceError
+from ottospin.propagator import ConvergenceError, slice_product
 import oracles
 
 DEFAULT = o.DriveProtocol(2.0, 3.6, 100.0)
 SWEEP_TAU_GRID = (100.0, 200.0, 235.0, 260.0, 300.0, 320.0, 420.0, 500.0, 600.0, 700.0)
+SLICE_CASES = [
+    (2.0, 3.6, 100.0, 1),
+    (2.0, 3.6, 100.0, 2),
+    (2.0, 3.6, 50.0, 17),
+    (1.1, 7.3, 400.0, 503),
+    (2.0, 3.6, 700.0, 4096),
+]
 
 
 def _swap_prob(tau_us):
@@ -82,7 +89,7 @@ def test_time_ordering_error_is_second_order_in_slice_width():
 
 
 def test_kernel_matches_plain_loop_reference_product():
-    # Guards the multiplication *order* of the optimized kernels.
+    # Guards the multiplication *order* of the pairwise slice reduction.
     for n in (1, 2, 7, 17, 64):
         for phase in (o.Phase.EXPANSION, o.Phase.COMPRESSION):
             p = o.DriveProtocol(2.0, 3.6, 50.0, phase)
@@ -91,6 +98,21 @@ def test_kernel_matches_plain_loop_reference_product():
                 2.0, 3.6, 50.0, n, phase is o.Phase.COMPRESSION
             )
             assert np.max(np.abs(u - ref)) < 1e-14
+
+
+def test_slice_product_matches_plain_loop_reference():
+    for nu1, nu2, tau, n in SLICE_CASES:
+        for compression in (False, True):
+            got = slice_product(nu1, nu2, tau, n, compression)
+            ref = oracles.sequential_slice_product(nu1, nu2, tau, n, compression)
+            assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_slice_product_validates_arguments():
+    with pytest.raises(ValueError):
+        slice_product(2.0, 3.6, 100.0, 0, False)
+    with pytest.raises(ValueError):
+        slice_product(2.0, 3.6, 0.0, 10, False)
 
 
 def test_convergence_escalation_reports_the_finer_slicing():
@@ -118,7 +140,7 @@ def test_unitary_map_rejects_non_unitary_matrices():
 
 def test_transition_probability_default_ramp():
     ref = oracles.TRANSITION_PROB_CONVERGED
-    assert _swap_prob(100.0) == pytest.approx(ref[100.0], abs=1e-8)
+    assert _swap_prob(100.0) == pytest.approx(ref[100.0], abs=1e-10)
     assert _swap_prob(300.0) == pytest.approx(ref[300.0], abs=1e-8)
     assert _swap_prob(700.0) == pytest.approx(ref[700.0], abs=1e-8)
 
