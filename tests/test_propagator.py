@@ -115,6 +115,15 @@ def test_slice_product_validates_arguments():
         slice_product(2.0, 3.6, 0.0, 10, False)
 
 
+def test_slice_product_reproduces_converged_physics():
+    # End to end through the public API: the numpy slice product must give
+    # the converged swap probability of the default 100 us ramp.
+    p = o.DriveProtocol(2.0, 3.6, 100.0)
+    h_i, h_f = o.endpoint_hamiltonians(p)
+    prob = o.transition_probability(o.evolve_unitary(p), h_i, h_f)
+    assert prob == pytest.approx(oracles.TRANSITION_PROB_CONVERGED[100.0], abs=1e-10)
+
+
 def test_convergence_escalation_reports_the_finer_slicing():
     um = o.evolve_unitary(DEFAULT)
     assert um.n_steps == 2 * o.DEFAULT_N_STEPS
