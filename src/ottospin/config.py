@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .cycle import CycleConfig
+from .propagator import DEFAULT_N_STEPS
 from .spin import DriveProtocol, Phase, ThermalParams
 
 #: Preset hot-reservoir temperatures (peV) selectable by option letter.
@@ -42,7 +43,7 @@ class RunConfig:
 
     nu_initial_khz: float = 2.0
     nu_final_khz: float = 3.6
-    n_steps: int = 5000
+    n_steps: int = DEFAULT_N_STEPS
     hot_option: str = "B"
     kt_cold_pev: float = 6.6
     kt_hot_pev: float | None = None

@@ -18,7 +18,6 @@ import numpy as np
 
 from .propagator import (
     DEFAULT_N_STEPS,
-    UnitaryMap,
     evolve_unitary,
     propagate_state,
     transition_probability,
@@ -314,19 +313,22 @@ def _cycle_states(
     cfg: CycleConfig,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(transition prob, cold equilibrium, hot equilibrium, after expansion,
-    after compression)."""
+    after compression).
+
+    The compression drive is H_c(t) = -H_e(tau - t), so its propagator is
+    exactly the adjoint U^dagger of the expansion propagator U, and the
+    compression stroke maps the hot equilibrium to U^dagger rho_hot U.
+    """
     h_cold, h_hot = endpoint_hamiltonians(cfg.protocol)
     forward = evolve_unitary(
         replace(cfg.protocol, phase=Phase.EXPANSION), cfg.n_steps
     )
-    backward = evolve_unitary(
-        replace(cfg.protocol, phase=Phase.COMPRESSION), cfg.n_steps
-    )
+    u = forward.matrix
     swap_prob = transition_probability(forward, h_cold, h_hot)
     cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
     hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
     after_exp = propagate_state(cold_eq, forward)
-    after_comp = propagate_state(hot_eq, backward)
+    after_comp = u.conj().T @ hot_eq @ u
     return swap_prob, cold_eq, hot_eq, after_exp, after_comp
 
 

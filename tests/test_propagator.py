@@ -1,8 +1,10 @@
 """Propagator checks against an independent adaptive ODE integration.
 
-The library builds its unitaries from midpoint slice products; every
-quantitative claim here is verified against `oracles.ode_unitary`, which knows
-nothing about slicing.
+The library builds its unitaries from products of fourth-order Magnus steps;
+every quantitative claim here is verified against `oracles.ode_unitary`,
+which knows nothing about time stepping, or against the plain-loop
+`oracles.sequential_magnus_product`, which exponentiates each step with
+`scipy.linalg.expm` instead of the closed axis-angle form.
 """
 
 import numpy as np
@@ -64,37 +66,44 @@ def test_compression_matches_independent_ode_integration():
     assert np.max(np.abs(v - ref)) < 1e-7
 
 
-def test_single_slice_is_exact_midpoint_exponential():
-    # With one slice the product *is* the axis-angle exponential of the frozen
-    # midpoint Hamiltonian -- the sense in which slicing is exact for a
-    # time-independent generator.
+def test_single_step_is_the_magnus_exponential():
+    # With one step the product *is* the exponential of the two-node Magnus
+    # exponent over the whole window, built here from the package's own
+    # Hamiltonian and scipy's expm.
     from scipy.linalg import expm
 
     tau = 80.0
     p = o.DriveProtocol(2.0, 3.6, tau)
     u = o.evolve_unitary(p, n_steps=1, check_convergence=False).matrix
-    h_mid = o.drive_hamiltonian(tau / 2, p)
-    ref = expm(-1j * h_mid * tau / oracles.HBAR_PEV_US)
-    assert np.max(np.abs(u - ref)) < 1e-13
+    offset = np.sqrt(3.0) / 6.0
+    a_early, a_late = (
+        -1j / oracles.HBAR_PEV_US * o.drive_hamiltonian((0.5 + node) * tau, p)
+        for node in (-offset, offset)
+    )
+    omega = 0.5 * tau * (a_early + a_late) + (np.sqrt(3.0) / 12.0) * tau**2 * (
+        a_late @ a_early - a_early @ a_late
+    )
+    assert np.max(np.abs(u - expm(omega))) < 1e-13
 
 
-def test_time_ordering_error_is_second_order_in_slice_width():
-    ref = oracles.ode_unitary(2.0, 3.6, 100.0)
+def test_time_ordering_error_is_fourth_order_in_step_width():
+    ref = oracles.ode_unitary(2.0, 3.6, 300.0)
+    p = o.DriveProtocol(2.0, 3.6, 300.0)
     errs = []
     for n in (50, 100, 200, 400):
-        u = o.evolve_unitary(DEFAULT, n_steps=n, check_convergence=False).matrix
+        u = o.evolve_unitary(p, n_steps=n, check_convergence=False).matrix
         errs.append(np.max(np.abs(u - ref)))
     for coarse, fine in zip(errs, errs[1:]):
-        assert coarse / fine == pytest.approx(4.0, abs=0.05)
+        assert coarse / fine == pytest.approx(16.0, abs=0.2)
 
 
 def test_kernel_matches_plain_loop_reference_product():
-    # Guards the multiplication *order* of the pairwise slice reduction.
+    # Guards the multiplication *order* of the pairwise step reduction.
     for n in (1, 2, 7, 17, 64):
         for phase in (o.Phase.EXPANSION, o.Phase.COMPRESSION):
             p = o.DriveProtocol(2.0, 3.6, 50.0, phase)
             u = o.evolve_unitary(p, n_steps=n, check_convergence=False).matrix
-            ref = oracles.sequential_slice_product(
+            ref = oracles.sequential_magnus_product(
                 2.0, 3.6, 50.0, n, phase is o.Phase.COMPRESSION
             )
             assert np.max(np.abs(u - ref)) < 1e-14
@@ -104,7 +113,7 @@ def test_slice_product_matches_plain_loop_reference():
     for nu1, nu2, tau, n in SLICE_CASES:
         for compression in (False, True):
             got = slice_product(nu1, nu2, tau, n, compression)
-            ref = oracles.sequential_slice_product(nu1, nu2, tau, n, compression)
+            ref = oracles.sequential_magnus_product(nu1, nu2, tau, n, compression)
             assert np.max(np.abs(got - ref)) < 1e-13
 
 
@@ -116,8 +125,8 @@ def test_slice_product_validates_arguments():
 
 
 def test_slice_product_reproduces_converged_physics():
-    # End to end through the public API: the numpy slice product must give
-    # the converged swap probability of the default 100 us ramp.
+    # End to end through the public API: the Magnus product must give the
+    # converged swap probability of the default 100 us ramp.
     p = o.DriveProtocol(2.0, 3.6, 100.0)
     h_i, h_f = o.endpoint_hamiltonians(p)
     prob = o.transition_probability(o.evolve_unitary(p), h_i, h_f)
@@ -127,9 +136,9 @@ def test_slice_product_reproduces_converged_physics():
 def test_convergence_escalation_reports_the_finer_slicing():
     um = o.evolve_unitary(DEFAULT)
     assert um.n_steps == 2 * o.DEFAULT_N_STEPS
-    # the slow ramp needs one extra doubling
+    # the slow ramp needs two extra doublings
     um_slow = o.evolve_unitary(o.DriveProtocol(2.0, 3.6, 700.0))
-    assert um_slow.n_steps == 4 * o.DEFAULT_N_STEPS
+    assert um_slow.n_steps == 8 * o.DEFAULT_N_STEPS
 
 
 def test_convergence_failure_raises_after_bounded_doublings():
