@@ -23,6 +23,7 @@ from .propagator import (
     transition_probability,
 )
 from .spin import (
+    PLANCK_PEV_PER_KHZ,
     DriveProtocol,
     Phase,
     ThermalParams,
@@ -30,6 +31,7 @@ from .spin import (
     gibbs_state,
     polarization,
 )
+from .tpm import transition_matrix
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,12 @@ def endpoint_hamiltonians(protocol: DriveProtocol) -> tuple[np.ndarray, np.ndarr
 def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     """Quantum relative entropy S(a||b) = tr[a (ln a - ln b)] in nats.
 
-    Infinite whenever ``a`` has weight outside the support of ``b``; that
-    case is rejected rather than returned.
+    Infinite whenever the support of ``a`` is not inside that of ``b``; a
+    reference with an eigenvalue below 1e-12 is rejected rather than returned.
     """
-    result = _relative_entropy_batch(
-        np.asarray(a, dtype=np.complex128)[None, :, :],
-        np.asarray(b, dtype=np.complex128)[None, :, :],
-    )
+    result = _relative_entropy_batch(np.asarray(a)[None], np.asarray(b)[None])
+    if np.isinf(result[0]):
+        raise ValueError("relative entropy infinite: reference eigenvalue below 1e-12")
     return float(result[0])
 
 
@@ -191,8 +192,8 @@ def efficiency_closed_form(
 
 def run_cycle(cfg: CycleConfig) -> CycleReport:
     """Simulate one full cycle and report every figure of merit."""
-    states = _cycle_states(cfg)
-    return _report_from_states(cfg, *states)
+    swap_prob, *states = _cycle_states(cfg)
+    return _report_from_states(cfg, swap_prob, states)
 
 
 def sweep_tau(cfg: CycleConfig, tau_list_us: Sequence[float]) -> list[CycleReport]:
@@ -217,51 +218,40 @@ MONTE_CARLO_FIELDS = (
 )
 
 
-def monte_carlo_uncertainty(
-    cfg: CycleConfig,
-    rel_noise: float = 0.01,
-    n_samples: int = 1000,
-    seed: int = 0,
-) -> dict[str, UncertaintyEstimate]:
-    """Propagate per-element state uncertainty into the cycle quantities.
-
-    Each of the four cycle states is resampled ``n_samples`` times with
-    additive complex Gaussian noise of width ``rel_noise`` per matrix
-    element, repaired to a valid state (re-Hermitize, clip negative
-    eigenvalues, renormalize the trace), and the report quantities are
-    recomputed.  Sample i draws from its own RNG stream spawned as
-    ``SeedSequence(seed, spawn_key=(i,))``, so any parallel fan-out of the
-    sample loop reproduces the sequential results exactly.
-
-    With ``rel_noise == 0`` the perturbation path is bypassed entirely and
-    the means are the point estimates, bit for bit, with zero spread.
-    """
-    _, estimates = cycle_with_uncertainty(cfg, rel_noise, n_samples, seed)
-    return estimates
-
-
 def cycle_with_uncertainty(
     cfg: CycleConfig,
     rel_noise: float = 0.01,
     n_samples: int = 1000,
     seed: int = 0,
 ) -> tuple[CycleReport, dict[str, UncertaintyEstimate]]:
-    """Point report plus Monte Carlo spread from a single state computation."""
+    """Point report plus Monte Carlo spread from a single state computation.
+
+    Each of the four cycle states is resampled ``n_samples`` times with
+    additive complex Gaussian noise of width ``rel_noise`` per matrix
+    element, repaired to a valid state (see ``_repair_batch``), and the
+    report quantities are recomputed.  Sample i draws from its own RNG
+    stream spawned as ``SeedSequence(seed, spawn_key=(i,))``, so any
+    parallel fan-out of the sample loop reproduces the sequential results
+    exactly.
+
+    With ``rel_noise == 0`` the perturbation path is bypassed entirely and
+    the means are the point estimates, bit for bit, with zero spread.  A
+    rank-deficient repaired reference makes a sample's lag infinite; the run
+    is then rejected with the number of such samples.
+    """
     if rel_noise < 0.0:
         raise ValueError(f"noise width must be nonnegative, got {rel_noise}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
 
-    states = _cycle_states(cfg)
-    point = _report_from_states(cfg, *states)
+    swap_prob, *clean = _cycle_states(cfg)
+    point = _report_from_states(cfg, swap_prob, clean)
     if rel_noise == 0.0:
         return point, {
             name: UncertaintyEstimate(getattr(point, name), 0.0)
             for name in MONTE_CARLO_FIELDS
         }
 
-    _, cold_eq, hot_eq, after_exp, after_comp = states
-    clean = (cold_eq, hot_eq, after_exp, after_comp)
     stacks = [np.empty((n_samples, 2, 2), dtype=np.complex128) for _ in clean]
     for i in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -270,33 +260,15 @@ def cycle_with_uncertainty(
                 0.0, rel_noise, (2, 2)
             )
             stack[i] = state + noise
-    cold_s, hot_s, exp_s, comp_s = (_repair_batch(stack) for stack in stacks)
-
-    h_cold, h_hot = endpoint_hamiltonians(cfg.protocol)
-    heat_hot = _trace_pairing(h_hot, hot_s - exp_s)
-    heat_cold = _trace_pairing(h_cold, cold_s - comp_s)
-    work = heat_hot + heat_cold
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eff = work / heat_hot
-        lag = (
-            _relative_entropy_batch(exp_s, hot_s)
-            + _relative_entropy_batch(comp_s, cold_s)
-        ) * cfg.thermal.kt_cold_pev / heat_hot
-    sigma = (
-        -heat_cold / cfg.thermal.kt_cold_pev - heat_hot / cfg.thermal.kt_hot_pev
-    )
-    period = 2.0 * cfg.protocol.tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
-    power = 1000.0 * work / period
-
-    samples = {
-        "mean_work_pev": work,
-        "mean_heat_hot_pev": heat_hot,
-        "mean_heat_cold_pev": heat_cold,
-        "efficiency": eff,
-        "efficiency_lag": lag,
-        "entropy_production": sigma,
-        "power_pev_per_ms": power,
-    }
+    cold_s, hot_s, exp_s, comp_s = repaired = [_repair_batch(m) for m in stacks]
+    relent = _relative_entropy_batch(exp_s, hot_s)
+    relent += _relative_entropy_batch(comp_s, cold_s)
+    if np.isinf(relent).any():
+        raise ValueError(
+            f"relative entropy infinite: {np.isinf(relent).sum()} of {n_samples} Monte "
+            f"Carlo samples have a rank-deficient reference at noise width {rel_noise}"
+        )
+    samples = _figures_of_merit(cfg, repaired, relent)
     estimates = {
         name: UncertaintyEstimate(
             float(np.mean(values)),
@@ -333,44 +305,58 @@ def _cycle_states(
 
 
 def _report_from_states(
-    cfg: CycleConfig,
-    swap_prob: float,
-    cold_eq: np.ndarray,
-    hot_eq: np.ndarray,
-    after_exp: np.ndarray,
-    after_comp: np.ndarray,
+    cfg: CycleConfig, swap_prob: float, states: Sequence[np.ndarray]
 ) -> CycleReport:
-    h_cold, h_hot = endpoint_hamiltonians(cfg.protocol)
-    heat_hot = float(np.real(np.trace(h_hot @ (hot_eq - after_exp))))
-    heat_cold = float(np.real(np.trace(h_cold @ (cold_eq - after_comp))))
-    work = heat_hot + heat_cold
-    eta_otto = 1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz
-    eta_carnot = 1.0 - cfg.thermal.kt_cold_pev / cfg.thermal.kt_hot_pev
-    if heat_hot == 0.0:
-        eff = math.nan
-        lag = math.nan
-    else:
-        eff = work / heat_hot
-        lag = efficiency_lag(
-            after_exp, hot_eq, after_comp, cold_eq, heat_hot,
-            1.0 / cfg.thermal.kt_cold_pev,
-        )
-    sigma = entropy_production_drive(heat_cold, heat_hot, cfg.thermal)
-    period = 2.0 * cfg.protocol.tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
+    relent_sum = np.array([_drive_relative_entropy(cfg, swap_prob)])
+    figures = _figures_of_merit(cfg, [state[None] for state in states], relent_sum)
+    values = {name: float(value[0]) for name, value in figures.items()}
     return CycleReport(
         tau_us=cfg.protocol.tau_us,
         transition_prob=swap_prob,
-        mean_work_pev=work,
-        mean_heat_hot_pev=heat_hot,
-        mean_heat_cold_pev=heat_cold,
-        efficiency=eff,
-        efficiency_otto=eta_otto,
-        efficiency_carnot=eta_carnot,
-        efficiency_lag=lag,
-        entropy_production=sigma,
-        power_pev_per_ms=1000.0 * work / period,
-        extraction_ok=work > 0.0,
+        efficiency_otto=1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz,
+        efficiency_carnot=1.0 - cfg.thermal.kt_cold_pev / cfg.thermal.kt_hot_pev,
+        extraction_ok=values["mean_work_pev"] > 0.0,
+        **values,
     )
+
+
+def _figures_of_merit(
+    cfg: CycleConfig, states: Sequence[np.ndarray], relent_sum: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The ``MONTE_CARLO_FIELDS`` for stacks of the four cycle states, given
+    S(rho_exp || rho_hot) + S(rho_comp || rho_cold) per stack entry.
+    Efficiency and lag are NaN where no heat comes from the hot reservoir."""
+    cold_eq, hot_eq, after_exp, after_comp = states
+    h_cold, h_hot = endpoint_hamiltonians(cfg.protocol)
+    heat_hot = _trace_pairing(h_hot, hot_eq - after_exp)
+    heat_cold = _trace_pairing(h_cold, cold_eq - after_comp)
+    work = heat_hot + heat_cold
+    divisor = np.where(heat_hot == 0.0, np.nan, heat_hot)
+    period = 2.0 * cfg.protocol.tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
+    lag = relent_sum / ((1.0 / cfg.thermal.kt_cold_pev) * divisor)
+    sigma = entropy_production_drive(heat_cold, heat_hot, cfg.thermal)
+    power = 1000.0 * work / period
+    figures = (work, heat_hot, heat_cold, work / divisor, lag, sigma, power)
+    return dict(zip(MONTE_CARLO_FIELDS, figures))
+
+
+def _drive_relative_entropy(cfg: CycleConfig, swap_prob: float) -> float:
+    """S(rho_exp || rho_hot) + S(rho_comp || rho_cold) from the swap
+    probability xi and the cold and hot Gibbs populations p and q.
+
+    Unitarity gives S(rho_exp) = S(rho_cold), and rho_hot is diagonal in the
+    eigenbasis of H_f, where rho_exp has the populations T(xi) p; so
+    S(rho_exp || rho_hot) = sum p log p - sum (T(xi) p)_m log q_m, and the
+    compression term swaps p and q.  The log-populations -E/kT - log Z, with
+    log Z = gap/2kT + log1p(exp(-gap/kT)), never log a small population.
+    """
+    x = PLANCK_PEV_PER_KHZ * np.array(
+        [cfg.protocol.nu_initial_khz, cfg.protocol.nu_final_khz]
+    ) / np.array([cfg.thermal.kt_cold_pev, cfg.thermal.kt_hot_pev])
+    log_p, log_q = np.stack([np.zeros(2), -x], axis=1) - np.log1p(np.exp(-x))[:, None]
+    p, q = np.exp(log_p), np.exp(log_q)
+    transfer = transition_matrix(swap_prob)
+    return float(p @ log_p - transfer @ p @ log_q + q @ log_q - transfer @ q @ log_p)
 
 
 def _trace_pairing(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -378,27 +364,42 @@ def _trace_pairing(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ij,nji->n", operator, states))
 
 
+def _bloch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, r) of the Hermitian parts (t I + r . sigma)/2 of a matrix stack."""
+    upper, lower = matrices[:, 0, 0].real, matrices[:, 1, 1].real
+    off = matrices[:, 0, 1] + np.conj(matrices[:, 1, 0])
+    return upper + lower, np.stack([off.real, -off.imag, upper - lower], axis=-1)
+
+
 def _repair_batch(matrices: np.ndarray) -> np.ndarray:
     """Project noisy matrices back to valid states: Hermitize, clip negative
-    eigenvalues, renormalize the trace."""
+    eigenvalues, renormalize the trace.  The Hermitian part (t I + r . sigma)/2
+    has eigenvalues (t +- |r|)/2, so the repaired Bloch vector is r/t when
+    |r| <= t, r/|r| when |r| > t and t + |r| > 0, and 0 (I/2) otherwise.
+    """
     herm = 0.5 * (matrices + np.conj(np.swapaxes(matrices, 1, 2)))
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    eigvals = np.clip(eigvals, 0.0, None)
-    totals = eigvals.sum(axis=1, keepdims=True)
-    eigvals = np.where(totals > 0.0, eigvals / np.where(totals > 0.0, totals, 1.0), 0.5)
-    return np.einsum("nij,nj,nkj->nik", eigvecs, eigvals, np.conj(eigvecs))
+    t, r = _bloch(herm)
+    length = np.linalg.norm(r, axis=-1)
+    valid = t + length > 0.0
+    scale = np.where(valid, 1.0 / np.where(valid, np.maximum(t, length), 1.0), 0.0)
+    shift = 0.5 * (1.0 - scale * t)
+    return scale[:, None, None] * herm + shift[:, None, None] * np.eye(2)
 
 
 def _relative_entropy_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S(a||b) for stacks of 2x2 states."""
-    wa, va = np.linalg.eigh(a)
-    wb, vb = np.linalg.eigh(b)
-    if (wb < 1e-12).any():
-        raise ValueError("relative entropy infinite")
-    wa = np.clip(wa, 0.0, None)
-    entropy_a = np.where(wa > 0.0, wa * np.log(np.where(wa > 0.0, wa, 1.0)), 0.0).sum(
-        axis=-1
-    )
-    overlap = np.abs(np.einsum("nji,njk->nik", np.conj(va), vb)) ** 2
-    cross = np.einsum("ni,nik,nk->n", wa, overlap, np.log(wb))
-    return entropy_a - cross
+    """S(a||b) for stacks of 2x2 states; +inf where b has an eigenvalue < 1e-12.
+
+    For a = (t I + r . sigma)/2 and b = (u I + s . sigma)/2 with eigenvalues
+    (t +- |r|)/2 and mu_+- = (u +- |s|)/2, tr[a ln b] is
+    [(t + r.s/|s|) ln mu_+ + (t - r.s/|s|) ln mu_-]/2, with r.s/|s| = 0 at s = 0.
+    """
+    (t, r), (u, s) = _bloch(a), _bloch(b)
+    r_len, s_len = np.linalg.norm(r, axis=-1), np.linalg.norm(s, axis=-1)
+    eig_a = np.clip(0.5 * np.stack([t + r_len, t - r_len], axis=-1), 0.0, None)
+    entropy_a = np.sum(eig_a * np.log(np.where(eig_a > 0.0, eig_a, 1.0)), axis=-1)
+    eig_b = 0.5 * np.stack([u + s_len, u - s_len], axis=-1)
+    singular = eig_b[:, 1] < 1e-12
+    log_b = np.log(np.where(singular[:, None], 1.0, eig_b))
+    along = np.einsum("ni,ni->n", r, s) / np.where(s_len > 0.0, s_len, 1.0)
+    cross = 0.5 * ((t + along) * log_b[:, 0] + (t - along) * log_b[:, 1])
+    return np.where(singular, np.inf, entropy_a - cross)

@@ -4,10 +4,11 @@ Everything in here recomputes results through a *different* route than the
 library: the propagator is integrated as an ODE with an adaptive high-order
 scheme instead of Magnus step products, means are accumulated
 stroke-by-stroke from raw populations, relative entropy goes through a matrix
-logarithm, and trace norms go through singular values.  Tests compare the two
-routes; frozen literals below were produced by these oracles (or, where
-noted, by an equally independent integrator) and are pinned so regressions
-show up as honest failures.
+logarithm, state repair goes through an eigendecomposition, and trace norms
+go through singular values.  Tests compare the two routes; frozen literals
+below were produced by these oracles (or, where noted, by an equally
+independent integrator) and are pinned so regressions show up as honest
+failures.
 """
 
 from __future__ import annotations
@@ -124,6 +125,17 @@ def relative_entropy_logm(a, b):
     """Quantum relative entropy via scipy's matrix logarithm."""
     val = np.trace(a @ (logm(a) - logm(b)))
     return float(np.real(val))
+
+
+def repair_state_eigh(m):
+    """Nearest valid state by the eigendecomposition route: Hermitize, clip
+    negative eigenvalues, renormalize the trace (the maximally mixed state
+    when no eigenvalue is positive)."""
+    herm = 0.5 * (m + m.conj().T)
+    w, v = np.linalg.eigh(herm)
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum() if w.sum() > 0.0 else np.full(2, 0.5)
+    return (v * w) @ v.conj().T
 
 
 def trace_norm_svd(m):

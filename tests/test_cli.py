@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import re
 
 import pytest
 
@@ -196,6 +198,29 @@ def test_unconverged_propagator_is_a_one_line_error(tmp_path, capsys):
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+def test_rank_deficient_monte_carlo_reference_is_a_counted_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[monte_carlo]\nnoise_width = 0.3\n")
+    rc, out, err = _run(capsys, ["sweep", "--config", str(cfg)])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert "relative entropy infinite" in err and "noise width 0.3" in err
+    count = re.search(r"(\d+) of 1000 Monte Carlo samples", err)
+    assert count is not None and 0 < int(count.group(1)) <= 1000
+
+
+def test_cold_bath_sweep_without_noise_reports_every_row(tmp_path, capsys):
+    # gap/kT_cold = 41: the cold excited population is below 1e-17
+    cfg = tmp_path / "cold.cfg"
+    cfg.write_text("[thermal]\nkt_cold_pev = 0.2\n[monte_carlo]\nnoise_width = 0.0\n")
+    rc, out, err = _run(capsys, ["sweep", "--config", str(cfg)])
+    assert rc == 0 and err == ""
+    rows = _rows(out)
+    assert len(rows) == 10
+    for row in rows:
+        assert all(math.isfinite(float(v)) for k, v in row.items() if k != "extraction_ok")
 
 
 def test_unwritable_output_path_is_an_io_error(capsys):

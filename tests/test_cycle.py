@@ -19,6 +19,8 @@ import oracles
 PROTOCOL = o.DriveProtocol(2.0, 3.6, 100.0)
 THERMAL_A = o.ThermalParams(6.6, 21.5)
 THERMAL_B = o.ThermalParams(6.6, 40.5)
+# cold baths deep enough that the cold excited population is e^-60 .. e^-17
+COLD_CORNER = tuple(o.ThermalParams(kt, 40.5) for kt in (0.138, 0.2, 0.3, 0.5))
 TAU_GRID = (100.0, 200.0, 235.0, 260.0, 300.0, 320.0, 420.0, 500.0, 600.0, 700.0)
 
 
@@ -108,7 +110,7 @@ def test_power_is_work_over_total_cycle_duration():
 
 def test_lag_identity_across_the_grid():
     # efficiency equals the Carnot ceiling minus the lag penalty, always
-    for thermal in (THERMAL_A, THERMAL_B):
+    for thermal in (THERMAL_A, THERMAL_B, *COLD_CORNER):
         for tau in TAU_GRID:
             r = o.run_cycle(_config(tau, thermal))
             assert r.efficiency == pytest.approx(
@@ -125,10 +127,11 @@ def test_lag_penalty_shrinks_from_fast_to_slow_driving():
 
 def test_entropy_production_two_routes_agree():
     # bath bookkeeping (-Qc/kT1 - Qh/kT2) versus beta1*Qh*lag
-    for tau in TAU_GRID:
-        r = o.run_cycle(_config(tau))
-        lag_route = r.mean_heat_hot_pev * r.efficiency_lag / THERMAL_B.kt_cold_pev
-        assert r.entropy_production == pytest.approx(lag_route, abs=1e-10)
+    for thermal in (THERMAL_B, *COLD_CORNER):
+        for tau in TAU_GRID:
+            r = o.run_cycle(_config(tau, thermal))
+            lag_route = r.mean_heat_hot_pev * r.efficiency_lag / thermal.kt_cold_pev
+            assert r.entropy_production == pytest.approx(lag_route, abs=1e-10)
 
 
 def test_entropy_production_is_nonnegative_on_the_grid():
@@ -396,17 +399,17 @@ def test_monte_carlo_zero_noise_reproduces_point_estimates_exactly():
 
 def test_monte_carlo_is_deterministic_for_a_fixed_seed():
     cfg = _config(300.0)
-    a = o.monte_carlo_uncertainty(cfg, rel_noise=0.01, n_samples=100, seed=42)
-    b = o.monte_carlo_uncertainty(cfg, rel_noise=0.01, n_samples=100, seed=42)
+    a = o.cycle_with_uncertainty(cfg, rel_noise=0.01, n_samples=100, seed=42)[1]
+    b = o.cycle_with_uncertainty(cfg, rel_noise=0.01, n_samples=100, seed=42)[1]
     assert a == b
-    c = o.monte_carlo_uncertainty(cfg, rel_noise=0.01, n_samples=100, seed=43)
+    c = o.cycle_with_uncertainty(cfg, rel_noise=0.01, n_samples=100, seed=43)[1]
     assert any(a[f].mean != c[f].mean for f in o.MONTE_CARLO_FIELDS)
 
 
 def test_monte_carlo_spread_scales_linearly_with_noise_width():
     cfg = _config(300.0)
-    lo = o.monte_carlo_uncertainty(cfg, rel_noise=0.005, n_samples=400, seed=7)
-    hi = o.monte_carlo_uncertainty(cfg, rel_noise=0.01, n_samples=400, seed=7)
+    lo = o.cycle_with_uncertainty(cfg, rel_noise=0.005, n_samples=400, seed=7)[1]
+    hi = o.cycle_with_uncertainty(cfg, rel_noise=0.01, n_samples=400, seed=7)[1]
     ratio = hi["mean_work_pev"].stddev / lo["mean_work_pev"].stddev
     assert ratio == pytest.approx(2.0, abs=0.3)
 
@@ -419,12 +422,33 @@ def test_monte_carlo_mean_tracks_the_point_estimate():
     assert est.stddev > 0
 
 
+def test_bloch_repair_matches_the_eigendecomposition_route():
+    from ottospin.cycle import _repair_batch
+
+    rng = np.random.default_rng(11)
+    n = 600
+    t = rng.uniform(-1.0, 1.5, n)
+    axes = rng.normal(size=(n, 3))
+    r = axes / np.linalg.norm(axes, axis=1, keepdims=True) * rng.uniform(0.0, 2.0, (n, 1))
+    pauli = np.stack([o.PAULI_X, o.PAULI_Y, o.PAULI_Z])
+    herm = 0.5 * (t[:, None, None] * o.IDENTITY + np.einsum("ni,ijk->njk", r, pauli))
+    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    matrices = herm + 0.5 * (g - np.conj(np.swapaxes(g, 1, 2)))
+    length = np.linalg.norm(r, axis=1)
+    # mixed (|r| <= t), clipped to pure (|r| > t, t + |r| > 0), nothing positive
+    branches = (length <= t, (length > t) & (t + length > 0.0), t + length <= 0.0)
+    assert all(branch.sum() >= 50 for branch in branches)
+    repaired = _repair_batch(matrices)
+    for got, m in zip(repaired, matrices):
+        np.testing.assert_allclose(got, oracles.repair_state_eigh(m), rtol=0.0, atol=1e-14)
+
+
 def test_monte_carlo_validates_arguments():
     cfg = _config(300.0)
     with pytest.raises(ValueError):
-        o.monte_carlo_uncertainty(cfg, rel_noise=-0.01)
+        o.cycle_with_uncertainty(cfg, rel_noise=-0.01)[1]
     with pytest.raises(ValueError):
-        o.monte_carlo_uncertainty(cfg, n_samples=0)
+        o.cycle_with_uncertainty(cfg, n_samples=0)[1]
 
 
 def test_cycle_config_validation():
