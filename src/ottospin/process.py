@@ -13,7 +13,6 @@ the unitality diagnostics lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -85,18 +84,6 @@ def depolarizing_process() -> ProcessMatrix:
     """The fully depolarizing channel: every input goes to the maximally
     mixed state (uniform mixture of the four basis conjugations)."""
     return ProcessMatrix(np.eye(4, dtype=np.complex128) / 4.0)
-
-
-def process_from_kraus(kraus_ops: Sequence[np.ndarray]) -> ProcessMatrix:
-    """Process matrix of a channel given by Kraus operators."""
-    matrix = np.zeros((4, 4), dtype=np.complex128)
-    for op in kraus_ops:
-        op = np.asarray(op, dtype=np.complex128)
-        if op.shape != (2, 2):
-            raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
-        coeffs = np.einsum("kab,ba->k", _BASIS_DAG, op) / 2.0
-        matrix += np.outer(coeffs, coeffs.conj())
-    return ProcessMatrix(matrix)
 
 
 def mix_processes(a: ProcessMatrix, b: ProcessMatrix, weight: float) -> ProcessMatrix:

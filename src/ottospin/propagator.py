@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import DriveProtocol, Phase, eigensystem
+from .spin import KHZ_US, DriveProtocol, Phase, eigensystem
 
 #: Starting Magnus step count for the converged propagator.
 DEFAULT_N_STEPS = 64
@@ -34,9 +34,9 @@ def slice_product(
     The drive generator is a real vector on the Pauli basis,
     ``-i H(t) / hbar = i a(t) . sigma`` with
 
-        a(t) = s * pi * nu(t) * 1e-3 * (cos phi(t), sin phi(t), 0)   [rad/us]
+        a(t) = s * pi * nu(t) * KHZ_US * (cos phi(t), sin phi(t), 0)   [rad/us]
 
-    (the 1e-3 converts kHz*us to cycles), ``phi`` the instantaneous rotation
+    (``KHZ_US`` converts kHz*us to cycles), ``phi`` the instantaneous rotation
     angle of the field axis, and ``s = +1`` for the forward (expansion) ramp,
     ``-1`` for the reversed (compression) ramp.  Each step of width ``dt``
     samples ``a`` at the two Gauss-Legendre nodes
@@ -64,7 +64,7 @@ def slice_product(
     s_arg = tau_us - t_nodes if compression else t_nodes
     nu = nu_start_khz + (nu_end_khz - nu_start_khz) * (s_arg / tau_us)
     phi = 0.5 * np.pi * s_arg / tau_us
-    amp = (-1.0 if compression else 1.0) * np.pi * nu * 1e-3
+    amp = (-1.0 if compression else 1.0) * np.pi * nu * KHZ_US
     ax = amp * np.cos(phi)
     ay = amp * np.sin(phi)
 
@@ -113,16 +113,13 @@ class UnitaryMap:
 
 
 def evolve_unitary(
-    protocol: DriveProtocol,
-    n_steps: int = DEFAULT_N_STEPS,
-    *,
-    check_convergence: bool = True,
+    protocol: DriveProtocol, n_steps: int = DEFAULT_N_STEPS
 ) -> UnitaryMap:
     """Propagator of the drive as a time-ordered product of Magnus steps.
 
     Each step is the exact exponential of the fourth-order Magnus exponent
     over the step (see :func:`slice_product`), so the global error is fourth
-    order in the step width.  With ``check_convergence`` the step count is
+    order in the step width.  Starting from ``n_steps``, the step count is
     doubled until the product moves by less than ``CONVERGENCE_TOLERANCE`` in
     max-norm, and the finer product is returned; the metadata records the
     step count actually used.  Raises :class:`ConvergenceError` if the
@@ -134,9 +131,6 @@ def evolve_unitary(
     args = (protocol.nu_initial_khz, protocol.nu_final_khz, protocol.tau_us)
 
     current = slice_product(*args, n_steps, compression)
-    if not check_convergence:
-        return UnitaryMap(matrix=current, protocol=protocol, n_steps=n_steps)
-
     steps = n_steps
     for _ in range(_MAX_DOUBLINGS):
         finer = slice_product(*args, 2 * steps, compression)

@@ -173,8 +173,12 @@ def thermal_populations(nu_khz: float, kt_pev: float) -> tuple[float, float]:
         raise ValueError(f"kT must be positive, got {kt_pev} peV")
     if math.isinf(kt_pev):
         return 0.5, 0.5
-    gap = PLANCK_PEV_PER_KHZ * nu_khz
-    excited = 1.0 / (1.0 + math.exp(gap / kt_pev))
+    ratio = PLANCK_PEV_PER_KHZ * nu_khz / kt_pev
+    try:
+        excited = 1.0 / (1.0 + math.exp(ratio))
+    except OverflowError:
+        # gap/kT above ~709.8: 1 + exp(-ratio) == 1, so this is the same weight
+        excited = math.exp(-ratio)
     return 1.0 - excited, excited
 
 

@@ -2,10 +2,10 @@
 
 Work here is defined from projective energy measurements before and after
 each drive stroke.  A full engine cycle has sixteen possible four-outcome
-histories (two levels at each of the four measurements); their enumeration,
-the resulting work and heat atom distributions, characteristic functions with
-discrete Fourier inversion, and the closed-form means all live in this
-module.
+histories (two levels at each of the four measurements); their
+(2, 2, 2, 2) table, the resulting work and heat atom distributions,
+characteristic functions with discrete Fourier inversion, and the closed-form
+means all live in this module.
 
 Sign convention: every per-history energy is the contribution to the
 *extracted* work (measured drop of the medium's energy during expansion plus
@@ -102,23 +102,6 @@ class EnergyDistribution:
         return cls(tuple(merged_values), tuple(merged_probs), kind)
 
 
-@dataclass(frozen=True)
-class TrajectoryHistory:
-    """One four-outcome measurement history of a full cycle.
-
-    ``expansion_start``/``expansion_end`` are the levels found before and
-    after the expansion stroke, ``compression_start``/``compression_end``
-    before and after the compression stroke (0 = ground, 1 = excited).
-    """
-
-    expansion_start: int
-    expansion_end: int
-    compression_start: int
-    compression_end: int
-    delta_e_pev: float
-    probability: float
-
-
 @dataclass(frozen=True, eq=False)
 class CharacteristicSamples:
     """Samples of a distribution's characteristic function chi(u)."""
@@ -160,77 +143,32 @@ def enumerate_histories(
     hot_populations: Sequence[float],
     transition_prob: float,
     spectra: tuple[Sequence[float], Sequence[float]],
-) -> list[TrajectoryHistory]:
-    """All sixteen cycle histories with their extracted-work contributions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """All sixteen cycle histories as ``(delta_e_pev, probability)``, two
+    arrays of shape (2, 2, 2, 2) indexed ``[n, m, k, j]``.
 
-    ``spectra`` holds the (initial, final) endpoint energy pairs (ascending,
-    peV).  The expansion stroke contributes the energy drop e_i[n] - e_f[m],
-    the compression stroke e_f[k] - e_i[j]; both strokes share the same
-    transfer matrix because the compression propagator is the adjoint of the
-    expansion one.
+    ``n``/``m`` are the levels found before and after the expansion stroke,
+    ``k``/``j`` before and after the compression stroke (0 = ground,
+    1 = excited).  ``spectra`` holds the (initial, final) endpoint energy
+    pairs (ascending, peV).  The expansion stroke contributes the energy drop
+    e_i[n] - e_f[m], the compression stroke e_f[k] - e_i[j]; both strokes
+    share the same transfer matrix because the compression propagator is the
+    adjoint of the expansion one.  The weight of a history is
+    p[n] T[m, n] q[k] T[j, k].
     """
     p = _checked_populations(cold_populations, "cold")
     q = _checked_populations(hot_populations, "hot")
     e_initial, e_final = (_checked_spectrum(s) for s in spectra)
-    transfer = transition_matrix(transition_prob)
+    # transfer_t[n, m] = T[m, n]: the weight of landing on m from n
+    transfer_t = transition_matrix(transition_prob).T
 
-    histories = []
-    for n in (0, 1):
-        for m in (0, 1):
-            for k in (0, 1):
-                for j in (0, 1):
-                    prob = p[n] * transfer[m, n] * q[k] * transfer[j, k]
-                    delta = (e_initial[n] - e_final[m]) + (e_final[k] - e_initial[j])
-                    histories.append(
-                        TrajectoryHistory(n, m, k, j, float(delta), float(prob))
-                    )
-    return histories
-
-
-def work_distribution(histories: Sequence[TrajectoryHistory]) -> EnergyDistribution:
-    """Collapse cycle histories into the engine work distribution."""
-    return EnergyDistribution.from_atoms(
-        (h.delta_e_pev for h in histories),
-        (h.probability for h in histories),
-        kind="work",
+    probability = (
+        p[:, None, None, None] * transfer_t[:, :, None, None] * q[:, None] * transfer_t
     )
-
-
-def stroke_work_distribution(
-    populations: Sequence[float],
-    transition_prob: float,
-    spectrum_initial: Sequence[float],
-    spectrum_final: Sequence[float],
-) -> EnergyDistribution:
-    """Work distribution of a single drive stroke.
-
-    ``populations`` are the level occupations at the stroke start;
-    the spectra are the stroke's chronological initial/final energy pairs.
-    """
-    pops = _checked_populations(populations, "initial")
-    e_i = _checked_spectrum(spectrum_initial)
-    e_f = _checked_spectrum(spectrum_final)
-    transfer = transition_matrix(transition_prob)
-    values = []
-    probs = []
-    for n in (0, 1):
-        for m in (0, 1):
-            values.append(e_i[n] - e_f[m])
-            probs.append(pops[n] * transfer[m, n])
-    return EnergyDistribution.from_atoms(values, probs, kind="work")
-
-
-def convolve(a: EnergyDistribution, b: EnergyDistribution) -> EnergyDistribution:
-    """Distribution of the sum of two independent atom distributions."""
-    if a.kind != b.kind:
-        raise ValueError(f"cannot convolve kinds {a.kind!r} and {b.kind!r}")
-    values = []
-    probs = []
-    for ea, pa in zip(a.energies_pev, a.probabilities):
-        for eb, pb in zip(b.energies_pev, b.probabilities):
-            values.append(ea + eb)
-            probs.append(pa * pb)
-    return EnergyDistribution.from_atoms(values, probs, a.kind)
+    expansion = e_initial[:, None] - e_final
+    compression = e_final[:, None] - e_initial
+    delta_e = expansion[:, :, None, None] + compression
+    return delta_e, probability
 
 
 def post_expansion_populations(
@@ -259,13 +197,10 @@ def heat_distribution(
     s = _checked_populations(post_expansion, "post-expansion")
     q = _checked_populations(hot_populations, "hot")
     e_f = _checked_spectrum(final_spectrum)
-    values = []
-    probs = []
-    for m in (0, 1):
-        for k in (0, 1):
-            values.append(e_f[k] - e_f[m])
-            probs.append(s[m] * q[k])
-    return EnergyDistribution.from_atoms(values, probs, kind="heat")
+    # [m, k]: enter at level m, leave at level k
+    values = e_f - e_f[:, None]
+    probs = s[:, None] * q
+    return EnergyDistribution.from_atoms(values.ravel(), probs.ravel(), kind="heat")
 
 
 def mean(dist: EnergyDistribution) -> float:
@@ -406,8 +341,12 @@ def engine_work_distribution(
     probability."""
     p = thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev)
     q = thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev)
-    spectra = endpoint_spectra(protocol)
-    return work_distribution(enumerate_histories(p, q, transition_prob, spectra))
+    delta_e, probability = enumerate_histories(
+        p, q, transition_prob, endpoint_spectra(protocol)
+    )
+    return EnergyDistribution.from_atoms(
+        delta_e.ravel(), probability.ravel(), kind="work"
+    )
 
 
 def engine_heat_distribution(

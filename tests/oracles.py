@@ -3,9 +3,11 @@
 Everything in here recomputes results through a *different* route than the
 library: the propagator is integrated as an ODE with an adaptive high-order
 scheme instead of Magnus step products, means are accumulated
-stroke-by-stroke from raw populations, relative entropy goes through a matrix
-logarithm, state repair goes through an eigendecomposition, and trace norms
-go through singular values.  Tests compare the two routes; frozen literals
+stroke-by-stroke from raw populations, the cycle work distribution is the
+convolution of the two stroke distributions, process matrices are Kraus sums
+written term by term, relative entropy goes through a matrix logarithm, state
+repair goes through an eigendecomposition, and trace norms go through
+singular values.  Tests compare the two routes; frozen literals
 below were produced by these oracles (or, where noted, by an equally
 independent integrator) and are pinned so regressions show up as honest
 failures.
@@ -22,6 +24,7 @@ HBAR_PEV_US = H_PEV_PER_KHZ / (2 * np.pi * 1e-3)
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def drive_hamiltonian(t_us, nu1_khz, nu2_khz, tau_us, compression=False):
@@ -119,6 +122,55 @@ def brute_force_work_pairs(p, q, swap_prob, levels_cold, levels_hot):
                     )
                     pairs.append((prob, delta))
     return pairs
+
+
+def stroke_work_atoms(pops_in, swap_prob, energies_in, energies_out):
+    """The four (energy drop, probability) atoms of one driven stroke."""
+    t = [[1.0 - swap_prob, swap_prob], [swap_prob, 1.0 - swap_prob]]
+    return [
+        (energies_in[n] - energies_out[m], pops_in[n] * t[m][n])
+        for n in range(2)
+        for m in range(2)
+    ]
+
+
+def convolved_stroke_work_atoms(p, q, swap_prob, levels_cold, levels_hot):
+    """Cycle work atoms as the convolution of the two independent stroke
+    distributions: every pair of stroke atoms adds energies and multiplies
+    weights; sums within 1e-9 peV are pooled and zero weights dropped.
+    Returns ascending (energies, probabilities) lists."""
+    expansion = stroke_work_atoms(p, swap_prob, levels_cold, levels_hot)
+    compression = stroke_work_atoms(q, swap_prob, levels_hot, levels_cold)
+    pairs = sorted(
+        (ea + eb, pa * pb) for ea, pa in expansion for eb, pb in compression
+    )
+    energies, probs = [], []
+    for energy, weight in pairs:
+        if energies and energy - energies[-1] <= 1e-9:
+            probs[-1] += weight
+        else:
+            energies.append(energy)
+            probs.append(weight)
+    kept = [i for i, w in enumerate(probs) if w > 0.0]
+    return [energies[i] for i in kept], [probs[i] for i in kept]
+
+
+def atoms_characteristic(atoms, u):
+    """chi(u) = sum p exp(i u E) over (energy, probability) atoms."""
+    u = np.asarray(u, dtype=float)
+    return sum(weight * np.exp(1j * u * energy) for energy, weight in atoms)
+
+
+def process_from_kraus(kraus_ops):
+    """Process matrix sum_K a_K a_K^dagger of a Kraus channel over the basis
+    (i*I, sigma_x, sigma_y, sigma_z), with a_K[k] = tr(B_k^dagger K) / 2,
+    written out term by term."""
+    basis = (1j * np.eye(2), _SX, _SY, _SZ)
+    matrix = np.zeros((4, 4), dtype=complex)
+    for op in kraus_ops:
+        coeffs = np.array([np.trace(b.conj().T @ op) / 2.0 for b in basis])
+        matrix += np.outer(coeffs, coeffs.conj())
+    return matrix
 
 
 def relative_entropy_logm(a, b):

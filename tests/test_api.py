@@ -1,0 +1,94 @@
+"""The public surface.
+
+Everything in ``ottospin.__all__`` is stable API, so the list is pinned here:
+adding, removing or renaming a public name means editing ``PUBLIC_API`` on
+purpose (and recording the change in CHANGES.md).
+"""
+
+import ottospin as o
+
+PUBLIC_API = [
+    "BASIS",
+    "CONVERGENCE_TOLERANCE",
+    "DEFAULT_N_STEPS",
+    "DEFAULT_TAU_GRID_US",
+    "HOT_PRESETS_PEV",
+    "IDENTITY",
+    "KHZ_US",
+    "MERGE_TOLERANCE_PEV",
+    "MONTE_CARLO_FIELDS",
+    "PAULI_X",
+    "PAULI_Y",
+    "PAULI_Z",
+    "PLANCK_PEV_PER_KHZ",
+    "CharacteristicSamples",
+    "ConfigError",
+    "ConvergenceError",
+    "CycleConfig",
+    "CycleReport",
+    "DriveProtocol",
+    "EnergyDistribution",
+    "Phase",
+    "ProcessMatrix",
+    "RunConfig",
+    "ThermalParams",
+    "UncertaintyEstimate",
+    "UnitaryMap",
+    "apply_overrides",
+    "apply_process",
+    "characteristic_function",
+    "choi_from_unitary",
+    "conjugate_u_grid",
+    "cycle_with_uncertainty",
+    "depolarizing_process",
+    "drive_hamiltonian",
+    "efficiency_closed_form",
+    "efficiency_lag",
+    "eigensystem",
+    "endpoint_hamiltonians",
+    "endpoint_spectra",
+    "engine_heat_distribution",
+    "engine_work_distribution",
+    "entropy_production_drive",
+    "enumerate_histories",
+    "evolve_unitary",
+    "extraction_bound",
+    "gap_frequency",
+    "gibbs_state",
+    "heat_distribution",
+    "identity_process",
+    "invert_characteristic",
+    "lorentzian_broaden",
+    "mean",
+    "mean_heat_cold_closed_form",
+    "mean_heat_hot_closed_form",
+    "mean_work_closed_form",
+    "mix_processes",
+    "parse_config",
+    "polarization",
+    "post_expansion_populations",
+    "process_trace_distance",
+    "propagate_state",
+    "relative_entropy",
+    "run_cycle",
+    "serialize_config",
+    "spin_temperature",
+    "sweep_tau",
+    "thermal_populations",
+    "to_cycle_config",
+    "transition_matrix",
+    "transition_probability",
+    "unitality_defect",
+]
+
+
+def test_public_names_are_the_recorded_list():
+    assert len(set(o.__all__)) == len(o.__all__), "duplicate names in __all__"
+    assert sorted(o.__all__) == sorted(PUBLIC_API)
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from ottospin import *", namespace)
+    missing = [name for name in PUBLIC_API if name not in namespace]
+    assert missing == []

@@ -223,6 +223,18 @@ def test_cold_bath_sweep_without_noise_reports_every_row(tmp_path, capsys):
         assert all(math.isfinite(float(v)) for k, v in row.items() if k != "extraction_ok")
 
 
+@pytest.mark.parametrize("command", ["work-dist", "heat-dist"])
+def test_distribution_on_a_cold_bath_past_exp_overflow(tmp_path, capsys, command):
+    # gap/kT_cold = 827: exp(gap/kT) overflows a double
+    cfg = tmp_path / "frozen.cfg"
+    cfg.write_text("[thermal]\nkt_cold_pev = 0.01\n")
+    rc, out, err = _run(capsys, [command, "--tau", "300", "--config", str(cfg)])
+    assert rc == 0 and err == ""
+    rows = _rows(out)
+    assert rows and all(float(r["probability"]) > 0.0 for r in rows)
+    assert sum(float(r["probability"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_unwritable_output_path_is_an_io_error(capsys):
     rc, _, _ = _run(capsys, ["cycle", "--tau", "300", "--mc-samples", "2",
                              "--out", "/no/such/dir/out.csv"])

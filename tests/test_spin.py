@@ -164,6 +164,14 @@ def test_polarization_is_half_argument_tanh():
     assert o.polarization(2.0, math.inf) == 0.0
 
 
+def test_populations_and_polarization_past_exp_overflow():
+    # gap/kT = 1000: exp(gap/kT) is beyond the largest double, and the
+    # excited weight exp(-1000) is below the smallest one
+    kt = o.PLANCK_PEV_PER_KHZ * 2.0 / 1000.0
+    assert o.thermal_populations(2.0, kt) == (1.0, 0.0)
+    assert o.polarization(2.0, kt) == 1.0
+
+
 def test_spin_temperature_recovers_cold_bath_example():
     kt = o.spin_temperature(0.78, 0.22, 2.0)
     assert kt == pytest.approx(oracles.SPIN_TEMPERATURE_COLD_PEV, abs=1e-12)

@@ -50,61 +50,41 @@ def test_transition_matrix_is_doubly_stochastic(swap_prob):
 
 
 def test_enumerate_histories_covers_all_sixteen_outcomes():
-    histories = o.enumerate_histories(*_default_inputs(SWAP_100))
-    assert len(histories) == 16
-    outcomes = {
-        (h.expansion_start, h.expansion_end, h.compression_start, h.compression_end)
-        for h in histories
-    }
-    assert len(outcomes) == 16
+    delta, prob = o.enumerate_histories(*_default_inputs(SWAP_100))
+    assert delta.shape == prob.shape == (2, 2, 2, 2)
 
 
 def test_history_probabilities_factorize():
     p, q, swap_prob, spectra = _default_inputs(SWAP_100)
     t = o.transition_matrix(swap_prob)
-    for h in o.enumerate_histories(p, q, swap_prob, spectra):
-        expected = (
-            p[h.expansion_start]
-            * t[h.expansion_end, h.expansion_start]
-            * q[h.compression_start]
-            * t[h.compression_end, h.compression_start]
-        )
-        assert h.probability == pytest.approx(expected, abs=1e-15)
+    _, prob = o.enumerate_histories(p, q, swap_prob, spectra)
+    for n, m, k, j in np.ndindex(prob.shape):
+        expected = p[n] * t[m, n] * q[k] * t[j, k]
+        assert prob[n, m, k, j] == pytest.approx(expected, abs=1e-15)
 
 
 def test_history_energies_match_brute_force_pairs():
     p, q, swap_prob, spectra = _default_inputs(SWAP_100)
-    got = {
-        (h.expansion_start, h.expansion_end, h.compression_start, h.compression_end):
-            (h.probability, h.delta_e_pev)
-        for h in o.enumerate_histories(p, q, swap_prob, spectra)
-    }
+    got_delta, got_prob = o.enumerate_histories(p, q, swap_prob, spectra)
     pairs = oracles.brute_force_work_pairs(p, q, swap_prob, spectra[0], spectra[1])
-    idx = 0
-    for n in range(2):
-        for m in range(2):
-            for k in range(2):
-                for j in range(2):
-                    prob, delta = pairs[idx]
-                    idx += 1
-                    gp, gd = got[(n, m, k, j)]
-                    assert gp == pytest.approx(prob, abs=1e-15)
-                    assert gd == pytest.approx(delta, abs=1e-12)
+    # the oracle nests its loops in the same n, m, k, j order
+    for idx, (prob, delta) in zip(np.ndindex(got_prob.shape), pairs, strict=True):
+        assert got_prob[idx] == pytest.approx(prob, abs=1e-15)
+        assert got_delta[idx] == pytest.approx(delta, abs=1e-12)
 
 
 @given(probs, probs, swap_probs)
 def test_history_probabilities_sum_to_one(p0, q0, swap_prob):
-    histories = o.enumerate_histories(
+    _, prob = o.enumerate_histories(
         (p0, 1 - p0), (q0, 1 - q0), swap_prob, ((-1.0, 1.0), (-2.0, 2.0))
     )
-    assert sum(h.probability for h in histories) == pytest.approx(1.0, abs=1e-12)
+    assert prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_adiabatic_limit_leaves_three_work_atoms():
     # zero swap probability keeps only diagonal strokes: jumps at 0 and
     # +/- h(nu2 - nu1).
-    p, q, _, spectra = _default_inputs(0.0)
-    dist = o.work_distribution(o.enumerate_histories(p, q, 0.0, spectra))
+    dist = o.engine_work_distribution(PROTOCOL, THERMAL_B, 0.0)
     np.testing.assert_allclose(
         dist.energies_pev, [-H * 1.6, 0.0, H * 1.6], atol=1e-12
     )
@@ -121,9 +101,9 @@ def test_default_engine_distribution_has_nine_atoms():
 def test_distribution_mean_equals_history_average(p0, q0, swap_prob):
     p, q = (p0, 1 - p0), (q0, 1 - q0)
     spectra = ((-4.135667696, 4.135667696), (-7.4442018528, 7.4442018528))
-    histories = o.enumerate_histories(p, q, swap_prob, spectra)
-    dist = o.work_distribution(histories)
-    direct = sum(h.probability * h.delta_e_pev for h in histories)
+    delta, prob = o.enumerate_histories(p, q, swap_prob, spectra)
+    dist = o.EnergyDistribution.from_atoms(delta.ravel(), prob.ravel(), "work")
+    direct = (prob * delta).sum()
     assert o.mean(dist) == pytest.approx(direct, abs=1e-12)
 
 
@@ -137,37 +117,23 @@ def test_mean_work_matches_independent_stroke_bookkeeping():
 
 
 def test_engine_distribution_is_convolution_of_stroke_distributions():
-    p = o.thermal_populations(2.0, 6.6)
-    q = o.thermal_populations(3.6, 40.5)
-    e_i, e_f = o.endpoint_spectra(PROTOCOL)
-    expansion = o.stroke_work_distribution(p, SWAP_100, e_i, e_f)
-    compression = o.stroke_work_distribution(q, SWAP_100, e_f, e_i)
-    combined = o.convolve(expansion, compression)
+    p, q, _, (e_i, e_f) = _default_inputs(SWAP_100)
+    energies, weights = oracles.convolved_stroke_work_atoms(p, q, SWAP_100, e_i, e_f)
     full = o.engine_work_distribution(PROTOCOL, THERMAL_B, SWAP_100)
-    np.testing.assert_allclose(combined.energies_pev, full.energies_pev, atol=1e-12)
-    np.testing.assert_allclose(combined.probabilities, full.probabilities, atol=1e-12)
-
-
-def test_convolve_rejects_mismatched_kinds():
-    w = o.engine_work_distribution(PROTOCOL, THERMAL_B, SWAP_100)
-    h = o.engine_heat_distribution(PROTOCOL, THERMAL_B, SWAP_100)
-    with pytest.raises(ValueError):
-        o.convolve(w, h)
+    np.testing.assert_allclose(energies, full.energies_pev, atol=1e-12)
+    np.testing.assert_allclose(weights, full.probabilities, atol=1e-12)
 
 
 def test_characteristic_function_factorizes_over_strokes():
     # independence of the two strokes shows up as a product of transforms
-    p = o.thermal_populations(2.0, 6.6)
-    q = o.thermal_populations(3.6, 40.5)
-    e_i, e_f = o.endpoint_spectra(PROTOCOL)
-    expansion = o.stroke_work_distribution(p, SWAP_100, e_i, e_f)
-    compression = o.stroke_work_distribution(q, SWAP_100, e_f, e_i)
+    p, q, _, (e_i, e_f) = _default_inputs(SWAP_100)
+    expansion = oracles.stroke_work_atoms(p, SWAP_100, e_i, e_f)
+    compression = oracles.stroke_work_atoms(q, SWAP_100, e_f, e_i)
     full = o.engine_work_distribution(PROTOCOL, THERMAL_B, SWAP_100)
     u = np.linspace(-2.0, 2.0, 41)
     chi_full = o.characteristic_function(full, u).values
-    chi_prod = (
-        o.characteristic_function(expansion, u).values
-        * o.characteristic_function(compression, u).values
+    chi_prod = oracles.atoms_characteristic(expansion, u) * oracles.atoms_characteristic(
+        compression, u
     )
     np.testing.assert_allclose(chi_full, chi_prod, atol=1e-12)
 
