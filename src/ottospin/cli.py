@@ -27,12 +27,7 @@ from .config import (
     parse_config,
     to_cycle_config,
 )
-from .cycle import (
-    MONTE_CARLO_FIELDS,
-    CycleReport,
-    cycle_with_uncertainty,
-    endpoint_hamiltonians,
-)
+from .cycle import MONTE_CARLO_FIELDS, CycleReport, run_cycle, sweep_with_uncertainty
 from .process import (
     choi_from_unitary,
     depolarizing_process,
@@ -40,7 +35,7 @@ from .process import (
     process_trace_distance,
     unitality_defect,
 )
-from .propagator import ConvergenceError, evolve_unitary, transition_probability
+from .propagator import ConvergenceError, evolve_unitary
 from .tpm import (
     engine_heat_distribution,
     engine_work_distribution,
@@ -205,26 +200,21 @@ def _cmd_cycle(cfg: RunConfig) -> None:
 
 
 def _emit_report_rows(cfg: RunConfig, taus: Sequence[float]) -> None:
-    rows = []
-    for tau in taus:
-        report, spread = cycle_with_uncertainty(
-            to_cycle_config(cfg, tau),
-            rel_noise=cfg.mc_noise_width,
-            n_samples=cfg.mc_samples,
-            seed=cfg.seed,
-        )
-        row = [getattr(report, name) for name in _REPORT_COLUMNS]
-        row.extend(spread[name].stddev for name in MONTE_CARLO_FIELDS)
-        rows.append(row)
+    results = sweep_with_uncertainty(
+        to_cycle_config(cfg), taus, cfg.mc_noise_width, cfg.mc_samples, cfg.seed
+    )
+    rows = [
+        [*(getattr(report, name) for name in _REPORT_COLUMNS),
+         *(spread[name].stddev for name in MONTE_CARLO_FIELDS)]
+        for report, spread in results
+    ]
     header = [*_REPORT_COLUMNS, *_STDDEV_COLUMNS]
     _write_text(cfg.output_path, _render_table(cfg.output_format, header, rows))
 
 
 def _distribution_payload(cfg: RunConfig, kind: str):
     cycle_cfg = to_cycle_config(cfg)
-    h_cold, h_hot = endpoint_hamiltonians(cycle_cfg.protocol)
-    forward = evolve_unitary(cycle_cfg.protocol, cycle_cfg.n_steps)
-    swap_prob = transition_probability(forward, h_cold, h_hot)
+    swap_prob = run_cycle(cycle_cfg).transition_prob
     if kind == "work":
         dist = engine_work_distribution(cycle_cfg.protocol, cycle_cfg.thermal, swap_prob)
     else:

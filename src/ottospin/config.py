@@ -69,15 +69,6 @@ class RunConfig:
         return self.kt_hot_pev
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -238,8 +229,6 @@ def _format_value(value: object) -> str:
         return ""
     if isinstance(value, tuple):
         return ", ".join(repr(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -24,6 +24,7 @@ from .propagator import (
 )
 from .spin import (
     PLANCK_PEV_PER_KHZ,
+    US_PER_MS,
     DriveProtocol,
     Phase,
     ThermalParams,
@@ -192,18 +193,13 @@ def efficiency_closed_form(
 
 def run_cycle(cfg: CycleConfig) -> CycleReport:
     """Simulate one full cycle and report every figure of merit."""
-    swap_prob, *states = _cycle_states(cfg)
-    return _report_from_states(cfg, swap_prob, states)
+    return sweep_tau(cfg, [cfg.protocol.tau_us])[0]
 
 
 def sweep_tau(cfg: CycleConfig, tau_list_us: Sequence[float]) -> list[CycleReport]:
     """Run the cycle across drive durations; order-preserving."""
-    if len(tau_list_us) == 0:
-        raise ValueError("tau list must be nonempty")
-    return [
-        run_cycle(replace(cfg, protocol=replace(cfg.protocol, tau_us=float(tau))))
-        for tau in tau_list_us
-    ]
+    results = sweep_with_uncertainty(cfg, tau_list_us, rel_noise=0.0)
+    return [report for report, _ in results]
 
 
 #: CycleReport fields whose spread Monte Carlo resampling estimates.
@@ -224,85 +220,99 @@ def cycle_with_uncertainty(
     n_samples: int = 1000,
     seed: int = 0,
 ) -> tuple[CycleReport, dict[str, UncertaintyEstimate]]:
-    """Point report plus Monte Carlo spread from a single state computation.
+    """Point report plus Monte Carlo spread at the configured drive duration
+    (see :func:`sweep_with_uncertainty`)."""
+    return sweep_with_uncertainty(
+        cfg, [cfg.protocol.tau_us], rel_noise, n_samples, seed
+    )[0]
 
-    Each of the four cycle states is resampled ``n_samples`` times with
-    additive complex Gaussian noise of width ``rel_noise`` per matrix
-    element, repaired to a valid state (see ``_repair_batch``), and the
-    report quantities are recomputed.  Sample i draws from its own RNG
-    stream spawned as ``SeedSequence(seed, spawn_key=(i,))``, so any
-    parallel fan-out of the sample loop reproduces the sequential results
-    exactly.
 
-    With ``rel_noise == 0`` the perturbation path is bypassed entirely and
-    the means are the point estimates, bit for bit, with zero spread.  A
-    rank-deficient repaired reference makes a sample's lag infinite; the run
-    is then rejected with the number of such samples.
+def sweep_with_uncertainty(
+    cfg: CycleConfig,
+    tau_list_us: Sequence[float],
+    rel_noise: float = 0.01,
+    n_samples: int = 1000,
+    seed: int = 0,
+) -> list[tuple[CycleReport, dict[str, UncertaintyEstimate]]]:
+    """Point report plus Monte Carlo spread for each drive duration, in order.
+
+    Only the two drive outputs among the four cycle states depend on tau.
+    The compression drive H_c(t) = -H_e(tau - t) makes its propagator the
+    adjoint U^dagger of the expansion propagator U, so the compression
+    stroke maps the hot equilibrium to U^dagger rho_hot U.
+
+    Each state is resampled ``n_samples`` times with additive complex
+    Gaussian noise of width ``rel_noise`` per matrix element, repaired to a
+    valid state (see ``_repair_batch``), and the report quantities are
+    recomputed.  Sample i draws from its own stream
+    ``SeedSequence(seed, spawn_key=(i,))`` the real, then the imaginary part
+    of the noise on the cold and hot equilibria and the expansion and
+    compression outputs, once per call: every tau sees the same draws.
+
+    With ``rel_noise == 0`` nothing is drawn and the means are the point
+    estimates, bit for bit, with zero spread.  A rank-deficient repaired
+    reference makes a sample's lag infinite; the run is then rejected with
+    the number of such samples.
     """
+    if len(tau_list_us) == 0:
+        raise ValueError("tau list must be nonempty")
     if rel_noise < 0.0:
         raise ValueError(f"noise width must be nonnegative, got {rel_noise}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
 
-    swap_prob, *clean = _cycle_states(cfg)
-    point = _report_from_states(cfg, swap_prob, clean)
-    if rel_noise == 0.0:
-        return point, {
-            name: UncertaintyEstimate(getattr(point, name), 0.0)
-            for name in MONTE_CARLO_FIELDS
-        }
+    expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
+    h_cold, h_hot = endpoint_hamiltonians(expansion)
+    cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
+    hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
+    if rel_noise > 0.0:
+        draws = np.empty((n_samples, 4, 2, 2, 2))
+        for i in range(n_samples):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            draws[i] = rng.normal(0.0, rel_noise, (4, 2, 2, 2))
+        cold_s = _repair_noisy(cold_eq, draws[:, 0])
+        hot_s = _repair_noisy(hot_eq, draws[:, 1])
 
-    stacks = [np.empty((n_samples, 2, 2), dtype=np.complex128) for _ in clean]
-    for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for stack, state in zip(stacks, clean):
-            noise = rng.normal(0.0, rel_noise, (2, 2)) + 1j * rng.normal(
-                0.0, rel_noise, (2, 2)
-            )
-            stack[i] = state + noise
-    cold_s, hot_s, exp_s, comp_s = repaired = [_repair_batch(m) for m in stacks]
-    relent = _relative_entropy_batch(exp_s, hot_s)
-    relent += _relative_entropy_batch(comp_s, cold_s)
-    if np.isinf(relent).any():
-        raise ValueError(
-            f"relative entropy infinite: {np.isinf(relent).sum()} of {n_samples} Monte "
-            f"Carlo samples have a rank-deficient reference at noise width {rel_noise}"
+    results = []
+    for tau in tau_list_us:
+        point_cfg = replace(cfg, protocol=replace(expansion, tau_us=float(tau)))
+        forward = evolve_unitary(point_cfg.protocol, cfg.n_steps)
+        u = forward.matrix
+        swap_prob = transition_probability(forward, h_cold, h_hot)
+        after_exp = propagate_state(cold_eq, forward)
+        after_comp = u.conj().T @ hot_eq @ u
+        point = _report_from_states(
+            point_cfg, swap_prob, (cold_eq, hot_eq, after_exp, after_comp)
         )
-    samples = _figures_of_merit(cfg, repaired, relent)
-    estimates = {
-        name: UncertaintyEstimate(
-            float(np.mean(values)),
-            float(np.std(values, ddof=1)) if n_samples > 1 else 0.0,
-        )
-        for name, values in samples.items()
-    }
-    return point, estimates
+        if rel_noise == 0.0:
+            spread = {
+                name: UncertaintyEstimate(getattr(point, name), 0.0)
+                for name in MONTE_CARLO_FIELDS
+            }
+        else:
+            exp_s = _repair_noisy(after_exp, draws[:, 2])
+            comp_s = _repair_noisy(after_comp, draws[:, 3])
+            relent = _relative_entropy_batch(exp_s, hot_s)
+            relent += _relative_entropy_batch(comp_s, cold_s)
+            if np.isinf(relent).any():
+                raise ValueError(
+                    f"relative entropy infinite: {np.isinf(relent).sum()} of {n_samples} "
+                    "Monte Carlo samples have a rank-deficient reference at noise width "
+                    f"{rel_noise}"
+                )
+            samples = _figures_of_merit(point_cfg, (cold_s, hot_s, exp_s, comp_s), relent)
+            spread = {
+                name: UncertaintyEstimate(
+                    float(np.mean(values)),
+                    float(np.std(values, ddof=1)) if n_samples > 1 else 0.0,
+                )
+                for name, values in samples.items()
+            }
+        results.append((point, spread))
+    return results
 
 
 # --- internals ---------------------------------------------------------------
-
-def _cycle_states(
-    cfg: CycleConfig,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(transition prob, cold equilibrium, hot equilibrium, after expansion,
-    after compression).
-
-    The compression drive is H_c(t) = -H_e(tau - t), so its propagator is
-    exactly the adjoint U^dagger of the expansion propagator U, and the
-    compression stroke maps the hot equilibrium to U^dagger rho_hot U.
-    """
-    h_cold, h_hot = endpoint_hamiltonians(cfg.protocol)
-    forward = evolve_unitary(
-        replace(cfg.protocol, phase=Phase.EXPANSION), cfg.n_steps
-    )
-    u = forward.matrix
-    swap_prob = transition_probability(forward, h_cold, h_hot)
-    cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
-    hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
-    after_exp = propagate_state(cold_eq, forward)
-    after_comp = u.conj().T @ hot_eq @ u
-    return swap_prob, cold_eq, hot_eq, after_exp, after_comp
-
 
 def _report_from_states(
     cfg: CycleConfig, swap_prob: float, states: Sequence[np.ndarray]
@@ -335,7 +345,7 @@ def _figures_of_merit(
     period = 2.0 * cfg.protocol.tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
     lag = relent_sum / ((1.0 / cfg.thermal.kt_cold_pev) * divisor)
     sigma = entropy_production_drive(heat_cold, heat_hot, cfg.thermal)
-    power = 1000.0 * work / period
+    power = US_PER_MS * work / period
     figures = (work, heat_hot, heat_cold, work / divisor, lag, sigma, power)
     return dict(zip(MONTE_CARLO_FIELDS, figures))
 
@@ -362,6 +372,11 @@ def _drive_relative_entropy(cfg: CycleConfig, swap_prob: float) -> float:
 def _trace_pairing(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Re tr[operator @ state] for a stack of states."""
     return np.real(np.einsum("ij,nji->n", operator, states))
+
+
+def _repair_noisy(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Repaired ``state + re + i im`` for a stack of (re, im) noise pairs."""
+    return _repair_batch(state + (draws[:, 0] + 1j * draws[:, 1]))
 
 
 def _bloch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,10 @@ Unit conventions used throughout the package:
 * frequency in kHz
 * time in us
 
-A splitting of 1 kHz corresponds to a gap of ``PLANCK_PEV_PER_KHZ`` peV, and a
-kHz frequency acting for a us accumulates ``1e-3`` cycles of phase; those two
-constants are the only unit conversions anywhere in the code.
+A splitting of 1 kHz corresponds to a gap of ``PLANCK_PEV_PER_KHZ`` peV, a
+kHz frequency acting for a us accumulates ``KHZ_US`` cycles of phase, and
+power is reported per ms, ``US_PER_MS`` us; those three constants are the
+only unit conversions anywhere in the code.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ PLANCK_PEV_PER_KHZ = 4.135667696
 
 #: Dimensionless product of 1 kHz and 1 us.
 KHZ_US = 1e-3
+
+# Microseconds per millisecond (power is reported per ms, times are in us).
+US_PER_MS = 1000.0
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)

@@ -74,6 +74,7 @@ PUBLIC_API = [
     "serialize_config",
     "spin_temperature",
     "sweep_tau",
+    "sweep_with_uncertainty",
     "thermal_populations",
     "to_cycle_config",
     "transition_matrix",

@@ -443,6 +443,43 @@ def test_bloch_repair_matches_the_eigendecomposition_route():
         np.testing.assert_allclose(got, oracles.repair_state_eigh(m), rtol=0.0, atol=1e-14)
 
 
+def test_monte_carlo_draws_follow_the_documented_stream_layout():
+    # every tau of a sweep sees the same draws, laid out as the docstring says
+    seed, n, width, taus = 5, 40, 0.01, (100.0, 300.0)
+    noise = oracles.monte_carlo_noise(seed, n, width)
+    h_cold, h_hot = o.endpoint_hamiltonians(PROTOCOL)
+    cold = o.gibbs_state(h_cold, THERMAL_B.kt_cold_pev)
+    hot = o.gibbs_state(h_hot, THERMAL_B.kt_hot_pev)
+    expected = {}
+    for tau in taus:
+        cfg = _config(tau)
+        u = o.evolve_unitary(cfg.protocol, cfg.n_steps).matrix
+        clean = (cold, hot, u @ cold @ u.conj().T, u.conj().T @ hot @ u)
+        rows = []
+        for sample in noise:
+            c, h, e, k = (oracles.repair_state_eigh(s + d) for s, d in zip(clean, sample))
+            heat_hot = np.trace(h_hot @ (h - e)).real
+            heat_cold = np.trace(h_cold @ (c - k)).real
+            work = heat_hot + heat_cold
+            relent = oracles.relative_entropy_logm(e, h) + oracles.relative_entropy_logm(k, c)
+            period = 2.0 * tau + cfg.t_thermalization_us + cfg.t_cooling_us
+            rows.append((
+                work, heat_hot, heat_cold, work / heat_hot,
+                relent * THERMAL_B.kt_cold_pev / heat_hot,
+                -heat_cold / THERMAL_B.kt_cold_pev - heat_hot / THERMAL_B.kt_hot_pev,
+                1000.0 * work / period,
+            ))
+        expected[tau] = dict(zip(o.MONTE_CARLO_FIELDS, np.std(rows, axis=0, ddof=1)))
+
+    swept = o.sweep_with_uncertainty(_config(700.0), taus, width, n, seed)
+    for tau, (report, spread) in zip(taus, swept):
+        single = o.cycle_with_uncertainty(_config(tau), width, n, seed)[1]
+        assert report.tau_us == tau
+        for field in o.MONTE_CARLO_FIELDS:
+            assert spread[field].stddev == pytest.approx(expected[tau][field], rel=1e-12)
+            assert single[field].stddev == pytest.approx(expected[tau][field], rel=1e-12)
+
+
 def test_monte_carlo_validates_arguments():
     cfg = _config(300.0)
     with pytest.raises(ValueError):
