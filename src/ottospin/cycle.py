@@ -244,10 +244,12 @@ def sweep_with_uncertainty(
     Each state is resampled ``n_samples`` times with additive complex
     Gaussian noise of width ``rel_noise`` per matrix element, repaired to a
     valid state (see ``_repair_batch``), and the report quantities are
-    recomputed.  Sample i draws from its own stream
-    ``SeedSequence(seed, spawn_key=(i,))`` the real, then the imaginary part
-    of the noise on the cold and hot equilibria and the expansion and
-    compression outputs, once per call: every tau sees the same draws.
+    recomputed.  All noise comes from one generator on
+    ``SeedSequence(seed)``, drawn once per call as an
+    ``(n_samples, 4, 2, 2, 2)`` array in C order: sample by sample, the real,
+    then the imaginary part of the noise on the cold and hot equilibria and
+    the expansion and compression outputs.  Every tau sees the same draws,
+    and sample i's draws do not depend on ``n_samples``.
 
     With ``rel_noise == 0`` nothing is drawn and the means are the point
     estimates, bit for bit, with zero spread.  A rank-deficient repaired
@@ -265,11 +267,10 @@ def sweep_with_uncertainty(
     h_cold, h_hot = endpoint_hamiltonians(expansion)
     cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
     hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
+    log_populations = _gibbs_log_populations(expansion, cfg.thermal)
     if rel_noise > 0.0:
-        draws = np.empty((n_samples, 4, 2, 2, 2))
-        for i in range(n_samples):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            draws[i] = rng.normal(0.0, rel_noise, (4, 2, 2, 2))
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        draws = rng.normal(0.0, rel_noise, (n_samples, 4, 2, 2, 2))
         cold_s = _repair_noisy(cold_eq, draws[:, 0])
         hot_s = _repair_noisy(hot_eq, draws[:, 1])
 
@@ -282,7 +283,8 @@ def sweep_with_uncertainty(
         after_exp = propagate_state(cold_eq, forward)
         after_comp = u.conj().T @ hot_eq @ u
         point = _report_from_states(
-            point_cfg, swap_prob, (cold_eq, hot_eq, after_exp, after_comp)
+            point_cfg, (h_cold, h_hot), log_populations, swap_prob,
+            (cold_eq, hot_eq, after_exp, after_comp),
         )
         if rel_noise == 0.0:
             spread = {
@@ -300,7 +302,9 @@ def sweep_with_uncertainty(
                     "Monte Carlo samples have a rank-deficient reference at noise width "
                     f"{rel_noise}"
                 )
-            samples = _figures_of_merit(point_cfg, (cold_s, hot_s, exp_s, comp_s), relent)
+            samples = _figures_of_merit(
+                point_cfg, (h_cold, h_hot), (cold_s, hot_s, exp_s, comp_s), relent
+            )
             spread = {
                 name: UncertaintyEstimate(
                     float(np.mean(values)),
@@ -315,10 +319,16 @@ def sweep_with_uncertainty(
 # --- internals ---------------------------------------------------------------
 
 def _report_from_states(
-    cfg: CycleConfig, swap_prob: float, states: Sequence[np.ndarray]
+    cfg: CycleConfig,
+    hamiltonians: tuple[np.ndarray, np.ndarray],
+    log_populations: tuple[np.ndarray, np.ndarray],
+    swap_prob: float,
+    states: Sequence[np.ndarray],
 ) -> CycleReport:
-    relent_sum = np.array([_drive_relative_entropy(cfg, swap_prob)])
-    figures = _figures_of_merit(cfg, [state[None] for state in states], relent_sum)
+    relent_sum = np.array([_drive_relative_entropy(log_populations, swap_prob)])
+    figures = _figures_of_merit(
+        cfg, hamiltonians, [state[None] for state in states], relent_sum
+    )
     values = {name: float(value[0]) for name, value in figures.items()}
     return CycleReport(
         tau_us=cfg.protocol.tau_us,
@@ -331,13 +341,17 @@ def _report_from_states(
 
 
 def _figures_of_merit(
-    cfg: CycleConfig, states: Sequence[np.ndarray], relent_sum: np.ndarray
+    cfg: CycleConfig,
+    hamiltonians: tuple[np.ndarray, np.ndarray],
+    states: Sequence[np.ndarray],
+    relent_sum: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """The ``MONTE_CARLO_FIELDS`` for stacks of the four cycle states, given
-    S(rho_exp || rho_hot) + S(rho_comp || rho_cold) per stack entry.
-    Efficiency and lag are NaN where no heat comes from the hot reservoir."""
+    the endpoint Hamiltonians (cold, hot) and S(rho_exp || rho_hot) +
+    S(rho_comp || rho_cold) per stack entry.  Efficiency and lag are NaN
+    where no heat comes from the hot reservoir."""
     cold_eq, hot_eq, after_exp, after_comp = states
-    h_cold, h_hot = endpoint_hamiltonians(cfg.protocol)
+    h_cold, h_hot = hamiltonians
     heat_hot = _trace_pairing(h_hot, hot_eq - after_exp)
     heat_cold = _trace_pairing(h_cold, cold_eq - after_comp)
     work = heat_hot + heat_cold
@@ -350,20 +364,31 @@ def _figures_of_merit(
     return dict(zip(MONTE_CARLO_FIELDS, figures))
 
 
-def _drive_relative_entropy(cfg: CycleConfig, swap_prob: float) -> float:
+def _gibbs_log_populations(
+    protocol: DriveProtocol, thermal: ThermalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-populations (ground, excited) of the cold Gibbs state in H_i and
+    of the hot one in H_f: -E/kT - log Z, with log Z = gap/2kT +
+    log1p(exp(-gap/kT)), which never logs a small population."""
+    x = PLANCK_PEV_PER_KHZ * np.array(
+        [protocol.nu_initial_khz, protocol.nu_final_khz]
+    ) / np.array([thermal.kt_cold_pev, thermal.kt_hot_pev])
+    log_p, log_q = np.stack([np.zeros(2), -x], axis=1) - np.log1p(np.exp(-x))[:, None]
+    return log_p, log_q
+
+
+def _drive_relative_entropy(
+    log_populations: tuple[np.ndarray, np.ndarray], swap_prob: float
+) -> float:
     """S(rho_exp || rho_hot) + S(rho_comp || rho_cold) from the swap
-    probability xi and the cold and hot Gibbs populations p and q.
+    probability xi and the cold and hot Gibbs log-populations log p, log q.
 
     Unitarity gives S(rho_exp) = S(rho_cold), and rho_hot is diagonal in the
     eigenbasis of H_f, where rho_exp has the populations T(xi) p; so
     S(rho_exp || rho_hot) = sum p log p - sum (T(xi) p)_m log q_m, and the
-    compression term swaps p and q.  The log-populations -E/kT - log Z, with
-    log Z = gap/2kT + log1p(exp(-gap/kT)), never log a small population.
+    compression term swaps p and q.
     """
-    x = PLANCK_PEV_PER_KHZ * np.array(
-        [cfg.protocol.nu_initial_khz, cfg.protocol.nu_final_khz]
-    ) / np.array([cfg.thermal.kt_cold_pev, cfg.thermal.kt_hot_pev])
-    log_p, log_q = np.stack([np.zeros(2), -x], axis=1) - np.log1p(np.exp(-x))[:, None]
+    log_p, log_q = log_populations
     p, q = np.exp(log_p), np.exp(log_q)
     transfer = transition_matrix(swap_prob)
     return float(p @ log_p - transfer @ p @ log_q + q @ log_q - transfer @ q @ log_p)

@@ -194,13 +194,13 @@ def monte_carlo_noise(seed, n_samples, width):
     """Complex noise on the four cycle states (cold, hot, after expansion,
     after compression) of each Monte Carlo sample, shape (n_samples, 4, 2, 2).
 
-    The documented stream layout, one draw at a time: sample i has its own
-    generator on ``SeedSequence(seed, spawn_key=(i,))`` and draws, for each
-    state in that order, a (2, 2) real part and then a (2, 2) imaginary part.
+    The documented stream layout, one draw at a time: one generator on
+    ``SeedSequence(seed)`` draws, sample by sample and for each state in that
+    order, a (2, 2) real part and then a (2, 2) imaginary part.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise = np.empty((n_samples, 4, 2, 2), dtype=complex)
     for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         for k in range(4):
             real = rng.normal(0.0, width, (2, 2))
             imag = rng.normal(0.0, width, (2, 2))

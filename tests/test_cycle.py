@@ -443,10 +443,10 @@ def test_bloch_repair_matches_the_eigendecomposition_route():
         np.testing.assert_allclose(got, oracles.repair_state_eigh(m), rtol=0.0, atol=1e-14)
 
 
-def test_monte_carlo_draws_follow_the_documented_stream_layout():
-    # every tau of a sweep sees the same draws, laid out as the docstring says
-    seed, n, width, taus = 5, 40, 0.01, (100.0, 300.0)
-    noise = oracles.monte_carlo_noise(seed, n, width)
+def _oracle_spreads(noise, taus):
+    """Sample stddev of each MONTE_CARLO_FIELDS entry at each tau, from the
+    given per-sample noise, with eigendecomposition repair and matrix-log
+    relative entropy."""
     h_cold, h_hot = o.endpoint_hamiltonians(PROTOCOL)
     cold = o.gibbs_state(h_cold, THERMAL_B.kt_cold_pev)
     hot = o.gibbs_state(h_hot, THERMAL_B.kt_hot_pev)
@@ -470,6 +470,13 @@ def test_monte_carlo_draws_follow_the_documented_stream_layout():
                 1000.0 * work / period,
             ))
         expected[tau] = dict(zip(o.MONTE_CARLO_FIELDS, np.std(rows, axis=0, ddof=1)))
+    return expected
+
+
+def test_monte_carlo_draws_follow_the_documented_stream_layout():
+    # every tau of a sweep sees the same draws, laid out as the docstring says
+    seed, n, width, taus = 5, 40, 0.01, (100.0, 300.0)
+    expected = _oracle_spreads(oracles.monte_carlo_noise(seed, n, width), taus)
 
     swept = o.sweep_with_uncertainty(_config(700.0), taus, width, n, seed)
     for tau, (report, spread) in zip(taus, swept):
@@ -478,6 +485,17 @@ def test_monte_carlo_draws_follow_the_documented_stream_layout():
         for field in o.MONTE_CARLO_FIELDS:
             assert spread[field].stddev == pytest.approx(expected[tau][field], rel=1e-12)
             assert single[field].stddev == pytest.approx(expected[tau][field], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**40])
+def test_monte_carlo_sample_draws_do_not_depend_on_the_sample_count(seed):
+    # a 10-sample run uses exactly the first 10 samples of a 40-sample draw
+    width, tau = 0.01, 300.0
+    noise = oracles.monte_carlo_noise(seed, 40, width)[:10]
+    expected = _oracle_spreads(noise, (tau,))[tau]
+    spread = o.cycle_with_uncertainty(_config(tau), width, n_samples=10, seed=seed)[1]
+    for field in o.MONTE_CARLO_FIELDS:
+        assert spread[field].stddev == pytest.approx(expected[field], rel=1e-12)
 
 
 def test_monte_carlo_validates_arguments():
