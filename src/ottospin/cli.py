@@ -2,7 +2,8 @@
 work/heat atom distributions, and process-matrix diagnostics.
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
-out-of-range values, a propagator that does not converge), 2 I/O problem
+out-of-range values, a propagator that does not converge or breaks the
+transition-probability symmetry), 2 I/O problem
 (unreadable config, unwritable output).
 """
 
@@ -35,7 +36,7 @@ from .process import (
     process_trace_distance,
     unitality_defect,
 )
-from .propagator import ConvergenceError, evolve_unitary
+from .propagator import evolve_unitary
 from .tpm import (
     engine_heat_distribution,
     engine_work_distribution,
@@ -164,7 +165,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "qpt": _cmd_qpt,
         }[args.command]
         handler(cfg)
-    except (ConfigError, ConvergenceError, ValueError) as exc:
+    # RuntimeError covers ConvergenceError and the transition-symmetry check
+    except (ConfigError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -4,9 +4,10 @@ Everything in here recomputes results through a *different* route than the
 library: the propagator is integrated as an ODE with an adaptive high-order
 scheme instead of Magnus step products, means are accumulated
 stroke-by-stroke from raw populations, the cycle work distribution is the
-convolution of the two stroke distributions, process matrices are Kraus sums
-written term by term, relative entropy goes through a matrix logarithm, state
-repair goes through an eigendecomposition, and trace norms go through
+convolution of the two stroke distributions, characteristic functions are
+inverted by a dense Fourier sum instead of an FFT, process matrices are Kraus
+sums written term by term, relative entropy goes through a matrix logarithm,
+state repair goes through an eigendecomposition, and trace norms go through
 singular values.  Tests compare the two routes; frozen literals
 below were produced by these oracles (or, where noted, by an equally
 independent integrator) and are pinned so regressions show up as honest
@@ -159,6 +160,17 @@ def atoms_characteristic(atoms, u):
     """chi(u) = sum p exp(i u E) over (energy, probability) atoms."""
     u = np.asarray(u, dtype=float)
     return sum(weight * np.exp(1j * u * energy) for energy, weight in atoms)
+
+
+def dense_inversion_weights(u, values):
+    """Discrete Fourier inversion of chi sampled on a uniform u grid, summed
+    as a dense n x n matrix of exp(-i u E): the lattice energies E_j = j dE
+    (j from -(n // 2), dE = 2 pi / (n du)) and every unfiltered weight."""
+    u = np.asarray(u, dtype=float)
+    n = len(u)
+    energies = np.arange(-(n // 2), n - n // 2) * (2.0 * np.pi / (n * (u[1] - u[0])))
+    weights = (np.asarray(values) @ np.exp(-1j * np.outer(u, energies))).real / n
+    return energies, weights
 
 
 def process_from_kraus(kraus_ops):

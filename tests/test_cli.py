@@ -6,8 +6,10 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
+from ottospin import propagator
 from ottospin.cli import main
 
 H = 4.135667696
@@ -198,6 +200,21 @@ def test_unconverged_propagator_is_a_one_line_error(tmp_path, capsys):
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+def test_transition_symmetry_violation_is_a_one_line_error(monkeypatch, capsys):
+    exact = propagator.eigensystem
+
+    def sheared(h):
+        # non-orthogonal eigenvector columns make the two cross elements differ
+        energies, vectors = exact(h)
+        return energies, vectors @ np.array([[1.0, 0.01], [0.0, 1.0]])
+
+    monkeypatch.setattr(propagator, "eigensystem", sheared)
+    rc, out, err = _run(capsys, ["cycle", "--tau", "100"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: transition-probability symmetry violated")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_rank_deficient_monte_carlo_reference_is_a_counted_one_line_error(tmp_path, capsys):

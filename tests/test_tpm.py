@@ -184,6 +184,66 @@ def test_inversion_of_flat_transform_is_a_point_mass_at_zero():
     assert recovered.probabilities == (1.0,)
 
 
+@pytest.mark.parametrize("n, u_start", [(32, 0.0), (33, 0.0), (24, 0.37), (25, -1.9)])
+def test_inversion_matches_the_dense_fourier_sum(n, u_start):
+    spacing = 0.8
+    u = u_start + np.arange(n) * (2.0 * np.pi / (n * spacing))
+    window = np.arange(-(n // 2), n - n // 2)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        lattice = np.sort(rng.choice(window, size=n // 3, replace=False))
+        dist = o.EnergyDistribution.from_atoms(
+            lattice * spacing, rng.dirichlet(np.ones(len(lattice))), "work"
+        )
+        chi = o.characteristic_function(dist, u)
+        recovered = o.invert_characteristic(chi)
+        energies, weights = oracles.dense_inversion_weights(u, chi.values)
+        dense = dict(zip(np.round(energies, 9), weights))
+        got = dict(zip(np.round(recovered.energies_pev, 9), recovered.probabilities))
+        assert set(got) <= set(dense)
+        for key, weight in dense.items():
+            assert got.get(key, 0.0) == pytest.approx(weight, abs=1e-13)
+
+
+def test_round_trip_recovers_cold_bath_atoms_at_every_tau():
+    # gap/kT_cold = 15: the lightest work atoms weigh ~1e-13, and a weight
+    # floor far above round-off would drop enough of them to break the sum
+    thermal = o.ThermalParams(0.55, 40.5)
+    taus = [100.0 + 10.0 * i for i in range(61)]
+    reports = o.sweep_tau(o.CycleConfig(PROTOCOL, thermal), taus)
+    u = o.conjugate_u_grid(H * 0.4, 32)  # criterion 11's grid
+    for report in reports:
+        protocol = o.DriveProtocol(2.0, 3.6, report.tau_us)
+        dist = o.engine_work_distribution(protocol, thermal, report.transition_prob)
+        recovered = o.invert_characteristic(o.characteristic_function(dist, u))
+        assert sum(recovered.probabilities) == pytest.approx(1.0, abs=1e-12)
+        got = np.asarray(recovered.energies_pev)
+        for energy, weight in zip(dist.energies_pev, dist.probabilities):
+            if weight > 1e-7:
+                i = np.argmin(np.abs(got - energy))
+                assert got[i] == pytest.approx(energy, abs=1e-9)
+                assert recovered.probabilities[i] == pytest.approx(weight, abs=1e-9)
+
+
+def _symmetric_grid_samples(m=6, du=0.3):
+    dist = o.engine_work_distribution(PROTOCOL, THERMAL_B, SWAP_100)
+    return o.characteristic_function(dist, du * np.arange(-m, m + 1))
+
+
+def test_characteristic_samples_accept_exact_samples_on_a_symmetric_grid():
+    chi = _symmetric_grid_samples()
+    o.CharacteristicSamples(chi.u_per_pev, chi.values)
+
+
+@pytest.mark.parametrize("index, shift", [(0, 1e-9), (3, 1e-9j), (5, -1e-9)])
+def test_characteristic_samples_reject_a_broken_conjugate_pair(index, shift):
+    chi = _symmetric_grid_samples()
+    values = chi.values.copy()
+    values[index] += shift  # u[index] < 0: chi(-u) moves off conj(chi(u))
+    with pytest.raises(ValueError, match=r"chi\(-u\) must equal conj\(chi\(u\)\)"):
+        o.CharacteristicSamples(chi.u_per_pev, values)
+
+
 def test_inversion_requires_a_uniform_grid():
     dist = o.EnergyDistribution((1.0,), (1.0,), "work")
     chi = o.characteristic_function(dist, [0.0, 0.1, 0.3])
