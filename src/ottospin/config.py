@@ -10,6 +10,7 @@ an off-the-shelf format reader.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -102,11 +103,16 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable]] = {
 
 _SECTIONS = sorted({section for section, _ in _SCHEMA})
 
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 # field -> (predicate, requirement description); line numbers get attached
 # wherever the value came from.
 _RANGES: dict[str, tuple[Callable, str]] = {
-    "nu_initial_khz": (lambda v: v > 0, "must be positive"),
-    "nu_final_khz": (lambda v: v > 0, "must be positive"),
+    "nu_initial_khz": (_finite_positive, "must be finite and positive"),
+    "nu_final_khz": (_finite_positive, "must be finite and positive"),
     "n_steps": (lambda v: v >= 1, "must be at least 1"),
     "hot_option": (
         lambda v: v in (*HOT_PRESETS_PEV, "custom"),
@@ -114,10 +120,10 @@ _RANGES: dict[str, tuple[Callable, str]] = {
     ),
     "kt_cold_pev": (lambda v: v > 0, "must be positive"),
     "kt_hot_pev": (lambda v: v is None or v > 0, "must be positive"),
-    "tau_us": (lambda v: v > 0, "must be positive"),
+    "tau_us": (_finite_positive, "must be finite and positive"),
     "tau_list_us": (
-        lambda v: len(v) > 0 and all(t > 0 for t in v),
-        "must be a nonempty list of positive durations",
+        lambda v: len(v) > 0 and all(_finite_positive(t) for t in v),
+        "must be nonempty, and each entry must be finite and positive",
     ),
     "t_thermalization_us": (lambda v: v > 0, "must be positive"),
     "t_cooling_us": (lambda v: v >= 0, "must be nonnegative"),

@@ -18,9 +18,13 @@ import numpy as np
 
 from .propagator import (
     DEFAULT_N_STEPS,
-    evolve_unitary,
-    propagate_state,
-    transition_probability,
+    evolve_unitaries,
+    # not called here: perfbench/tracing.py wraps these one-tau layer
+    # boundaries under ottospin.cycle
+    evolve_unitary,  # noqa: F401
+    propagate_state,  # noqa: F401
+    transition_probability,  # noqa: F401
+    transition_probabilities,
 )
 from .spin import (
     PLANCK_PEV_PER_KHZ,
@@ -237,6 +241,9 @@ def sweep_with_uncertainty(
     """Point report plus Monte Carlo spread for each drive duration, in order.
 
     Only the two drive outputs among the four cycle states depend on tau.
+    The expansion propagators U of all durations come from one lockstep
+    Magnus call and their swap probabilities from one batched overlap with
+    the endpoint eigenvectors (see :func:`~ottospin.propagator.evolve_unitaries`).
     The compression drive H_c(t) = -H_e(tau - t) makes its propagator the
     adjoint U^dagger of the expansion propagator U, so the compression
     stroke maps the hot equilibrium to U^dagger rho_hot U.
@@ -264,6 +271,10 @@ def sweep_with_uncertainty(
         raise ValueError(f"need at least one sample, got {n_samples}")
 
     expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
+    point_cfgs = [
+        replace(cfg, protocol=replace(expansion, tau_us=float(tau)))
+        for tau in tau_list_us
+    ]
     h_cold, h_hot = endpoint_hamiltonians(expansion)
     cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
     hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
@@ -274,14 +285,18 @@ def sweep_with_uncertainty(
         cold_s = _repair_noisy(cold_eq, draws[:, 0])
         hot_s = _repair_noisy(hot_eq, draws[:, 1])
 
+    forward, _ = evolve_unitaries(
+        expansion, [point.protocol.tau_us for point in point_cfgs], cfg.n_steps
+    )
+    backward = forward.conj().transpose(0, 2, 1)
+    swap_probs = transition_probabilities(forward, h_cold, h_hot)
+    after_exps = forward @ cold_eq @ backward
+    after_comps = backward @ hot_eq @ forward
+
     results = []
-    for tau in tau_list_us:
-        point_cfg = replace(cfg, protocol=replace(expansion, tau_us=float(tau)))
-        forward = evolve_unitary(point_cfg.protocol, cfg.n_steps)
-        u = forward.matrix
-        swap_prob = transition_probability(forward, h_cold, h_hot)
-        after_exp = propagate_state(cold_eq, forward)
-        after_comp = u.conj().T @ hot_eq @ u
+    for point_cfg, swap_prob, after_exp, after_comp in zip(
+        point_cfgs, swap_probs.tolist(), after_exps, after_comps
+    ):
         point = _report_from_states(
             point_cfg, (h_cold, h_hot), log_populations, swap_prob,
             (cold_eq, hot_eq, after_exp, after_comp),

@@ -1,9 +1,18 @@
 """Time-ordered unitary evolution under the gap drive and the eigenstate
-transition probability."""
+transition probability.
+
+One Magnus kernel, :func:`cayley_klein_product`, builds the propagators of a
+whole array of drive durations at one step count; :func:`evolve_unitaries`
+doubles the step count of each duration in lockstep until it converges, and
+:func:`transition_probabilities` finds the endpoint eigenvectors once for the
+whole stack.  :func:`slice_product`, :func:`evolve_unitary` and
+:func:`transition_probability` are their one-duration cases.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,16 +29,19 @@ _MAX_DOUBLINGS = 6
 # sqrt(3)/6: offset of the two Gauss-Legendre nodes from the step midpoint (in
 # steps), and the weight of the Magnus cross-product term.
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
+# positions of the two nodes inside a step, in steps, as a column
+_NODE_CENTRES = np.array([[0.5 - _GAUSS_OFFSET], [0.5 + _GAUSS_OFFSET]])
 
 
-def slice_product(
+def cayley_klein_product(
     nu_start_khz: float,
     nu_end_khz: float,
-    tau_us: float,
+    tau_list_us: Sequence[float],
     n_steps: int,
     compression: bool,
 ) -> np.ndarray:
-    """Time-ordered product of fourth-order Magnus steps for the gap drive.
+    """Time-ordered products of fourth-order Magnus steps for the gap drive,
+    one per drive duration, as Cayley-Klein pairs.
 
     The drive generator is a real vector on the Pauli basis,
     ``-i H(t) / hbar = i a(t) . sigma`` with
@@ -45,53 +57,82 @@ def slice_product(
         c = dt/2 (a_- + a_+) + sqrt(3)/6 dt^2 (a_- x a_+)
 
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
-    exponential is the axis-angle rotation ``cos|c| I + i sin|c| c^ . sigma``.
-    The local error is fifth order in ``dt``.  Steps are applied in time
-    order: the latest ends up leftmost in the product.  All steps are built
-    in one vectorized pass and multiplied by a pairwise (balanced-tree)
-    reduction, so the Python-level loop runs O(log n) times.
+    exponential is the SU(2) rotation ``cos|c| I + i sin|c| c^ . sigma``.
+    The local error is fifth order in ``dt``.
+
+    Every rotation, and every product of them, is ``[[a, b], [-b*, a*]]``, so
+    a step is held as its Cayley-Klein pair ``a = cos|c| + i sinc|c| c_z``,
+    ``b = i sinc|c| (c_x - i c_y)`` and two of them compose as
+
+        (a1, b1)(a2, b2) = (a1 a2 - b1 b2*, a1 b2 + b1 a2*).
+
+    All steps of all durations are built in one vectorized pass into arrays
+    of shape ``(n_tau, n_steps)`` and multiplied by a pairwise
+    (balanced-tree) reduction along the step axis, later times earlier, so
+    the latest step ends up leftmost and the Python-level loop runs
+    O(log n) times.  Returns the products' ``(a, b)`` stacked as an array of
+    shape ``(2, n_tau)``.
     """
+    # the drive at each Gauss node depends on tau only through the node's
+    # fraction of the window; rows: the earlier and the later node of a step
+    frac = (np.arange(n_steps) + _NODE_CENTRES) / n_steps
+    # the compression drive replays the forward ramp backwards and negated
+    if compression:
+        frac = 1.0 - frac
+    nu = nu_start_khz + (nu_end_khz - nu_start_khz) * frac
+    phi = 0.5 * np.pi * frac
+    amp = (-np.pi if compression else np.pi) * KHZ_US * nu
+    ax = amp * np.cos(phi)
+    ay = amp * np.sin(phi)
+    # c = dt/2 * node_sum + sqrt(3)/6 dt^2 * node_cross, and its squared norm
+    node_sum_x, node_sum_y = ax[0] + ax[1], ay[0] + ay[1]
+    node_cross = ax[0] * ay[1] - ay[0] * ax[1]
+    sum_sq, cross_sq = node_sum_x**2 + node_sum_y**2, node_cross**2
+
+    dt = np.asarray(tau_list_us, dtype=np.float64)[:, None] / n_steps
+    half_dt, cross_dt = 0.5 * dt, _GAUSS_OFFSET * dt * dt
+    angle = np.sqrt(half_dt**2 * sum_sq + cross_dt**2 * cross_sq)
+    # sin|c| / |c|; its value at |c| = 0 only ever multiplies c = 0
+    sinc = np.sin(angle) / np.where(angle > 0.0, angle, 1.0)
+    pairs = np.empty((2, *angle.shape), dtype=np.complex128)
+    np.cos(angle, out=pairs[0].real)
+    np.multiply(sinc * cross_dt, node_cross, out=pairs[0].imag)
+    sinc_half_dt = sinc * half_dt
+    np.multiply(sinc_half_dt, node_sum_y, out=pairs[1].real)
+    np.multiply(sinc_half_dt, node_sum_x, out=pairs[1].imag)
+
+    # pairwise reduction; pairs stays ordered earliest -> latest along the
+    # last axis, each pair collapses as later * earlier, an odd tail is
+    # carried to the next round
+    while (n := pairs.shape[-1]) > 1:
+        earlier, later = pairs[..., 0 : n - 1 : 2], pairs[..., 1::2]
+        # (a_l a_e, a_l b_e) -+ (b_l b_e*, b_l a_e*)
+        paired = later[0] * earlier
+        cross = later[1] * earlier[::-1].conj()
+        paired[0] -= cross[0]
+        paired[1] += cross[1]
+        if n % 2:
+            paired = np.concatenate([paired, pairs[..., -1:]], axis=-1)
+        pairs = paired
+    return pairs[..., 0]
+
+
+def slice_product(
+    nu_start_khz: float,
+    nu_end_khz: float,
+    tau_us: float,
+    n_steps: int,
+    compression: bool,
+) -> np.ndarray:
+    """Time-ordered product of ``n_steps`` fourth-order Magnus steps for the
+    gap drive of one duration, as a 2x2 matrix (see
+    :func:`cayley_klein_product`)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if tau_us <= 0.0:
         raise ValueError(f"tau_us must be positive, got {tau_us}")
-
-    dt = tau_us / n_steps
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    # columns: the earlier and the later Gauss node of each step
-    t_nodes = t_mid[:, None] + np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET]) * dt
-    # the compression drive replays the forward ramp backwards and negated
-    s_arg = tau_us - t_nodes if compression else t_nodes
-    nu = nu_start_khz + (nu_end_khz - nu_start_khz) * (s_arg / tau_us)
-    phi = 0.5 * np.pi * s_arg / tau_us
-    amp = (-1.0 if compression else 1.0) * np.pi * nu * KHZ_US
-    ax = amp * np.cos(phi)
-    ay = amp * np.sin(phi)
-
-    cx = 0.5 * dt * (ax[:, 0] + ax[:, 1])
-    cy = 0.5 * dt * (ay[:, 0] + ay[:, 1])
-    cz = _GAUSS_OFFSET * dt * dt * (ax[:, 0] * ay[:, 1] - ay[:, 0] * ax[:, 1])
-    angle = np.sqrt(cx * cx + cy * cy + cz * cz)
-    cos_t = np.cos(angle)
-    # i sin|c| / |c|, safe at |c| = 0
-    isinc = 1j * np.sinc(angle / np.pi)
-
-    mats = np.empty((n_steps, 2, 2), dtype=np.complex128)
-    mats[:, 0, 0] = cos_t + isinc * cz
-    mats[:, 1, 1] = cos_t - isinc * cz
-    mats[:, 0, 1] = isinc * (cx - 1j * cy)
-    mats[:, 1, 0] = isinc * (cx + 1j * cy)
-
-    # pairwise reduction; mats stays ordered earliest -> latest throughout,
-    # and each pair collapses as later @ earlier
-    while len(mats) > 1:
-        if len(mats) % 2:
-            tail, body = mats[-1:], mats[:-1]
-        else:
-            tail, body = None, mats
-        paired = body[1::2] @ body[0::2]
-        mats = paired if tail is None else np.concatenate([paired, tail])
-    return mats[0]
+    pairs = cayley_klein_product(nu_start_khz, nu_end_khz, [tau_us], n_steps, compression)
+    return _matrices(pairs)[0]
 
 
 class ConvergenceError(RuntimeError):
@@ -112,59 +153,112 @@ class UnitaryMap:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
 
-def evolve_unitary(
-    protocol: DriveProtocol, n_steps: int = DEFAULT_N_STEPS
-) -> UnitaryMap:
-    """Propagator of the drive as a time-ordered product of Magnus steps.
+def evolve_unitaries(
+    protocol: DriveProtocol,
+    tau_list_us: Sequence[float],
+    n_steps: int = DEFAULT_N_STEPS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagators of the protocol's ramp and phase at each drive duration in
+    ``tau_list_us`` (``protocol.tau_us`` itself is not used).
 
-    Each step is the exact exponential of the fourth-order Magnus exponent
-    over the step (see :func:`slice_product`), so the global error is fourth
-    order in the step width.  Starting from ``n_steps``, the step count is
-    doubled until the product moves by less than ``CONVERGENCE_TOLERANCE`` in
-    max-norm, and the finer product is returned; the metadata records the
-    step count actually used.  Raises :class:`ConvergenceError` if the
-    tolerance is still unmet after six doublings.
+    Each propagator is a time-ordered product of Magnus steps (see
+    :func:`cayley_klein_product`), so the global error is fourth order in
+    the step width.  All durations start at ``n_steps``; each round doubles
+    the step count of the durations whose product still moved by
+    ``CONVERGENCE_TOLERANCE`` or more in max-norm, which for
+    ``[[a, b], [-b*, a*]]`` is ``max(|da|, |db|)``, and the finer product of
+    each is kept.  Raises :class:`ConvergenceError` if any duration is still
+    unconverged after six doublings, and ``ValueError`` if a product is off
+    unitarity by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
+
+    Returns the ``(n_tau, 2, 2)`` stack of propagators and the step count
+    each used, in input order.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     compression = protocol.phase is Phase.COMPRESSION
-    args = (protocol.nu_initial_khz, protocol.nu_final_khz, protocol.tau_us)
+    ramp = (protocol.nu_initial_khz, protocol.nu_final_khz)
+    taus = np.asarray(tau_list_us, dtype=np.float64)
 
-    current = slice_product(*args, n_steps, compression)
-    steps = n_steps
+    pairs = np.empty((2, len(taus)), dtype=np.complex128)
+    steps = np.empty(len(taus), dtype=np.int64)
+    pending = np.arange(len(taus))
+    current = cayley_klein_product(*ramp, taus, n_steps, compression)
+    n = n_steps
     for _ in range(_MAX_DOUBLINGS):
-        finer = slice_product(*args, 2 * steps, compression)
-        if np.max(np.abs(finer - current)) < CONVERGENCE_TOLERANCE:
-            return UnitaryMap(matrix=finer, protocol=protocol, n_steps=2 * steps)
-        current, steps = finer, 2 * steps
-    raise ConvergenceError(
-        f"Magnus product not converged to {CONVERGENCE_TOLERANCE} after "
-        f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps}"
-    )
+        n *= 2
+        finer = cayley_klein_product(*ramp, taus[pending], n, compression)
+        done = np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE
+        pairs[:, pending[done]] = finer[:, done]
+        steps[pending[done]] = n
+        pending, current = pending[~done], finer[:, ~done]
+        if len(pending) == 0:
+            break
+    else:
+        raise ConvergenceError(
+            f"Magnus product not converged to {CONVERGENCE_TOLERANCE} after "
+            f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps}"
+        )
+    defect = np.abs((pairs.real**2 + pairs.imag**2).sum(axis=0) - 1.0).max()
+    if defect > 1e-10:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+    return _matrices(pairs), steps
+
+
+def evolve_unitary(
+    protocol: DriveProtocol, n_steps: int = DEFAULT_N_STEPS
+) -> UnitaryMap:
+    """Propagator of the drive, converged by step doubling from ``n_steps``
+    (see :func:`evolve_unitaries`); the metadata records the step count
+    actually used."""
+    matrices, steps = evolve_unitaries(protocol, [protocol.tau_us], n_steps)
+    return UnitaryMap(matrix=matrices[0], protocol=protocol, n_steps=int(steps[0]))
+
+
+def transition_probabilities(
+    matrices: np.ndarray, h_initial: np.ndarray, h_final: np.ndarray
+) -> np.ndarray:
+    """Probability that each propagator of an ``(n, 2, 2)`` stack flips the
+    medium between instantaneous eigenstates of the endpoint Hamiltonians.
+
+    The endpoint eigenvectors are found once for the whole stack.  Both cross
+    elements |<up_f|U|down_i>|^2 and |<down_f|U|up_i>|^2 are computed;
+    unitarity of a 2x2 map forces them equal, and that symmetry is asserted
+    (to 1e-9) for every propagator rather than trusted.  Their means are
+    returned.
+    """
+    _, vec_i = eigensystem(h_initial)
+    _, vec_f = eigensystem(h_final)
+    overlap = vec_f.conj().T @ matrices @ vec_i
+    up = np.abs(overlap[:, 1, 0]) ** 2
+    down = np.abs(overlap[:, 0, 1]) ** 2
+    asymmetric = np.abs(up - down) >= 1e-9
+    if asymmetric.any():
+        k = np.argmax(asymmetric)
+        raise RuntimeError(
+            f"transition-probability symmetry violated: {up[k]} vs {down[k]}"
+        )
+    return np.clip(0.5 * (up + down), 0.0, 1.0)
 
 
 def transition_probability(
     unitary: UnitaryMap, h_initial: np.ndarray, h_final: np.ndarray
 ) -> float:
-    """Probability that the drive flips the medium between instantaneous
-    eigenstates of the endpoint Hamiltonians.
-
-    Both cross elements |<up_f|U|down_i>|^2 and |<down_f|U|up_i>|^2 are
-    computed; unitarity of a 2x2 map forces them equal, and that symmetry is
-    asserted (to 1e-9) rather than trusted.  Their mean is returned.
-    """
-    _, vec_i = eigensystem(h_initial)
-    _, vec_f = eigensystem(h_final)
-    overlap = vec_f.conj().T @ unitary.matrix @ vec_i
-    up = abs(overlap[1, 0]) ** 2
-    down = abs(overlap[0, 1]) ** 2
-    if abs(up - down) >= 1e-9:
-        raise RuntimeError(
-            f"transition-probability symmetry violated: {up} vs {down}"
-        )
-    return float(min(max(0.5 * (up + down), 0.0), 1.0))
+    """Eigenstate flip probability of one propagator (see
+    :func:`transition_probabilities`)."""
+    return float(transition_probabilities(unitary.matrix[None], h_initial, h_final)[0])
 
 
 def propagate_state(rho: np.ndarray, unitary: UnitaryMap) -> np.ndarray:
     """Conjugate a state by the propagator: U rho U^dagger."""
     return unitary.matrix @ np.asarray(rho, dtype=np.complex128) @ unitary.matrix.conj().T
+
+
+def _matrices(pairs: np.ndarray) -> np.ndarray:
+    """``(n, 2, 2)`` stack of ``[[a, b], [-b*, a*]]`` from ``(a, b)`` of shape
+    ``(2, n)``."""
+    a, b = pairs
+    matrices = np.empty((len(a), 2, 2), dtype=np.complex128)
+    matrices[:, 0, 0], matrices[:, 0, 1] = a, b
+    matrices[:, 1, 0], matrices[:, 1, 1] = -b.conj(), a.conj()
+    return matrices

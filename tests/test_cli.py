@@ -217,6 +217,41 @@ def test_transition_symmetry_violation_is_a_one_line_error(monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_transition_symmetry_violation_in_a_sweep_is_a_one_line_error(monkeypatch, capsys):
+    exact = propagator.eigensystem
+
+    def sheared(h):
+        energies, vectors = exact(h)
+        return energies, vectors @ np.array([[1.0, 0.01], [0.0, 1.0]])
+
+    monkeypatch.setattr(propagator, "eigensystem", sheared)
+    rc, out, err = _run(capsys, ["sweep", "--mc-samples", "5"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: transition-probability symmetry violated")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config_text, argv",
+    [
+        ("", ["cycle", "--tau", "inf"]),
+        ("[drive]\nnu_final_khz = inf\n", ["sweep"]),
+        ("[cycle]\ntau_list_us = 100.0, inf\n", ["sweep"]),
+    ],
+    ids=["tau-flag", "final-frequency", "tau-list-entry"],
+)
+def test_non_finite_drive_input_is_a_one_line_error(
+    tmp_path, capsys, recwarn, config_text, argv
+):
+    cfg = tmp_path / "drive.cfg"
+    cfg.write_text(config_text)
+    rc, out, err = _run(capsys, [*argv, "--config", str(cfg)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "must be finite and positive" in err
+    assert err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_rank_deficient_monte_carlo_reference_is_a_counted_one_line_error(tmp_path, capsys):
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("[monte_carlo]\nnoise_width = 0.3\n")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ottospin as o
+from ottospin import propagator
 import oracles
 
 PROTOCOL = o.DriveProtocol(2.0, 3.6, 100.0)
@@ -138,6 +139,15 @@ def test_entropy_production_is_nonnegative_on_the_grid():
     for thermal in (THERMAL_A, THERMAL_B):
         for tau in TAU_GRID:
             assert o.run_cycle(_config(tau, thermal)).entropy_production > -1e-12
+
+
+def test_sweep_rejects_a_nonpositive_duration_before_any_propagation(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("propagated before validating every duration")
+
+    monkeypatch.setattr(propagator, "cayley_klein_product", unreachable)
+    with pytest.raises(ValueError, match="drive duration must be positive"):
+        o.sweep_tau(_config(100.0), [100.0, 300.0, 0.0])
 
 
 def test_sweep_preserves_order_and_matches_single_runs():

@@ -7,15 +7,25 @@ which knows nothing about time stepping, or against the plain-loop
 `scipy.linalg.expm` instead of the closed axis-angle form.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ottospin as o
-from ottospin.propagator import ConvergenceError, slice_product
+from ottospin import propagator
+from ottospin.propagator import ConvergenceError, evolve_unitaries, slice_product
 import oracles
 
 DEFAULT = o.DriveProtocol(2.0, 3.6, 100.0)
 SWEEP_TAU_GRID = (100.0, 200.0, 235.0, 260.0, 300.0, 320.0, 420.0, 500.0, 600.0, 700.0)
+CRITERION_10_GRID = np.arange(100.0, 701.0, 10.0)
+# how many of the 61 grid points converge at each step count; the same in
+# both phases
+GRID_STEP_COUNTS = {
+    (2.0, 3.6): {128: 10, 256: 30, 512: 21},
+    (1.1, 7.3): {128: 1, 256: 19, 512: 40, 1024: 1},
+}
 SLICE_CASES = [
     (2.0, 3.6, 100.0, 1),
     (2.0, 3.6, 100.0, 2),
@@ -140,6 +150,76 @@ def test_convergence_escalation_reports_the_finer_slicing():
 def test_convergence_failure_raises_after_bounded_doublings():
     with pytest.raises(ConvergenceError):
         o.evolve_unitary(o.DriveProtocol(2.0, 3.6, 700.0), n_steps=1)
+
+
+@pytest.mark.parametrize("phase", list(o.Phase))
+@pytest.mark.parametrize("ramp", list(GRID_STEP_COUNTS))
+def test_grid_kernel_matches_one_tau_propagator_and_plain_loop(ramp, phase):
+    protocol = o.DriveProtocol(*ramp, 100.0, phase)
+    matrices, steps = evolve_unitaries(protocol, CRITERION_10_GRID)
+    counts = dict(zip(*np.unique(steps, return_counts=True)))
+    assert counts == GRID_STEP_COUNTS[ramp]
+    for tau, u, n in zip(CRITERION_10_GRID, matrices, steps):
+        single = o.evolve_unitary(replace(protocol, tau_us=tau))
+        assert n == single.n_steps
+        assert np.max(np.abs(u - single.matrix)) < 1e-14
+    # the plain loop at the shortest duration of each step count, where the
+    # doubling decision was closest
+    for n in counts:
+        k = int(np.argmax(steps == n))
+        ref = oracles.sequential_magnus_product(
+            *ramp, CRITERION_10_GRID[k], n, phase is o.Phase.COMPRESSION
+        )
+        assert np.max(np.abs(matrices[k] - ref)) < 1e-13
+
+
+def test_grid_convergence_failure_of_one_duration_fails_the_grid():
+    # from one step, 10 us converges within six doublings and 700 us does not
+    assert evolve_unitaries(DEFAULT, [10.0], n_steps=1)[1][0] == 32
+    with pytest.raises(ConvergenceError, match="not converged to 1e-08 after 6 doublings"):
+        evolve_unitaries(DEFAULT, [10.0, 700.0, 50.0], n_steps=1)
+
+
+def test_grid_rejects_a_kernel_output_off_unitarity(monkeypatch):
+    exact = propagator.cayley_klein_product
+    monkeypatch.setattr(
+        propagator, "cayley_klein_product", lambda *args: 1.001 * exact(*args)
+    )
+    with pytest.raises(ValueError, match="matrix is not unitary"):
+        evolve_unitaries(DEFAULT, [100.0, 300.0])
+    with pytest.raises(ValueError, match="matrix is not unitary"):
+        o.evolve_unitary(DEFAULT)
+
+
+def test_batched_overlap_checks_the_symmetry_of_every_propagator():
+    h_i, h_f = o.endpoint_hamiltonians(DEFAULT)
+    _, vec_i = o.eigensystem(h_i)
+    _, vec_f = o.eigensystem(h_f)
+    # a non-unitary map whose overlap in the endpoint eigenbases is a shear
+    sheared = vec_f @ np.array([[1.0, 0.1], [0.0, 1.0]]) @ vec_i.conj().T
+    good = o.evolve_unitary(DEFAULT).matrix
+    with pytest.raises(RuntimeError, match="symmetry violated"):
+        propagator.transition_probabilities(np.stack([good, sheared]), h_i, h_f)
+
+
+def test_sweep_transition_probabilities_match_the_converged_oracle():
+    ref = oracles.TRANSITION_PROB_CONVERGED
+    cfg = o.CycleConfig(DEFAULT, o.ThermalParams(6.6, 40.5))
+    reports = o.sweep_tau(cfg, [100.0, 300.0, 700.0])
+    assert reports[0].transition_prob == pytest.approx(ref[100.0], abs=1e-10)
+    assert reports[1].transition_prob == pytest.approx(ref[300.0], abs=1e-8)
+    assert reports[2].transition_prob == pytest.approx(ref[700.0], abs=1e-8)
+
+
+def test_sweep_finds_the_endpoint_eigenvectors_once(monkeypatch):
+    calls = []
+    exact = propagator.eigensystem
+    monkeypatch.setattr(
+        propagator, "eigensystem", lambda h: calls.append(h) or exact(h)
+    )
+    cfg = o.CycleConfig(DEFAULT, o.ThermalParams(6.6, 40.5))
+    o.sweep_tau(cfg, CRITERION_10_GRID)
+    assert len(calls) == 2
 
 
 def test_evolve_rejects_bad_step_counts():
