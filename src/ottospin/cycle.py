@@ -36,7 +36,6 @@ from .spin import (
     gibbs_state,
     polarization,
 )
-from .tpm import transition_matrix
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,8 @@ def sweep_with_uncertainty(
     the endpoint eigenvectors (see :func:`~ottospin.propagator.evolve_unitaries`).
     The compression drive H_c(t) = -H_e(tau - t) makes its propagator the
     adjoint U^dagger of the expansion propagator U, so the compression
-    stroke maps the hot equilibrium to U^dagger rho_hot U.
+    stroke maps the hot equilibrium to U^dagger rho_hot U.  The point
+    reports of all durations come from one batched pass over these stacks.
 
     Each state is resampled ``n_samples`` times with additive complex
     Gaussian noise of width ``rel_noise`` per matrix element, repaired to a
@@ -271,62 +271,58 @@ def sweep_with_uncertainty(
         raise ValueError(f"need at least one sample, got {n_samples}")
 
     expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
-    point_cfgs = [
-        replace(cfg, protocol=replace(expansion, tau_us=float(tau)))
-        for tau in tau_list_us
-    ]
+    # each duration passes DriveProtocol's checks before anything is drawn
+    # or propagated
+    taus = [replace(expansion, tau_us=float(tau)).tau_us for tau in tau_list_us]
     h_cold, h_hot = endpoint_hamiltonians(expansion)
     cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
     hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
     log_populations = _gibbs_log_populations(expansion, cfg.thermal)
-    if rel_noise > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        draws = rng.normal(0.0, rel_noise, (n_samples, 4, 2, 2, 2))
-        cold_s = _repair_noisy(cold_eq, draws[:, 0])
-        hot_s = _repair_noisy(hot_eq, draws[:, 1])
 
-    forward, _ = evolve_unitaries(
-        expansion, [point.protocol.tau_us for point in point_cfgs], cfg.n_steps
-    )
+    forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
     backward = forward.conj().transpose(0, 2, 1)
     swap_probs = transition_probabilities(forward, h_cold, h_hot)
     after_exps = forward @ cold_eq @ backward
     after_comps = backward @ hot_eq @ forward
-
-    results = []
-    for point_cfg, swap_prob, after_exp, after_comp in zip(
-        point_cfgs, swap_probs.tolist(), after_exps, after_comps
-    ):
-        point = _report_from_states(
-            point_cfg, (h_cold, h_hot), log_populations, swap_prob,
-            (cold_eq, hot_eq, after_exp, after_comp),
-        )
-        if rel_noise == 0.0:
-            spread = {
+    points = _report_from_states(
+        cfg, taus, (h_cold, h_hot), log_populations, swap_probs,
+        (cold_eq[None], hot_eq[None], after_exps, after_comps),
+    )
+    if rel_noise == 0.0:
+        return [
+            (point, {
                 name: UncertaintyEstimate(getattr(point, name), 0.0)
                 for name in MONTE_CARLO_FIELDS
-            }
-        else:
-            exp_s = _repair_noisy(after_exp, draws[:, 2])
-            comp_s = _repair_noisy(after_comp, draws[:, 3])
-            relent = _relative_entropy_batch(exp_s, hot_s)
-            relent += _relative_entropy_batch(comp_s, cold_s)
-            if np.isinf(relent).any():
-                raise ValueError(
-                    f"relative entropy infinite: {np.isinf(relent).sum()} of {n_samples} "
-                    "Monte Carlo samples have a rank-deficient reference at noise width "
-                    f"{rel_noise}"
-                )
-            samples = _figures_of_merit(
-                point_cfg, (h_cold, h_hot), (cold_s, hot_s, exp_s, comp_s), relent
+            })
+            for point in points
+        ]
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.normal(0.0, rel_noise, (n_samples, 4, 2, 2, 2))
+    cold_s = _repair_noisy(cold_eq, draws[:, 0])
+    hot_s = _repair_noisy(hot_eq, draws[:, 1])
+    results = []
+    for point, after_exp, after_comp in zip(points, after_exps, after_comps):
+        exp_s = _repair_noisy(after_exp, draws[:, 2])
+        comp_s = _repair_noisy(after_comp, draws[:, 3])
+        relent = _relative_entropy_batch(exp_s, hot_s)
+        relent += _relative_entropy_batch(comp_s, cold_s)
+        if np.isinf(relent).any():
+            raise ValueError(
+                f"relative entropy infinite: {np.isinf(relent).sum()} of {n_samples} "
+                "Monte Carlo samples have a rank-deficient reference at noise width "
+                f"{rel_noise}"
             )
-            spread = {
-                name: UncertaintyEstimate(
-                    float(np.mean(values)),
-                    float(np.std(values, ddof=1)) if n_samples > 1 else 0.0,
-                )
-                for name, values in samples.items()
-            }
+        samples = _figures_of_merit(
+            cfg, point.tau_us, (h_cold, h_hot), (cold_s, hot_s, exp_s, comp_s), relent
+        )
+        spread = {
+            name: UncertaintyEstimate(
+                float(np.mean(values)),
+                float(np.std(values, ddof=1)) if n_samples > 1 else 0.0,
+            )
+            for name, values in samples.items()
+        }
         results.append((point, spread))
     return results
 
@@ -335,34 +331,49 @@ def sweep_with_uncertainty(
 
 def _report_from_states(
     cfg: CycleConfig,
+    tau_list_us: Sequence[float],
     hamiltonians: tuple[np.ndarray, np.ndarray],
     log_populations: tuple[np.ndarray, np.ndarray],
-    swap_prob: float,
+    swap_probs: np.ndarray,
     states: Sequence[np.ndarray],
-) -> CycleReport:
-    relent_sum = np.array([_drive_relative_entropy(log_populations, swap_prob)])
+) -> list[CycleReport]:
+    """Point reports for a whole stack of drive durations, in order.
+
+    ``states`` are the four cycle states as stacks that broadcast against
+    each other: the equilibria as ``(1, 2, 2)``, the drive outputs as
+    ``(n_tau, 2, 2)``; ``swap_probs`` holds the n_tau swap probabilities.
+    One :func:`_figures_of_merit` call gives every column.
+    """
+    relent_sum = _drive_relative_entropy(log_populations, swap_probs)
     figures = _figures_of_merit(
-        cfg, hamiltonians, [state[None] for state in states], relent_sum
+        cfg, np.asarray(tau_list_us), hamiltonians, states, relent_sum
     )
-    values = {name: float(value[0]) for name, value in figures.items()}
-    return CycleReport(
-        tau_us=cfg.protocol.tau_us,
-        transition_prob=swap_prob,
-        efficiency_otto=1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz,
-        efficiency_carnot=1.0 - cfg.thermal.kt_cold_pev / cfg.thermal.kt_hot_pev,
-        extraction_ok=values["mean_work_pev"] > 0.0,
-        **values,
-    )
+    efficiency_otto = 1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz
+    efficiency_carnot = 1.0 - cfg.thermal.kt_cold_pev / cfg.thermal.kt_hot_pev
+    columns = [figures[name].tolist() for name in MONTE_CARLO_FIELDS]
+    return [
+        CycleReport(
+            tau_us=tau,
+            transition_prob=swap_prob,
+            efficiency_otto=efficiency_otto,
+            efficiency_carnot=efficiency_carnot,
+            extraction_ok=row[0] > 0.0,
+            **dict(zip(MONTE_CARLO_FIELDS, row)),
+        )
+        for tau, swap_prob, *row in zip(tau_list_us, swap_probs.tolist(), *columns)
+    ]
 
 
 def _figures_of_merit(
     cfg: CycleConfig,
+    tau_us: float | np.ndarray,
     hamiltonians: tuple[np.ndarray, np.ndarray],
     states: Sequence[np.ndarray],
     relent_sum: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """The ``MONTE_CARLO_FIELDS`` for stacks of the four cycle states, given
-    the endpoint Hamiltonians (cold, hot) and S(rho_exp || rho_hot) +
+    the drive duration (one, or one per stack entry), the endpoint
+    Hamiltonians (cold, hot) and S(rho_exp || rho_hot) +
     S(rho_comp || rho_cold) per stack entry.  Efficiency and lag are NaN
     where no heat comes from the hot reservoir."""
     cold_eq, hot_eq, after_exp, after_comp = states
@@ -371,7 +382,7 @@ def _figures_of_merit(
     heat_cold = _trace_pairing(h_cold, cold_eq - after_comp)
     work = heat_hot + heat_cold
     divisor = np.where(heat_hot == 0.0, np.nan, heat_hot)
-    period = 2.0 * cfg.protocol.tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
+    period = 2.0 * tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
     lag = relent_sum / ((1.0 / cfg.thermal.kt_cold_pev) * divisor)
     sigma = entropy_production_drive(heat_cold, heat_hot, cfg.thermal)
     power = US_PER_MS * work / period
@@ -393,20 +404,27 @@ def _gibbs_log_populations(
 
 
 def _drive_relative_entropy(
-    log_populations: tuple[np.ndarray, np.ndarray], swap_prob: float
-) -> float:
-    """S(rho_exp || rho_hot) + S(rho_comp || rho_cold) from the swap
-    probability xi and the cold and hot Gibbs log-populations log p, log q.
+    log_populations: tuple[np.ndarray, np.ndarray], swap_probs: np.ndarray
+) -> np.ndarray:
+    """S(rho_exp || rho_hot) + S(rho_comp || rho_cold) for an array of swap
+    probabilities xi, from the cold and hot Gibbs log-populations log p,
+    log q.
 
     Unitarity gives S(rho_exp) = S(rho_cold), and rho_hot is diagonal in the
     eigenbasis of H_f, where rho_exp has the populations T(xi) p; so
     S(rho_exp || rho_hot) = sum p log p - sum (T(xi) p)_m log q_m, and the
-    compression term swaps p and q.
+    compression term swaps p and q.  The transfer matrices T(xi) (see
+    :func:`~ottospin.tpm.transition_matrix`) form one stack, and each
+    population pair T(xi) p meets log q in a stacked (1, 2) @ (2,) product,
+    which rounds as the 1-d product of one pair does (a plain (n, 2) @ (2,)
+    product does not).
     """
     log_p, log_q = log_populations
     p, q = np.exp(log_p), np.exp(log_q)
-    transfer = transition_matrix(swap_prob)
-    return float(p @ log_p - transfer @ p @ log_q + q @ log_q - transfer @ q @ log_p)
+    stay = 1.0 - swap_probs
+    transfer = np.stack([stay, swap_probs, swap_probs, stay], axis=-1).reshape(-1, 2, 2)
+    to_hot, to_cold = (transfer @ p)[:, None], (transfer @ q)[:, None]
+    return p @ log_p - (to_hot @ log_q)[:, 0] + q @ log_q - (to_cold @ log_p)[:, 0]
 
 
 def _trace_pairing(operator: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -63,13 +63,16 @@ class DriveProtocol:
     phase: Phase = Phase.EXPANSION
 
     def __post_init__(self) -> None:
-        if self.nu_initial_khz <= 0.0 or self.nu_final_khz <= 0.0:
+        # NaN fails these chained comparisons as inf and nonpositive values do
+        nu_i, nu_f = self.nu_initial_khz, self.nu_final_khz
+        if not (0.0 < nu_i < math.inf and 0.0 < nu_f < math.inf):
             raise ValueError(
-                "drive frequencies must be positive, got "
-                f"({self.nu_initial_khz}, {self.nu_final_khz}) kHz"
+                f"drive frequencies must be positive and finite, got ({nu_i}, {nu_f}) kHz"
             )
-        if self.tau_us <= 0.0:
-            raise ValueError(f"drive duration must be positive, got {self.tau_us} us")
+        if not 0.0 < self.tau_us < math.inf:
+            raise ValueError(
+                f"drive duration must be positive and finite, got {self.tau_us} us"
+            )
 
     @property
     def compression_factor(self) -> float:

@@ -72,33 +72,41 @@ class EnergyDistribution:
         Tiny negative weights (above -1e-12, as produced by Fourier
         inversion round-off) are clipped to zero.
         """
-        values = np.asarray(list(energies_pev), dtype=float)
-        probs = np.asarray(list(probabilities), dtype=float)
+        values, probs = _float_array(energies_pev), _float_array(probabilities)
         if values.shape != probs.shape or values.ndim != 1:
             raise ValueError("energies and probabilities must be 1d and equal length")
         if not (np.isfinite(values).all() and np.isfinite(probs).all()):
             raise ValueError("atoms must be finite")
         if (probs < -1e-12).any():
             raise ValueError("probabilities must be nonnegative")
-        probs = np.clip(probs, 0.0, None)
+        probs = np.maximum(probs, 0.0)
 
         order = np.argsort(values, kind="stable")
         values, probs = values[order], probs[order]
 
+        # a cluster runs while atoms lie within the tolerance of its first
+        # atom; a one-atom cluster takes v * p / p, the same IEEE operations
+        # as the one-element dot product, and longer clusters keep numpy's
+        # sum and dot so that their rounding stays that of the library
+        atom_values, atom_probs = values.tolist(), probs.tolist()
+        n_atoms = len(atom_values)
         merged_values: list[float] = []
         merged_probs: list[float] = []
-        cluster_start = 0
-        for i in range(1, len(values) + 1):
-            if i < len(values) and values[i] - values[cluster_start] <= MERGE_TOLERANCE_PEV:
+        start = 0
+        for i in range(1, n_atoms + 1):
+            if i < n_atoms and atom_values[i] - atom_values[start] <= MERGE_TOLERANCE_PEV:
                 continue
-            chunk_p = probs[cluster_start:i]
-            weight = float(chunk_p.sum())
+            if i - start == 1:
+                weight = atom_probs[start]
+                value = atom_values[start] * weight
+            else:
+                chunk_p = probs[start:i]
+                weight = float(chunk_p.sum())
+                value = np.dot(values[start:i], chunk_p)
             if weight > 0.0:
-                merged_values.append(
-                    float(np.dot(values[cluster_start:i], chunk_p) / weight)
-                )
+                merged_values.append(float(value / weight))
                 merged_probs.append(weight)
-            cluster_start = i
+            start = i
         return cls(tuple(merged_values), tuple(merged_probs), kind)
 
 
@@ -373,11 +381,18 @@ def _checked_populations(populations: Sequence[float], label: str) -> np.ndarray
     pops = np.asarray(populations, dtype=float)
     if pops.shape != (2,):
         raise ValueError(f"{label} populations must be a pair, got shape {pops.shape}")
-    if (pops < 0.0).any():
+    first, second = pops.tolist()
+    if first < 0.0 or second < 0.0:
         raise ValueError(f"{label} populations must be nonnegative, got {pops}")
-    if abs(pops.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{label} populations must sum to 1, got {pops.sum()}")
+    if abs(first + second - 1.0) > 1e-9:
+        raise ValueError(f"{label} populations must sum to 1, got {first + second}")
     return pops
+
+
+def _float_array(items: Iterable[float]) -> np.ndarray:
+    """``items`` as a float array; an ndarray is taken as it is, any other
+    iterable (generators included) is listed first."""
+    return np.asarray(items if isinstance(items, np.ndarray) else list(items), dtype=float)
 
 
 def _checked_spectrum(spectrum: Sequence[float]) -> np.ndarray:

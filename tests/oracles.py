@@ -5,11 +5,12 @@ library: the propagator is integrated as an ODE with an adaptive high-order
 scheme instead of Magnus step products, means are accumulated
 stroke-by-stroke from raw populations, the cycle work distribution is the
 convolution of the two stroke distributions, characteristic functions are
-inverted by a dense Fourier sum instead of an FFT, process matrices are Kraus
-sums written term by term, relative entropy goes through a matrix logarithm,
-state repair goes through an eigendecomposition, and trace norms go through
-singular values.  Tests compare the two routes; frozen literals
-below were produced by these oracles (or, where noted, by an equally
+inverted by a dense Fourier sum instead of an FFT, atoms are merged with
+numpy's sum and dot for every cluster (one-atom clusters included), process
+matrices are Kraus sums written term by term, relative entropy goes through a
+matrix logarithm, state repair goes through an eigendecomposition, and trace
+norms go through singular values.  Tests compare the two routes; frozen
+literals below were produced by these oracles (or, where noted, by an equally
 independent integrator) and are pinned so regressions show up as honest
 failures.
 """
@@ -156,6 +157,30 @@ def convolved_stroke_work_atoms(p, q, swap_prob, levels_cold, levels_hot):
     return [energies[i] for i in kept], [probs[i] for i in kept]
 
 
+def merge_atoms_loop(energies, probabilities):
+    """Raw atoms normalized as ``EnergyDistribution.from_atoms`` did with one
+    numpy ``sum`` and ``dot`` per cluster: clip weights above -1e-12 to zero,
+    sort stably, merge atoms within 1e-9 peV of their cluster's first atom at
+    the weighted mean, drop zero-weight clusters.  Returns the (energies,
+    probabilities) tuples; the bit-exact reference for the merge."""
+    values = np.asarray(list(energies), dtype=float)
+    probs = np.clip(np.asarray(list(probabilities), dtype=float), 0.0, None)
+    order = np.argsort(values, kind="stable")
+    values, probs = values[order], probs[order]
+    merged_values, merged_probs = [], []
+    cluster_start = 0
+    for i in range(1, len(values) + 1):
+        if i < len(values) and values[i] - values[cluster_start] <= 1e-9:
+            continue
+        chunk_p = probs[cluster_start:i]
+        weight = float(chunk_p.sum())
+        if weight > 0.0:
+            merged_values.append(float(np.dot(values[cluster_start:i], chunk_p) / weight))
+            merged_probs.append(weight)
+        cluster_start = i
+    return tuple(merged_values), tuple(merged_probs)
+
+
 def atoms_characteristic(atoms, u):
     """chi(u) = sum p exp(i u E) over (energy, probability) atoms."""
     u = np.asarray(u, dtype=float)
@@ -183,6 +208,16 @@ def process_from_kraus(kraus_ops):
         coeffs = np.array([np.trace(b.conj().T @ op) / 2.0 for b in basis])
         matrix += np.outer(coeffs, coeffs.conj())
     return matrix
+
+
+def drive_relative_entropy_pairwise(log_p, log_q, swap_prob):
+    """S(rho_exp || rho_hot) + S(rho_comp || rho_cold) for one swap
+    probability, from the Gibbs log-populations, with the 1-d products of one
+    transfer matrix: the rounding of the per-duration report, which the
+    batched report must keep so that its printed bytes do not move."""
+    p, q = np.exp(log_p), np.exp(log_q)
+    transfer = np.array([[1.0 - swap_prob, swap_prob], [swap_prob, 1.0 - swap_prob]])
+    return float(p @ log_p - transfer @ p @ log_q + q @ log_q - transfer @ q @ log_p)
 
 
 def relative_entropy_logm(a, b):

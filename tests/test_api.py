@@ -5,6 +5,11 @@ adding, removing or renaming a public name means editing ``PUBLIC_API`` on
 purpose (and recording the change in CHANGES.md).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import ottospin as o
 
 PUBLIC_API = [
@@ -93,3 +98,26 @@ def test_every_public_name_resolves():
     exec("from ottospin import *", namespace)
     missing = [name for name in PUBLIC_API if name not in namespace]
     assert missing == []
+
+
+FFT_PROBE = """
+import sys
+import ottospin
+print(sorted(m for m in sys.modules if m.startswith("numpy.fft")))
+samples = ottospin.characteristic_function(
+    ottospin.EnergyDistribution((0.0,), (1.0,), "work"), ottospin.conjugate_u_grid(1.0, 4)
+)
+ottospin.invert_characteristic(samples)
+print("numpy.fft" in sys.modules)
+"""
+
+
+def test_import_does_not_load_numpy_fft():
+    # every CLI run pays for what `import ottospin` loads; the FFT is loaded
+    # on first use by the inversion, which the probe then checks it sees
+    src = str(Path(o.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", FFT_PROBE], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]

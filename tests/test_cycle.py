@@ -7,6 +7,7 @@ physical routes (efficiency vs. the lag identity, bath bookkeeping vs.
 relative-entropy production) are required to agree without sharing code.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ottospin as o
-from ottospin import propagator
+from ottospin import cycle, propagator
 import oracles
 
 PROTOCOL = o.DriveProtocol(2.0, 3.6, 100.0)
@@ -148,6 +149,57 @@ def test_sweep_rejects_a_nonpositive_duration_before_any_propagation(monkeypatch
     monkeypatch.setattr(propagator, "cayley_klein_product", unreachable)
     with pytest.raises(ValueError, match="drive duration must be positive"):
         o.sweep_tau(_config(100.0), [100.0, 300.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["nu_initial_khz", "nu_final_khz", "tau_us"])
+def test_drive_protocol_rejects_non_finite_input(field, value, recwarn):
+    drive = {"nu_initial_khz": 2.0, "nu_final_khz": 3.6, "tau_us": 100.0, field: value}
+    with pytest.raises(ValueError, match="must be positive and finite") as err:
+        o.run_cycle(o.CycleConfig(o.DriveProtocol(**drive), THERMAL_B))
+    assert "\n" not in str(err.value)
+    if field == "tau_us":
+        with pytest.raises(ValueError, match="drive duration must be positive and finite"):
+            o.sweep_tau(_config(100.0), [100.0, value])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+REPORT_FIELDS = [f.name for f in dataclasses.fields(o.CycleReport)]
+CRITERION_10_GRID = np.arange(100.0, 701.0, 10.0).tolist()
+
+
+@pytest.mark.parametrize(
+    "thermal, taus",
+    [
+        (THERMAL_A, CRITERION_10_GRID),
+        (THERMAL_B, CRITERION_10_GRID),
+        (THERMAL_B, [420.0, 100.0, 700.0, 235.0, 100.0, 300.0, 260.0]),
+    ],
+)
+def test_batched_sweep_report_equals_the_one_duration_report(thermal, taus):
+    reports = o.sweep_tau(_config(100.0, thermal), taus)
+    assert [r.tau_us for r in reports] == taus
+    for tau, report in zip(taus, reports):
+        single = o.run_cycle(_config(tau, thermal))
+        for name in REPORT_FIELDS:
+            got, want = getattr(report, name), getattr(single, name)
+            if isinstance(want, bool) or name == "tau_us":
+                assert got == want, name
+            else:
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0, nan_ok=True), name
+
+
+def test_stacked_relative_entropy_rounds_as_one_pair_at_a_time():
+    rng = np.random.default_rng(1308)
+    swap_probs = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 200) ** 3])
+    for thermal in (THERMAL_A, THERMAL_B, *COLD_CORNER):
+        log_p, log_q = cycle._gibbs_log_populations(PROTOCOL, thermal)
+        stacked = cycle._drive_relative_entropy((log_p, log_q), swap_probs)
+        expected = [
+            oracles.drive_relative_entropy_pairwise(log_p, log_q, xi)
+            for xi in swap_probs.tolist()
+        ]
+        assert stacked.tolist() == expected
 
 
 def test_sweep_preserves_order_and_matches_single_runs():

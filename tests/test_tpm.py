@@ -73,6 +73,28 @@ def test_history_energies_match_brute_force_pairs():
         assert got_delta[idx] == pytest.approx(delta, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cold, message",
+    [
+        ((0.5,), r"cold populations must be a pair, got shape \(1,\)"),
+        ((-0.1, 1.1), r"cold populations must be nonnegative, got \[-0.1  1.1\]"),
+        ((1.1, -0.1), r"cold populations must be nonnegative"),
+        ((0.5, 0.6), r"cold populations must sum to 1, got 1.1"),
+        ((0.5, 0.5 - 2e-9), r"cold populations must sum to 1, got 0.999999998"),
+    ],
+)
+def test_histories_reject_invalid_populations(cold, message):
+    _, q, swap_prob, spectra = _default_inputs(SWAP_100)
+    with pytest.raises(ValueError, match=message):
+        o.enumerate_histories(cold, q, swap_prob, spectra)
+
+
+def test_populations_within_the_sum_tolerance_are_accepted():
+    _, q, swap_prob, spectra = _default_inputs(SWAP_100)
+    _, prob = o.enumerate_histories((0.5, 0.5 + 5e-10), q, swap_prob, spectra)
+    assert prob.sum() == pytest.approx(1.0, abs=1e-9)
+
+
 @given(probs, probs, swap_probs)
 def test_history_probabilities_sum_to_one(p0, q0, swap_prob):
     _, prob = o.enumerate_histories(
@@ -297,6 +319,79 @@ def test_from_atoms_merges_coincident_energies():
 def test_from_atoms_drops_zero_probability_atoms():
     dist = o.EnergyDistribution.from_atoms([1.0, 2.0], [1.0, 0.0], "work")
     assert dist.energies_pev == (1.0,)
+
+
+def _raw_atoms(rng):
+    """Random raw atoms: clusters of 1-12 atoms within the merge tolerance of
+    their first atom, some anchor chains (consecutive gaps within the
+    tolerance, span beyond it), -0.0 energies, zero and slightly negative
+    weights, whole clusters of zero weight."""
+    energies = []
+    anchor = rng.uniform(-30.0, -20.0)
+    for _ in range(rng.integers(1, 7)):
+        anchor += rng.choice([rng.uniform(0.01, 8.0), 2e-9, 0.0])
+        if rng.random() < 0.25:
+            chain = np.cumsum(rng.uniform(0.4e-9, 1e-9, rng.integers(2, 9)))
+            energies += list(anchor + np.concatenate([[0.0], chain]))
+            anchor += chain[-1]
+        else:
+            size = rng.integers(1, 13)
+            energies += list(anchor + rng.uniform(0.0, 1e-9, size) * (rng.random(size) < 0.8))
+    if rng.random() < 0.3:
+        energies += [-0.0, 0.0, -0.0][: rng.integers(1, 4)]
+    energies = np.array(energies)
+    weights = rng.uniform(0.0, 1.0, len(energies)) ** rng.uniform(1.0, 6.0)
+    dead = rng.random(len(energies)) < 0.15
+    if rng.random() < 0.2:  # one whole cluster (energies within 1e-9) weightless
+        dead |= np.abs(energies - energies[rng.integers(len(energies))]) <= 1e-9
+    if dead.all():
+        dead[0] = False
+    weights[dead] = 0.0
+    weights /= weights.sum()
+    weights[dead] = rng.choice([0.0, -0.0, -1e-12, -5e-13, -1e-16], dead.sum())
+    return rng.permutation(energies), weights
+
+
+def test_from_atoms_is_bit_identical_to_the_numpy_reduction_loop():
+    rng = np.random.default_rng(20140930)
+    sizes, compared, chains = set(), 0, 0
+    for trial in range(1500):
+        energies, weights = _raw_atoms(rng)
+        expected = oracles.merge_atoms_loop(energies, weights)
+        inputs = (
+            (energies, weights),
+            (energies.tolist(), weights.tolist()),
+            ((e for e in energies.tolist()), iter(weights)),
+        )[trial % 3]
+        try:
+            dist = o.EnergyDistribution.from_atoms(*inputs, "work")
+        except ValueError:
+            # merged means closer than the tolerance, or weights that miss 1:
+            # the old loop's atoms are rejected by the same invariants
+            with pytest.raises(ValueError):
+                o.EnergyDistribution(*expected, "work")
+            continue
+        assert dist.energies_pev == expected[0]
+        assert dist.probabilities == expected[1]
+        assert [repr(x) for x in dist.energies_pev] == [repr(x) for x in expected[0]]
+        compared += 1
+        anchored = _anchor_clusters(np.sort(energies).tolist())
+        sizes.update(anchored)
+        # a chain: the anchor rule splits what consecutive gaps would join
+        chains += len(anchored) > 1 + (np.diff(np.sort(energies)) > 1e-9).sum()
+    assert compared > 900
+    assert set(range(1, 13)) <= sizes
+    assert chains > 50
+
+
+def _anchor_clusters(values):
+    """Sizes of the clusters of sorted ``values`` under the anchor rule."""
+    sizes, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[start] > 1e-9:
+            sizes.append(i - start)
+            start = i
+    return sizes
 
 
 def test_distribution_validation():
