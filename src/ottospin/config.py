@@ -128,7 +128,9 @@ _RANGES: dict[str, tuple[Callable, str]] = {
     "t_thermalization_us": (lambda v: v > 0, "must be positive"),
     "t_cooling_us": (lambda v: v >= 0, "must be nonnegative"),
     "mc_samples": (lambda v: v >= 1, "must be at least 1"),
-    "mc_noise_width": (lambda v: v >= 0, "must be nonnegative"),
+    "mc_noise_width": (
+        lambda v: math.isfinite(v) and v >= 0, "must be finite and nonnegative"
+    ),
     "seed": (lambda v: v >= 0, "must be nonnegative"),
     "output_format": (lambda v: v in ("csv", "json"), "must be csv or json"),
     "lorentzian_fwhm_pev": (lambda v: v >= 0, "must be nonnegative (0 disables)"),

@@ -32,6 +32,7 @@ from .spin import (
     DriveProtocol,
     Phase,
     ThermalParams,
+    _bloch,
     drive_hamiltonian,
     gibbs_state,
     polarization,
@@ -99,7 +100,7 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     Infinite whenever the support of ``a`` is not inside that of ``b``; a
     reference with an eigenvalue below 1e-12 is rejected rather than returned.
     """
-    result = _relative_entropy_batch(np.asarray(a)[None], np.asarray(b)[None])
+    result = _relative_entropy_batch(*(_bloch(np.asarray(m)[None]) for m in (a, b)))
     if np.isinf(result[0]):
         raise ValueError("relative entropy infinite: reference eigenvalue below 1e-12")
     return float(result[0])
@@ -245,28 +246,32 @@ def sweep_with_uncertainty(
     the endpoint eigenvectors (see :func:`~ottospin.propagator.evolve_unitaries`).
     The compression drive H_c(t) = -H_e(tau - t) makes its propagator the
     adjoint U^dagger of the expansion propagator U, so the compression
-    stroke maps the hot equilibrium to U^dagger rho_hot U.  The point
-    reports of all durations come from one batched pass over these stacks.
+    stroke maps the hot equilibrium to U^dagger rho_hot U.  Every state is
+    carried as its real Bloch vector r, rho = (I + r . sigma)/2, and the
+    point reports of all durations come from one batched pass over them.
 
     Each state is resampled ``n_samples`` times with additive complex
-    Gaussian noise of width ``rel_noise`` per matrix element, repaired to a
-    valid state (see ``_repair_batch``), and the report quantities are
-    recomputed.  All noise comes from one generator on
+    Gaussian noise N = re + i im of width ``rel_noise`` per matrix element,
+    repaired to a valid state (see ``_repair_batch``), and the report
+    quantities are recomputed.  All noise comes from one generator on
     ``SeedSequence(seed)``, drawn once per call as an
     ``(n_samples, 4, 2, 2, 2)`` array in C order: sample by sample, the real,
     then the imaginary part of the noise on the cold and hot equilibria and
     the expansion and compression outputs.  Every tau sees the same draws,
-    and sample i's draws do not depend on ``n_samples``.
+    and sample i's draws do not depend on ``n_samples``.  The repair sees the
+    Hermitian part (t I + (r + dr) . sigma)/2 of rho + N, with
+    t = 1 + re_00 + re_11 and dr = (re_01 + re_10, im_10 - im_01, re_00 - re_11).
 
     With ``rel_noise == 0`` nothing is drawn and the means are the point
-    estimates, bit for bit, with zero spread.  A rank-deficient repaired
-    reference makes a sample's lag infinite; the run is then rejected with
-    the number of such samples.
+    estimates, bit for bit, with zero spread.  A non-finite width, or one
+    whose draws overflow, is rejected.  A rank-deficient repaired reference
+    makes a sample's lag infinite; the run is then rejected with the number
+    of such samples.
     """
     if len(tau_list_us) == 0:
         raise ValueError("tau list must be nonempty")
-    if rel_noise < 0.0:
-        raise ValueError(f"noise width must be nonnegative, got {rel_noise}")
+    if not 0.0 <= rel_noise < math.inf:
+        raise ValueError(f"noise width must be finite and nonnegative, got {rel_noise}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
 
@@ -282,12 +287,11 @@ def sweep_with_uncertainty(
     forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
     backward = forward.conj().transpose(0, 2, 1)
     swap_probs = transition_probabilities(forward, h_cold, h_hot)
-    after_exps = forward @ cold_eq @ backward
-    after_comps = backward @ hot_eq @ forward
-    points = _report_from_states(
-        cfg, taus, (h_cold, h_hot), log_populations, swap_probs,
-        (cold_eq[None], hot_eq[None], after_exps, after_comps),
-    )
+    fields = (_bloch(h_cold)[1], _bloch(h_hot)[1])
+    states = [_bloch(rho)[1] for rho in (
+        cold_eq, hot_eq, forward @ cold_eq @ backward, backward @ hot_eq @ forward
+    )]
+    points = _report_from_states(cfg, taus, fields, log_populations, swap_probs, states)
     if rel_noise == 0.0:
         return [
             (point, {
@@ -299,14 +303,20 @@ def sweep_with_uncertainty(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.normal(0.0, rel_noise, (n_samples, 4, 2, 2, 2))
-    cold_s = _repair_noisy(cold_eq, draws[:, 0])
-    hot_s = _repair_noisy(hot_eq, draws[:, 1])
+    re, im = draws[:, :, 0], draws[:, :, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = 1.0 + re[..., 0, 0] + re[..., 1, 1]
+        shift = np.stack([re[..., 0, 1] + re[..., 1, 0], im[..., 1, 0] - im[..., 0, 1],
+                          re[..., 0, 0] - re[..., 1, 1]], axis=-1)
+    if not (np.isfinite(trace).all() and np.isfinite(shift).all()):
+        raise ValueError(f"Monte Carlo noise overflows at noise width {rel_noise}")
+    cold_s, hot_s = (_repair_batch(trace[:, k], states[k] + shift[:, k]) for k in (0, 1))
     results = []
-    for point, after_exp, after_comp in zip(points, after_exps, after_comps):
-        exp_s = _repair_noisy(after_exp, draws[:, 2])
-        comp_s = _repair_noisy(after_comp, draws[:, 3])
-        relent = _relative_entropy_batch(exp_s, hot_s)
-        relent += _relative_entropy_batch(comp_s, cold_s)
+    for point, exp_r, comp_r in zip(points, states[2], states[3]):
+        exp_s = _repair_batch(trace[:, 2], exp_r + shift[:, 2])
+        comp_s = _repair_batch(trace[:, 3], comp_r + shift[:, 3])
+        relent = _relative_entropy_batch((1.0, exp_s), (1.0, hot_s))
+        relent += _relative_entropy_batch((1.0, comp_s), (1.0, cold_s))
         if np.isinf(relent).any():
             raise ValueError(
                 f"relative entropy infinite: {np.isinf(relent).sum()} of {n_samples} "
@@ -314,7 +324,7 @@ def sweep_with_uncertainty(
                 f"{rel_noise}"
             )
         samples = _figures_of_merit(
-            cfg, point.tau_us, (h_cold, h_hot), (cold_s, hot_s, exp_s, comp_s), relent
+            cfg, point.tau_us, fields, (cold_s, hot_s, exp_s, comp_s), relent
         )
         spread = {
             name: UncertaintyEstimate(
@@ -332,22 +342,17 @@ def sweep_with_uncertainty(
 def _report_from_states(
     cfg: CycleConfig,
     tau_list_us: Sequence[float],
-    hamiltonians: tuple[np.ndarray, np.ndarray],
+    fields: tuple[np.ndarray, np.ndarray],
     log_populations: tuple[np.ndarray, np.ndarray],
     swap_probs: np.ndarray,
     states: Sequence[np.ndarray],
 ) -> list[CycleReport]:
-    """Point reports for a whole stack of drive durations, in order.
-
-    ``states`` are the four cycle states as stacks that broadcast against
-    each other: the equilibria as ``(1, 2, 2)``, the drive outputs as
-    ``(n_tau, 2, 2)``; ``swap_probs`` holds the n_tau swap probabilities.
-    One :func:`_figures_of_merit` call gives every column.
-    """
+    """Point reports for a whole stack of drive durations, in order, from the
+    n_tau swap probabilities and the Bloch vectors of the four cycle states:
+    the equilibria as ``(3,)``, the drive outputs as ``(n_tau, 3)``.  One
+    :func:`_figures_of_merit` call gives every column."""
     relent_sum = _drive_relative_entropy(log_populations, swap_probs)
-    figures = _figures_of_merit(
-        cfg, np.asarray(tau_list_us), hamiltonians, states, relent_sum
-    )
+    figures = _figures_of_merit(cfg, np.asarray(tau_list_us), fields, states, relent_sum)
     efficiency_otto = 1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz
     efficiency_carnot = 1.0 - cfg.thermal.kt_cold_pev / cfg.thermal.kt_hot_pev
     columns = [figures[name].tolist() for name in MONTE_CARLO_FIELDS]
@@ -367,19 +372,19 @@ def _report_from_states(
 def _figures_of_merit(
     cfg: CycleConfig,
     tau_us: float | np.ndarray,
-    hamiltonians: tuple[np.ndarray, np.ndarray],
+    fields: tuple[np.ndarray, np.ndarray],
     states: Sequence[np.ndarray],
     relent_sum: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """The ``MONTE_CARLO_FIELDS`` for stacks of the four cycle states, given
-    the drive duration (one, or one per stack entry), the endpoint
-    Hamiltonians (cold, hot) and S(rho_exp || rho_hot) +
-    S(rho_comp || rho_cold) per stack entry.  Efficiency and lag are NaN
-    where no heat comes from the hot reservoir."""
+    """The ``MONTE_CARLO_FIELDS`` for stacks of the four cycle states' Bloch
+    vectors, given the drive duration (one, or one per stack entry), the
+    Bloch vectors of the endpoint Hamiltonians (cold, hot) and
+    S(rho_exp || rho_hot) + S(rho_comp || rho_cold) per stack entry.
+    Efficiency and lag are NaN where no heat comes from the hot reservoir."""
     cold_eq, hot_eq, after_exp, after_comp = states
-    h_cold, h_hot = hamiltonians
-    heat_hot = _trace_pairing(h_hot, hot_eq - after_exp)
-    heat_cold = _trace_pairing(h_cold, cold_eq - after_comp)
+    field_cold, field_hot = fields
+    heat_hot = _trace_pairing(field_hot, hot_eq - after_exp)
+    heat_cold = _trace_pairing(field_cold, cold_eq - after_comp)
     work = heat_hot + heat_cold
     divisor = np.where(heat_hot == 0.0, np.nan, heat_hot)
     period = 2.0 * tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
@@ -427,46 +432,38 @@ def _drive_relative_entropy(
     return p @ log_p - (to_hot @ log_q)[:, 0] + q @ log_q - (to_cold @ log_p)[:, 0]
 
 
-def _trace_pairing(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Re tr[operator @ state] for a stack of states."""
-    return np.real(np.einsum("ij,nji->n", operator, states))
+def _trace_pairing(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """tr[H rho] = h . r/2 for the Bloch vectors h of a traceless H and r of
+    a stack of states, summed term by term so each entry rounds alone."""
+    return 0.5 * (h[0] * r[..., 0] + h[1] * r[..., 1] + h[2] * r[..., 2])
 
 
-def _repair_noisy(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Repaired ``state + re + i im`` for a stack of (re, im) noise pairs."""
-    return _repair_batch(state + (draws[:, 0] + 1j * draws[:, 1]))
-
-
-def _bloch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, r) of the Hermitian parts (t I + r . sigma)/2 of a matrix stack."""
-    upper, lower = matrices[:, 0, 0].real, matrices[:, 1, 1].real
-    off = matrices[:, 0, 1] + np.conj(matrices[:, 1, 0])
-    return upper + lower, np.stack([off.real, -off.imag, upper - lower], axis=-1)
-
-
-def _repair_batch(matrices: np.ndarray) -> np.ndarray:
-    """Project noisy matrices back to valid states: Hermitize, clip negative
-    eigenvalues, renormalize the trace.  The Hermitian part (t I + r . sigma)/2
-    has eigenvalues (t +- |r|)/2, so the repaired Bloch vector is r/t when
-    |r| <= t, r/|r| when |r| > t and t + |r| > 0, and 0 (I/2) otherwise.
+def _repair_batch(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Bloch vectors of the valid states nearest to the Hermitian parts
+    (t I + r . sigma)/2: clip negative eigenvalues, renormalize the trace.
+    The eigenvalues are (t +- |r|)/2, so the repaired Bloch vector is r/t
+    when |r| <= t, r/|r| when |r| > t and t + |r| > 0, and 0 (I/2)
+    otherwise.  That does not change when (t, r) is scaled by c > 0, so
+    (t, r) is first divided by max(|t|, max |r_i|) and |r| cannot overflow.
     """
-    herm = 0.5 * (matrices + np.conj(np.swapaxes(matrices, 1, 2)))
-    t, r = _bloch(herm)
+    size = np.maximum(np.abs(t), np.abs(r).max(axis=-1))
+    size = np.where(size > 0.0, size, 1.0)
+    t, r = t / size, r / size[:, None]
     length = np.linalg.norm(r, axis=-1)
     valid = t + length > 0.0
     scale = np.where(valid, 1.0 / np.where(valid, np.maximum(t, length), 1.0), 0.0)
-    shift = 0.5 * (1.0 - scale * t)
-    return scale[:, None, None] * herm + shift[:, None, None] * np.eye(2)
+    return scale[:, None] * r
 
 
-def _relative_entropy_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S(a||b) for stacks of 2x2 states; +inf where b has an eigenvalue < 1e-12.
+def _relative_entropy_batch(a: tuple, b: tuple) -> np.ndarray:
+    """S(a||b) for stacks of states (t I + r . sigma)/2 given as Bloch pairs
+    (t, r); +inf where b has an eigenvalue < 1e-12.
 
-    For a = (t I + r . sigma)/2 and b = (u I + s . sigma)/2 with eigenvalues
-    (t +- |r|)/2 and mu_+- = (u +- |s|)/2, tr[a ln b] is
+    For a = (t, r) and b = (u, s) with eigenvalues (t +- |r|)/2 and
+    mu_+- = (u +- |s|)/2, tr[a ln b] is
     [(t + r.s/|s|) ln mu_+ + (t - r.s/|s|) ln mu_-]/2, with r.s/|s| = 0 at s = 0.
     """
-    (t, r), (u, s) = _bloch(a), _bloch(b)
+    (t, r), (u, s) = a, b
     r_len, s_len = np.linalg.norm(r, axis=-1), np.linalg.norm(s, axis=-1)
     eig_a = np.clip(0.5 * np.stack([t + r_len, t - r_len], axis=-1), 0.0, None)
     entropy_a = np.sum(eig_a * np.log(np.where(eig_a > 0.0, eig_a, 1.0)), axis=-1)

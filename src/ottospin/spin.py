@@ -123,7 +123,9 @@ def drive_hamiltonian(t_us: float, protocol: DriveProtocol) -> np.ndarray:
     else:
         s = t_us
         sign = 1.0
-    angle = 0.5 * math.pi * s / protocol.tau_us
+    # s/tau is exactly 1 at the ramp's end, so H(tau) has the same bits for
+    # every tau and the hot Gibbs state does not depend on it
+    angle = 0.5 * math.pi * (s / protocol.tau_us)
     gap = PLANCK_PEV_PER_KHZ * nu
     return sign * (-0.5 * gap) * (math.cos(angle) * PAULI_X + math.sin(angle) * PAULI_Y)
 
@@ -135,6 +137,13 @@ def _require_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     if np.max(np.abs(matrix - matrix.conj().T)) > atol:
         raise ValueError("matrix is not Hermitian")
     return matrix
+
+
+def _bloch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, r) of the Hermitian parts (t I + r . sigma)/2 of matrices."""
+    upper, lower = matrices[..., 0, 0].real, matrices[..., 1, 1].real
+    off = matrices[..., 0, 1] + np.conj(matrices[..., 1, 0])
+    return upper + lower, np.stack([off.real, -off.imag, upper - lower], axis=-1)
 
 
 def eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,17 +168,21 @@ def eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gibbs_state(hamiltonian: np.ndarray, kt_pev: float) -> np.ndarray:
     """Thermal equilibrium state exp(-H/kT), normalized.
 
-    ``kt_pev`` may be ``math.inf``, giving the maximally mixed state.
+    For H = h0 I + h . sigma this is (I - tanh(|h|/kT) h/|h| . sigma)/2; the
+    trace part h0 drops out.  ``kt_pev`` may be ``math.inf``, giving the
+    maximally mixed state.
     """
     hamiltonian = _require_hermitian(hamiltonian)
     if not kt_pev > 0.0:
         raise ValueError(f"kT must be positive, got {kt_pev} peV")
     if math.isinf(kt_pev):
         return IDENTITY / 2.0
-    energies, vectors = eigensystem(hamiltonian)
-    weights = np.exp(-(energies - energies[0]) / kt_pev)
-    weights /= weights.sum()
-    return (vectors * weights) @ vectors.conj().T
+    field = _bloch(hamiltonian)[1]
+    gap = math.hypot(*field)  # 2|h|, the level splitting
+    if gap < 1e-14:
+        raise ValueError("degenerate Hamiltonian")
+    sigma = field[0] * PAULI_X + field[1] * PAULI_Y + field[2] * PAULI_Z
+    return 0.5 * (IDENTITY - (math.tanh(0.5 * gap / kt_pev) / gap) * sigma)
 
 
 def thermal_populations(nu_khz: float, kt_pev: float) -> tuple[float, float]:

@@ -8,11 +8,11 @@ convolution of the two stroke distributions, characteristic functions are
 inverted by a dense Fourier sum instead of an FFT, atoms are merged with
 numpy's sum and dot for every cluster (one-atom clusters included), process
 matrices are Kraus sums written term by term, relative entropy goes through a
-matrix logarithm, state repair goes through an eigendecomposition, and trace
-norms go through singular values.  Tests compare the two routes; frozen
-literals below were produced by these oracles (or, where noted, by an equally
-independent integrator) and are pinned so regressions show up as honest
-failures.
+matrix logarithm, Gibbs states and state repair go through an
+eigendecomposition, and trace norms go through singular values.  Tests
+compare the two routes; frozen literals below were produced by these oracles
+(or, where noted, by an equally independent integrator) and are pinned so
+regressions show up as honest failures.
 """
 
 from __future__ import annotations
@@ -224,6 +224,15 @@ def relative_entropy_logm(a, b):
     """Quantum relative entropy via scipy's matrix logarithm."""
     val = np.trace(a @ (logm(a) - logm(b)))
     return float(np.real(val))
+
+
+def gibbs_state_eigh(hamiltonian, kt_pev):
+    """Gibbs state by the eigendecomposition route: Boltzmann weights of the
+    eigenvalues, measured from the ground level, on the eigenvectors."""
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    weights = np.exp(-(energies - energies[0]) / kt_pev)
+    weights /= weights.sum()
+    return (vectors * weights) @ vectors.conj().T
 
 
 def repair_state_eigh(m):

@@ -263,6 +263,28 @@ def test_rank_deficient_monte_carlo_reference_is_a_counted_one_line_error(tmp_pa
     assert count is not None and 0 < int(count.group(1)) <= 1000
 
 
+@pytest.mark.parametrize(
+    "width, message",
+    [
+        ("inf", "mc_noise_width must be finite and nonnegative, got inf"),
+        ("1e308", "Monte Carlo noise overflows at noise width 1e+308"),
+        # finite |r| after rescaling: nearly every reference repairs to a
+        # pure state and is counted
+        ("1e200", "Monte Carlo samples have a rank-deficient reference"),
+    ],
+)
+def test_huge_or_infinite_noise_width_is_a_one_line_error(
+    tmp_path, capsys, recwarn, width, message
+):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"[monte_carlo]\nnoise_width = {width}\n")
+    rc, out, err = _run(capsys, ["cycle", "--config", str(cfg)])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert err.startswith("error:") and message in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_cold_bath_sweep_without_noise_reports_every_row(tmp_path, capsys):
     # gap/kT_cold = 41: the cold excited population is below 1e-17
     cfg = tmp_path / "cold.cfg"

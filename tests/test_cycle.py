@@ -500,15 +500,22 @@ def test_bloch_repair_matches_the_eigendecomposition_route():
     # mixed (|r| <= t), clipped to pure (|r| > t, t + |r| > 0), nothing positive
     branches = (length <= t, (length > t) & (t + length > 0.0), t + length <= 0.0)
     assert all(branch.sum() >= 50 for branch in branches)
-    repaired = _repair_batch(matrices)
-    for got, m in zip(repaired, matrices):
-        np.testing.assert_allclose(got, oracles.repair_state_eigh(m), rtol=0.0, atol=1e-14)
+    # the Hermitian part (t I + r . sigma)/2 of each matrix, and back from a
+    # repaired Bloch vector; scaled by 1e200, |r|^2 would overflow a double
+    for scale in (1.0, 1e200):
+        scaled = scale * matrices
+        t_in = np.einsum("njj->n", scaled).real
+        r_in = np.einsum("ijk,nkj->ni", pauli, scaled).real
+        repaired = 0.5 * (o.IDENTITY + np.einsum("ni,ijk->njk", _repair_batch(t_in, r_in), pauli))
+        assert np.isfinite(repaired).all()
+        for got, m in zip(repaired, scaled):
+            np.testing.assert_allclose(got, oracles.repair_state_eigh(m), rtol=0.0, atol=1e-14)
 
 
 def _oracle_spreads(noise, taus):
-    """Sample stddev of each MONTE_CARLO_FIELDS entry at each tau, from the
-    given per-sample noise, with eigendecomposition repair and matrix-log
-    relative entropy."""
+    """Sample mean and stddev of each MONTE_CARLO_FIELDS entry at each tau,
+    as {field: (mean, stddev)}, from the given per-sample noise, with
+    eigendecomposition repair and matrix-log relative entropy."""
     h_cold, h_hot = o.endpoint_hamiltonians(PROTOCOL)
     cold = o.gibbs_state(h_cold, THERMAL_B.kt_cold_pev)
     hot = o.gibbs_state(h_hot, THERMAL_B.kt_hot_pev)
@@ -531,7 +538,10 @@ def _oracle_spreads(noise, taus):
                 -heat_cold / THERMAL_B.kt_cold_pev - heat_hot / THERMAL_B.kt_hot_pev,
                 1000.0 * work / period,
             ))
-        expected[tau] = dict(zip(o.MONTE_CARLO_FIELDS, np.std(rows, axis=0, ddof=1)))
+        expected[tau] = dict(zip(
+            o.MONTE_CARLO_FIELDS,
+            zip(np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1)),
+        ))
     return expected
 
 
@@ -545,8 +555,10 @@ def test_monte_carlo_draws_follow_the_documented_stream_layout():
         single = o.cycle_with_uncertainty(_config(tau), width, n, seed)[1]
         assert report.tau_us == tau
         for field in o.MONTE_CARLO_FIELDS:
-            assert spread[field].stddev == pytest.approx(expected[tau][field], rel=1e-12)
-            assert single[field].stddev == pytest.approx(expected[tau][field], rel=1e-12)
+            mean, stddev = expected[tau][field]
+            for estimate in (spread[field], single[field]):
+                assert estimate.mean == pytest.approx(mean, rel=1e-12)
+                assert estimate.stddev == pytest.approx(stddev, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**40])
@@ -557,13 +569,16 @@ def test_monte_carlo_sample_draws_do_not_depend_on_the_sample_count(seed):
     expected = _oracle_spreads(noise, (tau,))[tau]
     spread = o.cycle_with_uncertainty(_config(tau), width, n_samples=10, seed=seed)[1]
     for field in o.MONTE_CARLO_FIELDS:
-        assert spread[field].stddev == pytest.approx(expected[field], rel=1e-12)
+        mean, stddev = expected[field]
+        assert spread[field].mean == pytest.approx(mean, rel=1e-12)
+        assert spread[field].stddev == pytest.approx(stddev, rel=1e-12)
 
 
 def test_monte_carlo_validates_arguments():
     cfg = _config(300.0)
-    with pytest.raises(ValueError):
-        o.cycle_with_uncertainty(cfg, rel_noise=-0.01)[1]
+    for width in (-0.01, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            o.cycle_with_uncertainty(cfg, rel_noise=width)
     with pytest.raises(ValueError):
         o.cycle_with_uncertainty(cfg, n_samples=0)[1]
 

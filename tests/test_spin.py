@@ -76,6 +76,16 @@ def test_drive_hamiltonian_matches_independent_formula():
         )
 
 
+def test_ramp_end_hamiltonian_has_the_same_bits_for_every_duration():
+    # a sweep anchored at one duration and a one-duration run must see the
+    # same hot Hamiltonian, hence the same hot Gibbs state
+    for phase, t_end in ((o.Phase.EXPANSION, 1.0), (o.Phase.COMPRESSION, 0.0)):
+        want = o.drive_hamiltonian(100.0 * t_end, o.DriveProtocol(2.0, 3.6, 100.0, phase))
+        for tau in np.arange(100.0, 701.0, 10.0).tolist():
+            got = o.drive_hamiltonian(tau * t_end, o.DriveProtocol(2.0, 3.6, tau, phase))
+            assert np.array_equal(got, want), tau
+
+
 def test_eigenvalue_spread_equals_planck_times_gap_frequency():
     # The spectral gap must track h*nu(t) exactly along the whole ramp.
     p = o.DriveProtocol(2.0, 3.6, 100.0)
@@ -147,6 +157,48 @@ def test_gibbs_state_is_a_valid_state():
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) > 0.0
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-15)
+
+
+def test_gibbs_state_of_drive_hamiltonians_matches_the_eigendecomposition_route():
+    for nu_i, nu_f in ((2.0, 3.6), (0.5, 9.0), (3.6, 2.0)):
+        for tau in (100.0, 240.0, 700.0):
+            for phase in o.Phase:
+                protocol = o.DriveProtocol(nu_i, nu_f, tau, phase)
+                for t in np.linspace(0.0, tau, 7):
+                    h = o.drive_hamiltonian(t, protocol)
+                    for kt in (0.01, 0.2, 6.6, 40.5, 1e4):
+                        np.testing.assert_allclose(
+                            o.gibbs_state(h, kt), oracles.gibbs_state_eigh(h, kt),
+                            rtol=0.0, atol=1e-14,
+                        )
+
+
+def test_gibbs_state_of_random_hamiltonians_matches_the_eigendecomposition_route():
+    # the eigh route's own error is eps * max|H_ij| / gap; a trace part
+    # raises max|H_ij| without changing the state
+    rng = np.random.default_rng(160)
+    eps = np.finfo(float).eps
+    for _ in range(2000):
+        h0 = rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0)
+        field = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        h = h0 * o.IDENTITY + np.einsum(
+            "i,ijk->jk", field, np.stack([o.PAULI_X, o.PAULI_Y, o.PAULI_Z])
+        )
+        gap = 2.0 * np.linalg.norm(field)
+        kt = gap / rng.uniform(1e-3, 800.0)
+        np.testing.assert_allclose(
+            o.gibbs_state(h, kt), oracles.gibbs_state_eigh(h, kt),
+            rtol=0.0, atol=64.0 * eps * np.abs(h).max() / gap,
+        )
+
+
+def test_gibbs_state_rejects_degenerate_and_non_hermitian_input():
+    with pytest.raises(ValueError, match="degenerate Hamiltonian"):
+        o.gibbs_state(3.0 * o.IDENTITY, 6.6)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        o.gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]), 6.6)
+    with pytest.raises(ValueError, match="kT must be positive"):
+        o.gibbs_state(o.PAULI_Z, 0.0)
 
 
 def test_thermal_populations_match_gibbs_diagonal():
