@@ -133,7 +133,12 @@ _RANGES: dict[str, tuple[Callable, str]] = {
     ),
     "seed": (lambda v: v >= 0, "must be nonnegative"),
     "output_format": (lambda v: v in ("csv", "json"), "must be csv or json"),
-    "lorentzian_fwhm_pev": (lambda v: v >= 0, "must be nonnegative (0 disables)"),
+    "lorentzian_fwhm_pev": (
+        lambda v: math.isfinite(v) and v >= 0,
+        "must be finite and nonnegative (0 disables)",
+    ),
+    "curve_min_pev": (math.isfinite, "must be finite"),
+    "curve_max_pev": (math.isfinite, "must be finite"),
     "curve_points": (lambda v: v >= 2, "must be at least 2"),
     "process_noise_mix": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
 }

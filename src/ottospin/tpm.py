@@ -15,6 +15,8 @@ the engine delivers net output.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,6 +51,8 @@ class EnergyDistribution:
             raise ValueError("energies and probabilities must have equal length")
         if len(self.energies_pev) == 0:
             raise ValueError("distribution needs at least one atom")
+        if not all(map(math.isfinite, (*self.energies_pev, *self.probabilities))):
+            raise ValueError("atoms must be finite")
         if any(p < 0.0 for p in self.probabilities):
             raise ValueError("probabilities must be nonnegative")
         total = sum(self.probabilities)
@@ -75,20 +79,20 @@ class EnergyDistribution:
         values, probs = _float_array(energies_pev), _float_array(probabilities)
         if values.shape != probs.shape or values.ndim != 1:
             raise ValueError("energies and probabilities must be 1d and equal length")
-        if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+        order = np.argsort(values, kind="stable")
+        values, probs = values[order], probs[order]
+        atom_values, atom_probs = values.tolist(), probs.tolist()
+        if not all(map(math.isfinite, atom_values + atom_probs)):
             raise ValueError("atoms must be finite")
-        if (probs < -1e-12).any():
+        if any(p < -1e-12 for p in atom_probs):
             raise ValueError("probabilities must be nonnegative")
         probs = np.maximum(probs, 0.0)
 
-        order = np.argsort(values, kind="stable")
-        values, probs = values[order], probs[order]
-
         # a cluster runs while atoms lie within the tolerance of its first
         # atom; a one-atom cluster takes v * p / p, the same IEEE operations
-        # as the one-element dot product, and longer clusters keep numpy's
+        # as the one-element dot product (its weight is kept only when
+        # positive, so it needs no clip), and longer clusters keep numpy's
         # sum and dot so that their rounding stays that of the library
-        atom_values, atom_probs = values.tolist(), probs.tolist()
         n_atoms = len(atom_values)
         merged_values: list[float] = []
         merged_probs: list[float] = []
@@ -101,7 +105,7 @@ class EnergyDistribution:
                 value = atom_values[start] * weight
             else:
                 chunk_p = probs[start:i]
-                weight = float(chunk_p.sum())
+                weight = float(np.add.reduce(chunk_p))
                 value = np.dot(values[start:i], chunk_p)
             if weight > 0.0:
                 merged_values.append(float(value / weight))
@@ -124,10 +128,23 @@ class CharacteristicSamples:
             raise ValueError("u grid and samples must be 1d and equal length")
         object.__setattr__(self, "u_per_pev", u)
         object.__setattr__(self, "values", vals)
+        # pair each u with the last sample whose u rounds to -u (12 decimals);
+        # NaN keys pair with nothing
+        keys = np.round(u, 12)
+        if not (keys < 0.0).any():
+            # no negative key, as on a conjugate_u_grid grid: only the zero
+            # keys pair, each with the last of them, and every |u| < 1e-15
+            # has a zero key
+            zero = keys == 0.0
+            zero_u, zero_vals = u[zero].tolist(), vals[zero].tolist()
+            if any(abs(x) < 1e-15 and abs(v - 1.0) > 1e-12
+                   for x, v in zip(zero_u, zero_vals)):
+                raise ValueError("chi(0) must equal 1")
+            if any(abs(zero_vals[-1] - v.conjugate()) > 1e-12 for v in zero_vals):
+                raise ValueError("chi(-u) must equal conj(chi(u))")
+            return
         if (np.abs(vals[np.abs(u) < 1e-15] - 1.0) > 1e-12).any():
             raise ValueError("chi(0) must equal 1")
-        # pair each u with the last sample whose u rounds to -u (12 decimals)
-        keys = np.round(u, 12)
         order = np.argsort(keys, kind="stable")
         pos = np.searchsorted(keys[order], -keys, side="right") - 1
         partner = order[np.maximum(pos, 0)]
@@ -140,11 +157,7 @@ def transition_matrix(transition_prob: float) -> np.ndarray:
     """Doubly stochastic level-transfer matrix of a drive stroke: the
     off-diagonal entries are the level-swap probability, the diagonal the
     stay probability."""
-    if not 0.0 <= transition_prob <= 1.0:
-        raise ValueError(
-            f"transition probability must lie in [0, 1], got {transition_prob}"
-        )
-    stay = 1.0 - transition_prob
+    stay = _stay_probability(transition_prob)
     return np.array([[stay, transition_prob], [transition_prob, stay]])
 
 
@@ -225,18 +238,30 @@ def characteristic_function(
     u = np.asarray(u_grid, dtype=float)
     energies = np.asarray(dist.energies_pev)
     probs = np.asarray(dist.probabilities)
-    values = np.exp(1j * np.outer(u, energies)) @ probs
+    # two real products instead of one complex one: exp(i phase) @ p
+    phase = np.outer(u, energies)
+    values = np.cos(phase) @ probs + 1j * (np.sin(phase) @ probs)
     return CharacteristicSamples(u, values)
 
 
 def conjugate_u_grid(energy_spacing_pev: float, n_points: int) -> np.ndarray:
     """Uniform u grid (starting at 0) whose discrete inversion resolves atoms
     sitting on multiples of ``energy_spacing_pev``."""
-    if energy_spacing_pev <= 0.0:
-        raise ValueError("energy spacing must be positive")
+    if not 0.0 < energy_spacing_pev < math.inf:
+        raise ValueError(
+            f"energy spacing must be positive and finite, got {energy_spacing_pev}"
+        )
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(
+            f"grid point count must be an integer, got {n_points!r}"
+        ) from None
     if n_points < 2:
         raise ValueError("need at least two grid points")
     du = 2.0 * np.pi / (n_points * energy_spacing_pev)
+    if not 0.0 < du < math.inf:
+        raise ValueError(f"u spacing {du} of this grid is not positive and finite")
     return np.arange(n_points) * du
 
 
@@ -251,17 +276,25 @@ def invert_characteristic(
     consecutive multiples centered at zero.  The weight of E_j = j dE is
     exp(-i u_0 E_j) * FFT(chi)[j mod N] / N, one O(N log N) transform.
     Recovered weights within the transform's round-off,
-    16 N eps max(sum|chi| / N, 1), are discarded as inversion noise.
+    16 N eps max(sum|chi| / N, 1), are discarded as inversion noise.  When
+    dE is well above the merge tolerance the recovered energies are the
+    lattice values j dE themselves; a finer lattice goes through
+    ``EnergyDistribution.from_atoms``, which merges atoms closer than the
+    tolerance.
     """
     u = samples.u_per_pev
     if len(u) < 2:
         raise ValueError("need at least two samples to invert")
     du = u[1] - u[0]
-    if du <= 0.0 or np.max(np.abs(np.diff(u) - du)) > 1e-9 * abs(du):
+    # NaN fails both comparisons, as a decreasing or uneven grid does
+    with np.errstate(invalid="ignore"):
+        uniform = du > 0.0 and np.abs(u[1:] - u[:-1] - du).max() <= 1e-9 * du
+    if not uniform:
         raise ValueError("u grid must be uniformly spaced and increasing")
     n = len(u)
     indices = np.arange(-(n // 2), n - n // 2)
-    energies = indices * (2.0 * np.pi / (n * du))
+    spacing = 2.0 * np.pi / (n * du)
+    energies = indices * spacing
     # numpy.fft loads on first use, so the CLI's import does not pay for it
     spectrum = np.fft.fft(samples.values)[indices % n]
     weights = (np.exp(-1j * u[0] * energies) * spectrum).real / n
@@ -269,7 +302,20 @@ def invert_characteristic(
     keep = np.abs(weights) > 16.0 * n * np.finfo(float).eps * scale
     if not keep.any():
         raise ValueError("inversion recovered no atoms above threshold")
-    return EnergyDistribution.from_atoms(energies[keep], weights[keep], kind)
+    if not spacing > 2.0 * MERGE_TOLERANCE_PEV:
+        return EnergyDistribution.from_atoms(energies[keep], weights[keep], kind)
+    # the lattice is sorted, and rounding j dE cannot bring two atoms within
+    # the merge tolerance: from_atoms' checks, clip and zero-weight drop
+    # without its sort and merge
+    values, probs = energies[keep].tolist(), weights[keep].tolist()
+    if not all(map(math.isfinite, values + probs)):
+        raise ValueError("atoms must be finite")
+    if any(p < -1e-12 for p in probs):
+        raise ValueError("probabilities must be nonnegative")
+    atoms = [(v, p) for v, p in zip(values, probs) if p > 0.0]
+    return EnergyDistribution(
+        tuple(v for v, _ in atoms), tuple(p for _, p in atoms), kind
+    )
 
 
 def lorentzian_broaden(
@@ -277,13 +323,26 @@ def lorentzian_broaden(
 ) -> np.ndarray:
     """Sum of unit-area Lorentzians (one per atom, weighted by probability)
     sampled on ``grid_pev``; emulates a measured spectrum of sharp peaks."""
-    if fwhm_pev <= 0.0:
-        raise ValueError(f"fwhm must be positive, got {fwhm_pev}")
+    if not 0.0 < fwhm_pev < math.inf:
+        raise ValueError(f"fwhm must be positive and finite, got {fwhm_pev}")
     grid = np.asarray(grid_pev, dtype=float)
     gamma = 0.5 * fwhm_pev
+    try:
+        with np.errstate(over="raise"):
+            gamma_sq = gamma**2
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"fwhm {fwhm_pev} is too wide: its squared half width overflows"
+        ) from None
+    if gamma_sq == 0.0:
+        raise ValueError(
+            f"fwhm {fwhm_pev} is too narrow: its squared half width underflows"
+        )
     curve = np.zeros_like(grid)
-    for energy, prob in zip(dist.energies_pev, dist.probabilities):
-        curve += prob * (gamma / np.pi) / ((grid - energy) ** 2 + gamma**2)
+    # an offset whose square overflows has density 0, its limit
+    with np.errstate(over="ignore"):
+        for energy, prob in zip(dist.energies_pev, dist.probabilities):
+            curve += prob * (gamma / np.pi) / ((grid - energy) ** 2 + gamma_sq)
     return curve
 
 
@@ -353,26 +412,37 @@ def engine_work_distribution(
     protocol: DriveProtocol, thermal: ThermalParams, transition_prob: float
 ) -> EnergyDistribution:
     """Work distribution of the full cycle at the given level-swap
-    probability."""
-    p = thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev)
-    q = thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev)
-    delta_e, probability = enumerate_histories(
-        p, q, transition_prob, endpoint_spectra(protocol)
-    )
-    return EnergyDistribution.from_atoms(
-        delta_e.ravel(), probability.ravel(), kind="work"
-    )
+    probability.
+
+    The sixteen histories of ``enumerate_histories``, in its [n, m, k, j]
+    order and with its IEEE operations, built on Python floats.
+    """
+    p, q, e_initial, e_final = _engine_levels(protocol, thermal)
+    stay = _stay_probability(transition_prob)
+    transfer = ((stay, transition_prob), (transition_prob, stay))
+    energies, probs = [], []
+    for p_n, e_n, row_n in zip(p, e_initial, transfer):
+        for e_m, t_nm in zip(e_final, row_n):
+            for q_k, e_k, row_k in zip(q, e_final, transfer):
+                for e_j, t_kj in zip(e_initial, row_k):
+                    energies.append((e_n - e_m) + (e_k - e_j))
+                    probs.append(p_n * t_nm * q_k * t_kj)
+    return EnergyDistribution.from_atoms(energies, probs, kind="work")
 
 
 def engine_heat_distribution(
     protocol: DriveProtocol, thermal: ThermalParams, transition_prob: float
 ) -> EnergyDistribution:
-    """Hot-reservoir heat distribution of the full cycle."""
-    p = thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev)
-    q = thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev)
-    _, e_final = endpoint_spectra(protocol)
-    s = post_expansion_populations(p, transition_prob)
-    return heat_distribution(s, q, e_final)
+    """Hot-reservoir heat distribution of the full cycle: the atoms of
+    ``heat_distribution`` after ``post_expansion_populations``, on Python
+    floats."""
+    p, q, _, e_final = _engine_levels(protocol, thermal)
+    # numpy's 2x2 matmul, whose rounding a*b + c*d does not always share
+    s = (transition_matrix(transition_prob) @ p).tolist()
+    _checked_pair(s, "post-expansion")
+    energies = [e_k - e_m for e_m in e_final for e_k in e_final]
+    probs = [s_m * q_k for s_m in s for q_k in q]
+    return EnergyDistribution.from_atoms(energies, probs, kind="heat")
 
 
 # --- shared validation ------------------------------------------------------
@@ -381,12 +451,45 @@ def _checked_populations(populations: Sequence[float], label: str) -> np.ndarray
     pops = np.asarray(populations, dtype=float)
     if pops.shape != (2,):
         raise ValueError(f"{label} populations must be a pair, got shape {pops.shape}")
-    first, second = pops.tolist()
+    _checked_pair(pops.tolist(), label)
+    return pops
+
+
+def _checked_pair(pops: list[float], label: str) -> None:
+    """Check a population pair of Python floats as ``_checked_populations``
+    checks an array."""
+    first, second = pops
     if first < 0.0 or second < 0.0:
-        raise ValueError(f"{label} populations must be nonnegative, got {pops}")
+        raise ValueError(
+            f"{label} populations must be nonnegative, got {np.array(pops)}"
+        )
     if abs(first + second - 1.0) > 1e-9:
         raise ValueError(f"{label} populations must sum to 1, got {first + second}")
-    return pops
+
+
+def _engine_levels(protocol: DriveProtocol, thermal: ThermalParams):
+    """Cold and hot populations and the endpoint energy pairs of an engine,
+    as checked Python floats: ``(p, q, e_initial, e_final)``."""
+    p = list(thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev))
+    q = list(thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev))
+    _checked_pair(p, "cold")
+    _checked_pair(q, "hot")
+    spectra = [energies.tolist() for energies in endpoint_spectra(protocol)]
+    for low, high in spectra:
+        if high <= low:
+            raise ValueError(
+                f"spectrum must be ascending, got {np.array([low, high])}"
+            )
+    return p, q, *spectra
+
+
+def _stay_probability(transition_prob: float) -> float:
+    """1 - transition_prob, for a transition probability in [0, 1]."""
+    if not 0.0 <= transition_prob <= 1.0:
+        raise ValueError(
+            f"transition probability must lie in [0, 1], got {transition_prob}"
+        )
+    return 1.0 - transition_prob
 
 
 def _float_array(items: Iterable[float]) -> np.ndarray:

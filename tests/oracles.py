@@ -6,7 +6,10 @@ scheme instead of Magnus step products, means are accumulated
 stroke-by-stroke from raw populations, the cycle work distribution is the
 convolution of the two stroke distributions, characteristic functions are
 inverted by a dense Fourier sum instead of an FFT, atoms are merged with
-numpy's sum and dot for every cluster (one-atom clusters included), process
+numpy's sum and dot for every cluster (one-atom clusters included), the
+engine distributions go through the history table and the population
+helpers, the conjugate symmetry of chi is checked by a full sorted pairing
+pass, recovered lattice atoms go through ``from_atoms``, process
 matrices are Kraus sums written term by term, relative entropy goes through a
 matrix logarithm, Gibbs states and state repair go through an
 eigendecomposition, and trace norms go through singular values.  Tests
@@ -179,6 +182,68 @@ def merge_atoms_loop(energies, probabilities):
             merged_probs.append(weight)
         cluster_start = i
     return tuple(merged_values), tuple(merged_probs)
+
+
+def engine_work_distribution_by_table(protocol, thermal, transition_prob):
+    """The engine's work distribution through the (2, 2, 2, 2) history
+    table: ``enumerate_histories`` raveled into ``from_atoms``."""
+    import ottospin as o
+
+    p = o.thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev)
+    q = o.thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev)
+    delta_e, probability = o.enumerate_histories(
+        p, q, transition_prob, o.endpoint_spectra(protocol)
+    )
+    return o.EnergyDistribution.from_atoms(delta_e.ravel(), probability.ravel(), "work")
+
+
+def engine_heat_distribution_by_populations(protocol, thermal, transition_prob):
+    """The engine's heat distribution through ``post_expansion_populations``
+    and ``heat_distribution``."""
+    import ottospin as o
+
+    p = o.thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev)
+    q = o.thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev)
+    s = o.post_expansion_populations(p, transition_prob)
+    return o.heat_distribution(s, q, o.endpoint_spectra(protocol)[1])
+
+
+def characteristic_samples_verdict(u, values):
+    """None when chi samples pass the checks of ``CharacteristicSamples``,
+    else the message it raises: chi(0) = 1 for every |u| < 1e-15, and
+    chi(-u) = conj(chi(u)) for every u paired, in one sorted pass over all
+    samples, with the last sample whose u rounds to -u at 12 decimals."""
+    u = np.asarray(u, dtype=float)
+    vals = np.asarray(values, dtype=np.complex128)
+    if (np.abs(vals[np.abs(u) < 1e-15] - 1.0) > 1e-12).any():
+        return "chi(0) must equal 1"
+    keys = np.round(u, 12)
+    order = np.argsort(keys, kind="stable")
+    pos = np.searchsorted(keys[order], -keys, side="right") - 1
+    partner = order[np.maximum(pos, 0)]
+    paired = (pos >= 0) & (keys[partner] == -keys)
+    if (np.abs(vals[partner] - vals.conj())[paired] > 1e-12).any():
+        return "chi(-u) must equal conj(chi(u))"
+    return None
+
+
+def inversion_by_from_atoms(samples, kind="work"):
+    """FFT inversion of uniformly sampled chi whose kept lattice atoms go
+    through ``EnergyDistribution.from_atoms`` (sort, merge, v * p / p)."""
+    import ottospin as o
+
+    u = samples.u_per_pev
+    n = len(u)
+    du = u[1] - u[0]
+    indices = np.arange(-(n // 2), n - n // 2)
+    energies = indices * (2.0 * np.pi / (n * du))
+    spectrum = np.fft.fft(samples.values)[indices % n]
+    weights = (np.exp(-1j * u[0] * energies) * spectrum).real / n
+    scale = max(float(np.abs(samples.values).sum()) / n, 1.0)
+    keep = np.abs(weights) > 16.0 * n * np.finfo(float).eps * scale
+    if not keep.any():
+        raise ValueError("inversion recovered no atoms above threshold")
+    return o.EnergyDistribution.from_atoms(energies[keep], weights[keep], kind)
 
 
 def atoms_characteristic(atoms, u):

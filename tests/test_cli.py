@@ -334,3 +334,40 @@ def test_help_documents_the_output_columns(capsys):
         rc, out, _ = _run(capsys, [sub, "--help"])
         assert rc == 0
         assert needle in out
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("lorentzian_fwhm_pev = inf", "lorentzian_fwhm_pev must be finite and nonnegative"),
+        ("lorentzian_fwhm_pev = nan", "lorentzian_fwhm_pev must be finite and nonnegative"),
+        ("curve_min_pev = nan", "curve_min_pev must be finite, got nan"),
+        ("curve_max_pev = inf", "curve_max_pev must be finite, got inf"),
+        ("curve_min_pev = -inf", "curve_min_pev must be finite, got -inf"),
+        ("lorentzian_fwhm_pev = 1e200", "fwhm 1e+200 is too wide"),
+        ("lorentzian_fwhm_pev = 1e-200", "fwhm 1e-200 is too narrow"),
+    ],
+)
+def test_curve_settings_that_cannot_be_drawn_are_a_one_line_error(
+    tmp_path, capsys, recwarn, setting, message
+):
+    cfg = tmp_path / "curve.cfg"
+    cfg.write_text(f"[output]\n{setting}\n")
+    out_path = tmp_path / "wd.csv"
+    rc, out, err = _run(capsys, ["work-dist", "--config", str(cfg), "--out", str(out_path)])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert err.startswith("error:") and message in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "wd_curve.csv").exists()
+
+
+def test_a_curve_window_far_beyond_every_atom_draws_zeros_without_a_warning(
+    tmp_path, capsys, recwarn
+):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[output]\ncurve_min_pev = -1e300\ncurve_max_pev = 1e300\ncurve_points = 3\n")
+    rc, out, err = _run(capsys, ["work-dist", "--config", str(cfg), "--format", "json"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["curve"]["density"][::2] == [0.0, 0.0]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

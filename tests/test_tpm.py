@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -428,3 +430,206 @@ def test_lorentzian_rejects_nonpositive_width():
     dist = o.EnergyDistribution((0.0,), (1.0,), "work")
     with pytest.raises(ValueError):
         o.lorentzian_broaden(dist, 0.0, [0.0])
+
+
+def test_lorentzian_rejects_non_finite_and_unrepresentable_widths():
+    dist = o.EnergyDistribution((0.0,), (1.0,), "work")
+    for fwhm, message in [
+        (math.inf, "fwhm must be positive and finite, got inf"),
+        (math.nan, "fwhm must be positive and finite, got nan"),
+        (1e200, "fwhm 1e+200 is too wide: its squared half width overflows"),
+        (np.float64(1e200), "fwhm 1e+200 is too wide: its squared half width overflows"),
+        (1e-200, "fwhm 1e-200 is too narrow: its squared half width underflows"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            o.lorentzian_broaden(dist, fwhm, [0.0])
+
+
+def test_lorentzian_far_from_every_atom_is_zero_without_a_warning():
+    dist = o.EnergyDistribution((0.0,), (1.0,), "work")
+    curve = o.lorentzian_broaden(dist, 1.2, [-1e300, 0.0, 1e300])
+    assert curve[0] == curve[2] == 0.0
+    assert curve[1] == pytest.approx(2.0 / (math.pi * 1.2), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "energies, probabilities",
+    [((math.nan,), (1.0,)), ((0.0,), (math.nan,)), ((math.inf,), (1.0,)),
+     ((-math.inf, 0.0), (0.5, 0.5)), ((0.0, 1.0), (1.0, math.nan))],
+)
+def test_distribution_rejects_non_finite_atoms(energies, probabilities):
+    with pytest.raises(ValueError, match="atoms must be finite"):
+        o.EnergyDistribution(energies, probabilities, "work")
+
+
+@pytest.mark.parametrize(
+    "spacing, n_points, message",
+    [
+        (math.nan, 8, "energy spacing must be positive and finite, got nan"),
+        (math.inf, 8, "energy spacing must be positive and finite, got inf"),
+        (-1.0, 8, "energy spacing must be positive and finite, got -1.0"),
+        (0.0, 8, "energy spacing must be positive and finite, got 0.0"),
+        (1.0, 2.5, "grid point count must be an integer, got 2.5"),
+        (1.0, 8.0, "grid point count must be an integer, got 8.0"),
+        (1.0, 1, "need at least two grid points"),
+        (5e-324, 8, "u spacing inf of this grid is not positive and finite"),
+        (1e308, 2**20, "u spacing 0.0 of this grid is not positive and finite"),
+    ],
+)
+def test_conjugate_u_grid_rejects_grids_that_are_not_finite_and_uniform(
+    spacing, n_points, message
+):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        o.conjugate_u_grid(spacing, n_points)
+
+
+def test_conjugate_u_grid_takes_numpy_integers():
+    u = o.conjugate_u_grid(2.0, np.int64(4))
+    np.testing.assert_array_equal(u, np.arange(4) * (2.0 * np.pi / 8.0))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [[math.nan] * 4, [0.0, math.nan, 2.0, 3.0], [0.0, 1.0, 2.0, math.nan],
+     [0.0, 1.0, math.inf, 3.0], [0.0, math.inf, math.inf, math.inf]],
+)
+def test_inversion_rejects_a_grid_with_non_finite_points(u):
+    samples = o.CharacteristicSamples(u, [1.0, 0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="u grid must be uniformly spaced and increasing"):
+        o.invert_characteristic(samples)
+
+
+def _random_engine(rng):
+    nu_i = rng.uniform(0.3, 6.0)
+    nu_f = nu_i * rng.uniform(1.01, 5.0)
+    gap_i = H * nu_i
+    # cold gap/kT from 0.05 to 60, and an infinitely hot bath now and then
+    kt_cold = gap_i / (0.05 * 1200.0 ** rng.uniform())
+    kt_hot = math.inf if rng.random() < 0.1 else kt_cold * rng.uniform(1.0, 10.0)
+    swap = rng.choice([0.0, 1.0, 0.5, rng.uniform(), rng.uniform() ** 12, 1.0 - 1e-17])
+    protocol = o.DriveProtocol(nu_i, nu_f, rng.uniform(50.0, 800.0))
+    return protocol, o.ThermalParams(kt_cold, kt_hot), float(swap)
+
+
+def test_engine_distributions_are_bit_identical_to_the_table_routes():
+    rng = np.random.default_rng(20070501)
+    swaps = set()
+    for _ in range(2400):
+        protocol, thermal, swap = _random_engine(rng)
+        swaps.add(swap)
+        for got, expected in [
+            (o.engine_work_distribution(protocol, thermal, swap),
+             oracles.engine_work_distribution_by_table(protocol, thermal, swap)),
+            (o.engine_heat_distribution(protocol, thermal, swap),
+             oracles.engine_heat_distribution_by_populations(protocol, thermal, swap)),
+        ]:
+            assert got.kind == expected.kind
+            assert [repr(x) for x in got.energies_pev] == [repr(x) for x in expected.energies_pev]
+            assert [repr(x) for x in got.probabilities] == [repr(x) for x in expected.probabilities]
+    assert {0.0, 1.0} <= swaps
+
+
+@pytest.mark.parametrize("swap", [-0.1, 1.1, math.nan])
+def test_engine_distributions_reject_a_transition_probability_out_of_range(swap):
+    for route in (o.engine_work_distribution, o.engine_heat_distribution):
+        with pytest.raises(ValueError, match=r"transition probability must lie in \[0, 1\]"):
+            route(PROTOCOL, THERMAL_B, swap)
+
+
+def _random_grid(rand):
+    """u grids as callers build them and as they should not: conjugate grids
+    from 0, symmetric and shifted grids, repeated, signed and perturbed
+    zeros, u that are negatives of each other only to ~1e-13, and NaN."""
+    n = rand.randrange(2, 24)
+    du = rand.choice([0.3, 1e-3, 7.0, rand.uniform(1e-6, 10.0)])
+    shape = rand.randrange(4)
+    if shape == 0:
+        u = [k * du for k in range(n)]
+    elif shape == 1:
+        u = [k * du for k in range(-(n // 2), n - n // 2)]
+    elif shape == 2:
+        start = rand.uniform(-3.0, 3.0)
+        u = [start + k * du for k in range(n)]
+    else:
+        u = [rand.uniform(-3.0, 3.0) for _ in range(n)]
+    for _ in range(rand.randrange(4)):
+        extra = rand.choice([0.0, -0.0, 1e-16, -1e-16, 4e-13, -4e-13, 6e-13, -6e-13, math.nan])
+        u.insert(rand.randrange(len(u) + 1), extra)
+    if rand.random() < 0.15:  # partners that round together only sometimes
+        u = [x + rand.choice([1e-13, -3e-13, 1e-11]) if rand.random() < 0.3 else x for x in u]
+    return np.array(u)
+
+
+def test_characteristic_samples_accept_and_reject_as_the_full_pairing_pass():
+    rand = random.Random(20140930)
+    verdicts = {}
+    for _ in range(40_000):
+        u = _random_grid(rand)
+        energies = np.array([rand.gauss(0.0, 3.0) for _ in range(rand.randrange(1, 5))])
+        weights = np.array([rand.random() for _ in energies])
+        weights /= weights.sum()
+        values = np.exp(1j * np.outer(np.where(np.isnan(u), 0.0, u), energies)) @ weights
+        if rand.random() < 0.5:  # break chi(0), a conjugate pair, or nothing
+            values[rand.randrange(len(u))] += rand.choice([1e-9, 1e-9j, -1e-9j, 2e-13j, 1e-11])
+        expected = oracles.characteristic_samples_verdict(u, values)
+        try:
+            o.CharacteristicSamples(u, values)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (u.tolist(), values.tolist())
+        fast = not (np.round(u, 12) < 0.0).any()
+        verdicts[fast, expected] = verdicts.get((fast, expected), 0) + 1
+    # both passes accept and reject both ways
+    for fast in (True, False):
+        for expected in (None, "chi(0) must equal 1", "chi(-u) must equal conj(chi(u))"):
+            assert verdicts.get((fast, expected), 0) > 200, verdicts
+
+
+def _lattice_samples(rng):
+    """chi of a random lattice distribution on a uniform grid whose energy
+    spacing runs from below the merge tolerance to 10 peV, with noise that
+    leaves weights slightly or clearly negative now and then."""
+    n = int(rng.integers(2, 40))
+    # just above the tolerance, rounding j dE can bring neighbours within it
+    spacing = rng.choice([10.0 ** rng.uniform(-9.5, 1.0), 1e-9, 2e-9, 2.0000000001e-9,
+                          1e-9 * (1.0 + rng.integers(1, 200) * 1e-15),
+                          1.5e-9, rng.uniform(0.05, 3.0)])
+    u0 = rng.choice([0.0, 0.0, rng.uniform(-2.0, 2.0)])
+    u = u0 + np.arange(n) * (2.0 * np.pi / (n * spacing))
+    window = np.arange(-(n // 2), n - n // 2)
+    sites = rng.choice(window, size=int(rng.integers(1, n + 1)), replace=False)
+    weights = rng.dirichlet(np.ones(len(sites))) ** rng.uniform(1.0, 4.0)
+    weights /= weights.sum()
+    values = np.exp(1j * np.outer(u, sites * spacing)) @ weights
+    noise = rng.choice([0.0, 1e-14, 1e-13, 3e-12, 1e-9])
+    values = values + noise * rng.normal(size=n)
+    if noise:
+        values[np.abs(u) < 1e-15] = 1.0
+    return o.CharacteristicSamples(u, values)
+
+
+def test_lattice_atoms_match_the_from_atoms_route():
+    rng = np.random.default_rng(13086010)
+    outcomes = {"direct": 0, "fallback": 0, "error": 0}
+    for trial in range(3000):
+        samples = _lattice_samples(rng)
+        kind = "work" if trial % 50 else "entropy"
+        try:
+            expected = oracles.inversion_by_from_atoms(samples, kind)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                o.invert_characteristic(samples, kind)
+            outcomes["error"] += 1
+            continue
+        got = o.invert_characteristic(samples, kind)
+        assert len(got.energies_pev) == len(expected.energies_pev)
+        np.testing.assert_allclose(got.energies_pev, expected.energies_pev, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.probabilities, expected.probabilities, rtol=0, atol=1e-15)
+        u = samples.u_per_pev
+        spacing = 2.0 * np.pi / (len(u) * (u[1] - u[0]))
+        outcomes["direct" if spacing > 2e-9 else "fallback"] += 1
+        if spacing > 2e-9:  # the lattice values themselves
+            sites = np.asarray(got.energies_pev) / spacing
+            np.testing.assert_array_equal(np.round(sites) * spacing, got.energies_pev)
+    assert min(outcomes.values()) > 100, outcomes
