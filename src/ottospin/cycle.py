@@ -249,6 +249,8 @@ def sweep_with_uncertainty(
     stroke maps the hot equilibrium to U^dagger rho_hot U.  Every state is
     carried as its real Bloch vector r, rho = (I + r . sigma)/2, and the
     point reports of all durations come from one batched pass over them.
+    Every stack of Bloch vectors is component-major, ``(3, n)``, so the
+    Monte Carlo math is elementwise on contiguous rows of n samples.
 
     Each state is resampled ``n_samples`` times with additive complex
     Gaussian noise N = re + i im of width ``rel_noise`` per matrix element,
@@ -289,7 +291,7 @@ def sweep_with_uncertainty(
     swap_probs = transition_probabilities(forward, h_cold, h_hot)
     fields = (_bloch(h_cold)[1], _bloch(h_hot)[1])
     states = [_bloch(rho)[1] for rho in (
-        cold_eq, hot_eq, forward @ cold_eq @ backward, backward @ hot_eq @ forward
+        cold_eq[None], hot_eq[None], forward @ cold_eq @ backward, backward @ hot_eq @ forward
     )]
     points = _report_from_states(cfg, taus, fields, log_populations, swap_probs, states)
     if rel_noise == 0.0:
@@ -303,18 +305,20 @@ def sweep_with_uncertainty(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.normal(0.0, rel_noise, (n_samples, 4, 2, 2, 2))
-    re, im = draws[:, :, 0], draws[:, :, 1]
+    # a view with the samples last: (state, re/im, row, column, sample)
+    samples_last = np.moveaxis(draws, 0, -1)
+    re, im = samples_last[:, 0], samples_last[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = 1.0 + re[..., 0, 0] + re[..., 1, 1]
-        shift = np.stack([re[..., 0, 1] + re[..., 1, 0], im[..., 1, 0] - im[..., 0, 1],
-                          re[..., 0, 0] - re[..., 1, 1]], axis=-1)
+        trace = 1.0 + re[:, 0, 0] + re[:, 1, 1]
+        shift = np.stack([re[:, 0, 1] + re[:, 1, 0], im[:, 1, 0] - im[:, 0, 1],
+                          re[:, 0, 0] - re[:, 1, 1]], axis=1)
     if not (np.isfinite(trace).all() and np.isfinite(shift).all()):
         raise ValueError(f"Monte Carlo noise overflows at noise width {rel_noise}")
-    cold_s, hot_s = (_repair_batch(trace[:, k], states[k] + shift[:, k]) for k in (0, 1))
+    cold_s, hot_s = (_repair_batch(trace[k], states[k] + shift[k]) for k in (0, 1))
     results = []
-    for point, exp_r, comp_r in zip(points, states[2], states[3]):
-        exp_s = _repair_batch(trace[:, 2], exp_r + shift[:, 2])
-        comp_s = _repair_batch(trace[:, 3], comp_r + shift[:, 3])
+    for point, exp_r, comp_r in zip(points, states[2].T, states[3].T):
+        exp_s = _repair_batch(trace[2], exp_r[:, None] + shift[2])
+        comp_s = _repair_batch(trace[3], comp_r[:, None] + shift[3])
         relent = _relative_entropy_batch((1.0, exp_s), (1.0, hot_s))
         relent += _relative_entropy_batch((1.0, comp_s), (1.0, cold_s))
         if np.isinf(relent).any():
@@ -349,7 +353,7 @@ def _report_from_states(
 ) -> list[CycleReport]:
     """Point reports for a whole stack of drive durations, in order, from the
     n_tau swap probabilities and the Bloch vectors of the four cycle states:
-    the equilibria as ``(3,)``, the drive outputs as ``(n_tau, 3)``.  One
+    the equilibria as ``(3, 1)``, the drive outputs as ``(3, n_tau)``.  One
     :func:`_figures_of_merit` call gives every column."""
     relent_sum = _drive_relative_entropy(log_populations, swap_probs)
     figures = _figures_of_merit(cfg, np.asarray(tau_list_us), fields, states, relent_sum)
@@ -376,9 +380,10 @@ def _figures_of_merit(
     states: Sequence[np.ndarray],
     relent_sum: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """The ``MONTE_CARLO_FIELDS`` for stacks of the four cycle states' Bloch
-    vectors, given the drive duration (one, or one per stack entry), the
-    Bloch vectors of the endpoint Hamiltonians (cold, hot) and
+    """The ``MONTE_CARLO_FIELDS`` for ``(3, n)`` stacks of the four cycle
+    states' Bloch vectors (an equilibrium may be ``(3, 1)``), given the
+    drive duration (one, or one per stack entry), the Bloch vectors of the
+    endpoint Hamiltonians (cold, hot) and
     S(rho_exp || rho_hot) + S(rho_comp || rho_cold) per stack entry.
     Efficiency and lag are NaN where no heat comes from the hot reservoir."""
     cold_eq, hot_eq, after_exp, after_comp = states
@@ -433,43 +438,56 @@ def _drive_relative_entropy(
 
 
 def _trace_pairing(h: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """tr[H rho] = h . r/2 for the Bloch vectors h of a traceless H and r of
-    a stack of states, summed term by term so each entry rounds alone."""
-    return 0.5 * (h[0] * r[..., 0] + h[1] * r[..., 1] + h[2] * r[..., 2])
+    """tr[H rho] = h . r/2 for the Bloch vector h of a traceless H and the
+    ``(3, n)`` Bloch vectors r of a stack of states, summed term by term so
+    each entry rounds alone."""
+    return 0.5 * (h[0] * r[0] + h[1] * r[1] + h[2] * r[2])
 
 
 def _repair_batch(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Bloch vectors of the valid states nearest to the Hermitian parts
-    (t I + r . sigma)/2: clip negative eigenvalues, renormalize the trace.
+    """Bloch vectors, ``(3, n)``, of the valid states nearest to the
+    Hermitian parts (t I + r . sigma)/2 of a stack given as t ``(n,)`` and
+    r ``(3, n)``: clip negative eigenvalues, renormalize the trace.
     The eigenvalues are (t +- |r|)/2, so the repaired Bloch vector is r/t
     when |r| <= t, r/|r| when |r| > t and t + |r| > 0, and 0 (I/2)
     otherwise.  That does not change when (t, r) is scaled by c > 0, so
     (t, r) is first divided by max(|t|, max |r_i|) and |r| cannot overflow.
     """
-    size = np.maximum(np.abs(t), np.abs(r).max(axis=-1))
+    size = np.maximum(np.maximum(np.abs(t), np.abs(r[0])),
+                      np.maximum(np.abs(r[1]), np.abs(r[2])))
     size = np.where(size > 0.0, size, 1.0)
-    t, r = t / size, r / size[:, None]
-    length = np.linalg.norm(r, axis=-1)
+    t, r = t / size, r / size
+    length = _length(r)
     valid = t + length > 0.0
     scale = np.where(valid, 1.0 / np.where(valid, np.maximum(t, length), 1.0), 0.0)
-    return scale[:, None] * r
+    return scale * r
 
 
 def _relative_entropy_batch(a: tuple, b: tuple) -> np.ndarray:
     """S(a||b) for stacks of states (t I + r . sigma)/2 given as Bloch pairs
-    (t, r); +inf where b has an eigenvalue < 1e-12.
+    (t, r), t ``(n,)`` or a scalar and r ``(3, n)``; +inf where b has an
+    eigenvalue < 1e-12.
 
     For a = (t, r) and b = (u, s) with eigenvalues (t +- |r|)/2 and
     mu_+- = (u +- |s|)/2, tr[a ln b] is
     [(t + r.s/|s|) ln mu_+ + (t - r.s/|s|) ln mu_-]/2, with r.s/|s| = 0 at s = 0.
     """
     (t, r), (u, s) = a, b
-    r_len, s_len = np.linalg.norm(r, axis=-1), np.linalg.norm(s, axis=-1)
-    eig_a = np.clip(0.5 * np.stack([t + r_len, t - r_len], axis=-1), 0.0, None)
-    entropy_a = np.sum(eig_a * np.log(np.where(eig_a > 0.0, eig_a, 1.0)), axis=-1)
-    eig_b = 0.5 * np.stack([u + s_len, u - s_len], axis=-1)
-    singular = eig_b[:, 1] < 1e-12
-    log_b = np.log(np.where(singular[:, None], 1.0, eig_b))
-    along = np.einsum("ni,ni->n", r, s) / np.where(s_len > 0.0, s_len, 1.0)
-    cross = 0.5 * ((t + along) * log_b[:, 0] + (t - along) * log_b[:, 1])
+    r_len, s_len = _length(r), _length(s)
+    plus, minus = (np.clip(0.5 * (t + r_len), 0.0, None),
+                   np.clip(0.5 * (t - r_len), 0.0, None))
+    entropy_a = (plus * np.log(np.where(plus > 0.0, plus, 1.0))
+                 + minus * np.log(np.where(minus > 0.0, minus, 1.0)))
+    mu_plus, mu_minus = 0.5 * (u + s_len), 0.5 * (u - s_len)
+    singular = mu_minus < 1e-12
+    log_plus = np.log(np.where(singular, 1.0, mu_plus))
+    log_minus = np.log(np.where(singular, 1.0, mu_minus))
+    # summed in the order numpy's einsum("ni,ni->n") rounds the (n, 3) dot
+    along = ((r[0] * s[0] + r[2] * s[2]) + r[1] * s[1]) / np.where(s_len > 0.0, s_len, 1.0)
+    cross = 0.5 * ((t + along) * log_plus + (t - along) * log_minus)
     return np.where(singular, np.inf, entropy_a - cross)
+
+
+def _length(r: np.ndarray) -> np.ndarray:
+    """|r| of ``(3, n)`` Bloch vectors, summed as np.linalg.norm sums."""
+    return np.sqrt((r[0] * r[0] + r[1] * r[1]) + r[2] * r[2])

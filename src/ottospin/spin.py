@@ -140,10 +140,11 @@ def _require_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
 
 
 def _bloch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, r) of the Hermitian parts (t I + r . sigma)/2 of matrices."""
+    """(t, r) of the Hermitian parts (t I + r . sigma)/2 of a stack of
+    matrices, with the components of r on the first axis: r is ``(3, ...)``."""
     upper, lower = matrices[..., 0, 0].real, matrices[..., 1, 1].real
     off = matrices[..., 0, 1] + np.conj(matrices[..., 1, 0])
-    return upper + lower, np.stack([off.real, -off.imag, upper - lower], axis=-1)
+    return upper + lower, np.stack([off.real, -off.imag, upper - lower])
 
 
 def eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -128,6 +128,8 @@ class CharacteristicSamples:
             raise ValueError("u grid and samples must be 1d and equal length")
         object.__setattr__(self, "u_per_pev", u)
         object.__setattr__(self, "values", vals)
+        if not np.isfinite(vals).all():
+            raise ValueError("chi samples must be finite")
         # pair each u with the last sample whose u rounds to -u (12 decimals);
         # NaN keys pair with nothing
         keys = np.round(u, 12)

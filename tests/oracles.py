@@ -12,7 +12,9 @@ helpers, the conjugate symmetry of chi is checked by a full sorted pairing
 pass, recovered lattice atoms go through ``from_atoms``, process
 matrices are Kraus sums written term by term, relative entropy goes through a
 matrix logarithm, Gibbs states and state repair go through an
-eigendecomposition, and trace norms go through singular values.  Tests
+eigendecomposition, the Bloch-form Monte Carlo repair and relative entropy
+are also written row-major, on (n, 3) stacks reduced over their component
+axis, and trace norms go through singular values.  Tests
 compare the two routes; frozen literals below were produced by these oracles
 (or, where noted, by an equally independent integrator) and are pinned so
 regressions show up as honest failures.
@@ -210,11 +212,14 @@ def engine_heat_distribution_by_populations(protocol, thermal, transition_prob):
 
 def characteristic_samples_verdict(u, values):
     """None when chi samples pass the checks of ``CharacteristicSamples``,
-    else the message it raises: chi(0) = 1 for every |u| < 1e-15, and
-    chi(-u) = conj(chi(u)) for every u paired, in one sorted pass over all
-    samples, with the last sample whose u rounds to -u at 12 decimals."""
+    else the message it raises: every chi finite, chi(0) = 1 for every
+    |u| < 1e-15, and chi(-u) = conj(chi(u)) for every u paired, in one
+    sorted pass over all samples, with the last sample whose u rounds to -u
+    at 12 decimals."""
     u = np.asarray(u, dtype=float)
     vals = np.asarray(values, dtype=np.complex128)
+    if not np.isfinite(vals).all():
+        return "chi samples must be finite"
     if (np.abs(vals[np.abs(u) < 1e-15] - 1.0) > 1e-12).any():
         return "chi(0) must equal 1"
     keys = np.round(u, 12)
@@ -309,6 +314,35 @@ def repair_state_eigh(m):
     w = np.clip(w, 0.0, None)
     w = w / w.sum() if w.sum() > 0.0 else np.full(2, 0.5)
     return (v * w) @ v.conj().T
+
+
+def repair_batch_rows(t, r):
+    """Bloch-form repair on row-major (n, 3) Bloch vectors r, with (n,) traces
+    t: the maximum, norm and scaling as reductions and broadcasts over the
+    component axis.  Returns the (n, 3) repaired Bloch vectors."""
+    size = np.maximum(np.abs(t), np.abs(r).max(axis=-1))
+    size = np.where(size > 0.0, size, 1.0)
+    t, r = t / size, r / size[:, None]
+    length = np.linalg.norm(r, axis=-1)
+    valid = t + length > 0.0
+    scale = np.where(valid, 1.0 / np.where(valid, np.maximum(t, length), 1.0), 0.0)
+    return scale[:, None] * r
+
+
+def relative_entropy_batch_rows(a, b):
+    """Bloch-form S(a||b) on row-major (n, 3) Bloch pairs a = (t, r) and
+    b = (u, s); +inf where b has an eigenvalue < 1e-12.  The eigenvalue
+    pairs are stacked, and r.s is an einsum over the component axis."""
+    (t, r), (u, s) = a, b
+    r_len, s_len = np.linalg.norm(r, axis=-1), np.linalg.norm(s, axis=-1)
+    eig_a = np.clip(0.5 * np.stack([t + r_len, t - r_len], axis=-1), 0.0, None)
+    entropy_a = np.sum(eig_a * np.log(np.where(eig_a > 0.0, eig_a, 1.0)), axis=-1)
+    eig_b = 0.5 * np.stack([u + s_len, u - s_len], axis=-1)
+    singular = eig_b[:, 1] < 1e-12
+    log_b = np.log(np.where(singular[:, None], 1.0, eig_b))
+    along = np.einsum("ni,ni->n", r, s) / np.where(s_len > 0.0, s_len, 1.0)
+    cross = 0.5 * ((t + along) * log_b[:, 0] + (t - along) * log_b[:, 1])
+    return np.where(singular, np.inf, entropy_a - cross)
 
 
 def monte_carlo_noise(seed, n_samples, width):

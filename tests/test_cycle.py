@@ -505,11 +505,60 @@ def test_bloch_repair_matches_the_eigendecomposition_route():
     for scale in (1.0, 1e200):
         scaled = scale * matrices
         t_in = np.einsum("njj->n", scaled).real
-        r_in = np.einsum("ijk,nkj->ni", pauli, scaled).real
-        repaired = 0.5 * (o.IDENTITY + np.einsum("ni,ijk->njk", _repair_batch(t_in, r_in), pauli))
+        r_in = np.einsum("ijk,nkj->in", pauli, scaled).real  # component-major, (3, n)
+        repaired = 0.5 * (o.IDENTITY + np.einsum("in,ijk->njk", _repair_batch(t_in, r_in), pauli))
         assert np.isfinite(repaired).all()
         for got, m in zip(repaired, scaled):
             np.testing.assert_allclose(got, oracles.repair_state_eigh(m), rtol=0.0, atol=1e-14)
+
+
+def test_component_major_monte_carlo_matches_the_row_major_route(monkeypatch):
+    # the same sweeps with the repair and relative entropy on row-major
+    # (n, 3) stacks, each call also checked against the component-major
+    # result; width 0.3 reaches every repair branch and mostly ends in the
+    # counted rank-deficient error, which must match too
+    repair, relative_entropy = cycle._repair_batch, cycle._relative_entropy_batch
+    branches = np.zeros(3, dtype=int)
+
+    def repair_rows(t, r):
+        length = np.linalg.norm(r, axis=0)
+        branches[:] += [(length <= t).sum(), ((length > t) & (t + length > 0.0)).sum(),
+                        (t + length <= 0.0).sum()]
+        rows = oracles.repair_batch_rows(t, np.ascontiguousarray(r.T)).T
+        np.testing.assert_allclose(repair(t, r), rows, rtol=1e-14, atol=0.0)
+        return rows
+
+    def relative_entropy_rows(a, b):
+        (t, r), (u, s) = a, b
+        rows = oracles.relative_entropy_batch_rows(
+            (t, np.ascontiguousarray(r.T)), (u, np.ascontiguousarray(s.T)))
+        np.testing.assert_allclose(relative_entropy(a, b), rows, rtol=1e-14, atol=1e-14)
+        return rows
+
+    def outcome(cfg, width, n, seed):
+        try:
+            swept = o.sweep_with_uncertainty(cfg, (100.0, 300.0, 700.0), width, n, seed)
+        except ValueError as exc:
+            return str(exc)
+        return [[value for field in o.MONTE_CARLO_FIELDS for value in spread[field]]
+                for _, spread in swept]
+
+    cases = [(_config(300.0, thermal), width, n, seed)
+             for thermal in (THERMAL_A, THERMAL_B) for width in (0.01, 0.3)
+             for n in (1, 2, 37, 1000) for seed in (0, 1, 5)]
+    got = [outcome(*case) for case in cases]
+    monkeypatch.setattr(cycle, "_repair_batch", repair_rows)
+    monkeypatch.setattr(cycle, "_relative_entropy_batch", relative_entropy_rows)
+    expected = [outcome(*case) for case in cases]
+
+    assert (branches > 0).all(), branches
+    # every 0.01 case gives spreads, and so does some 0.3 case
+    assert sum(isinstance(e, list) for e in expected) > len(cases) // 2
+    for case, value, reference in zip(cases, got, expected):
+        if isinstance(reference, str):
+            assert value == reference, case
+        else:
+            assert value == [pytest.approx(row, rel=1e-14) for row in reference], case
 
 
 def _oracle_spreads(noise, taus):

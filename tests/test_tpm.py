@@ -180,6 +180,18 @@ def test_characteristic_samples_validate_normalization():
         o.CharacteristicSamples((0.0, 1.0), (0.5 + 0j, 1.0 + 0j))
 
 
+@pytest.mark.parametrize(
+    "u, values",
+    [([0.0, 1.0, 2.0, 3.0], [math.nan] * 4),
+     ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, complex(0.5, math.inf), 0.5]),
+     ([-1.0, 0.0, 1.0], [0.5, 1.0, complex(math.nan, 0.0)])],
+)
+def test_characteristic_samples_reject_non_finite_values(u, values):
+    # on a grid without negative u and on one with them
+    with pytest.raises(ValueError, match="chi samples must be finite"):
+        o.CharacteristicSamples(u, values)
+
+
 def test_inversion_round_trips_the_engine_distribution():
     dist = o.engine_work_distribution(PROTOCOL, THERMAL_B, SWAP_100)
     spacing = H * 0.4  # every default-ramp atom sits on this lattice
@@ -571,6 +583,9 @@ def test_characteristic_samples_accept_and_reject_as_the_full_pairing_pass():
         values = np.exp(1j * np.outer(np.where(np.isnan(u), 0.0, u), energies)) @ weights
         if rand.random() < 0.5:  # break chi(0), a conjugate pair, or nothing
             values[rand.randrange(len(u))] += rand.choice([1e-9, 1e-9j, -1e-9j, 2e-13j, 1e-11])
+        if rand.random() < 0.05:  # or make one sample non-finite
+            values[rand.randrange(len(u))] = rand.choice(
+                [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)])
         expected = oracles.characteristic_samples_verdict(u, values)
         try:
             o.CharacteristicSamples(u, values)
@@ -582,7 +597,8 @@ def test_characteristic_samples_accept_and_reject_as_the_full_pairing_pass():
         verdicts[fast, expected] = verdicts.get((fast, expected), 0) + 1
     # both passes accept and reject both ways
     for fast in (True, False):
-        for expected in (None, "chi(0) must equal 1", "chi(-u) must equal conj(chi(u))"):
+        for expected in (None, "chi(0) must equal 1", "chi(-u) must equal conj(chi(u))",
+                         "chi samples must be finite"):
             assert verdicts.get((fast, expected), 0) > 200, verdicts
 
 
