@@ -202,8 +202,9 @@ def run_cycle(cfg: CycleConfig) -> CycleReport:
 
 def sweep_tau(cfg: CycleConfig, tau_list_us: Sequence[float]) -> list[CycleReport]:
     """Run the cycle across drive durations; order-preserving."""
-    results = sweep_with_uncertainty(cfg, tau_list_us, rel_noise=0.0)
-    return [report for report, _ in results]
+    if len(tau_list_us) == 0:
+        raise ValueError("tau list must be nonempty")
+    return _sweep_points(cfg, tau_list_us)[0]
 
 
 #: CycleReport fields whose spread Monte Carlo resampling estimates.
@@ -276,24 +277,7 @@ def sweep_with_uncertainty(
         raise ValueError(f"noise width must be finite and nonnegative, got {rel_noise}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-
-    expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
-    # each duration passes DriveProtocol's checks before anything is drawn
-    # or propagated
-    taus = [replace(expansion, tau_us=float(tau)).tau_us for tau in tau_list_us]
-    h_cold, h_hot = endpoint_hamiltonians(expansion)
-    cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
-    hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
-    log_populations = _gibbs_log_populations(expansion, cfg.thermal)
-
-    forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
-    backward = forward.conj().transpose(0, 2, 1)
-    swap_probs = transition_probabilities(forward, h_cold, h_hot)
-    fields = (_bloch(h_cold)[1], _bloch(h_hot)[1])
-    states = [_bloch(rho)[1] for rho in (
-        cold_eq[None], hot_eq[None], forward @ cold_eq @ backward, backward @ hot_eq @ forward
-    )]
-    points = _report_from_states(cfg, taus, fields, log_populations, swap_probs, states)
+    points, fields, states = _sweep_points(cfg, tau_list_us)
     if rel_noise == 0.0:
         return [
             (point, {
@@ -342,6 +326,32 @@ def sweep_with_uncertainty(
 
 
 # --- internals ---------------------------------------------------------------
+
+def _sweep_points(
+    cfg: CycleConfig, tau_list_us: Sequence[float]
+) -> tuple[list[CycleReport], tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """The point reports of a nonempty tau list, with what the Monte Carlo
+    resamples: the Bloch vectors of the endpoint Hamiltonians (cold, hot)
+    and of the four cycle states (see :func:`sweep_with_uncertainty`)."""
+    expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
+    # each duration passes DriveProtocol's checks before anything is drawn
+    # or propagated
+    taus = [replace(expansion, tau_us=float(tau)).tau_us for tau in tau_list_us]
+    h_cold, h_hot = endpoint_hamiltonians(expansion)
+    cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
+    hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
+    log_populations = _gibbs_log_populations(expansion, cfg.thermal)
+
+    forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
+    backward = forward.conj().transpose(0, 2, 1)
+    swap_probs = transition_probabilities(forward, h_cold, h_hot)
+    fields = (_bloch(h_cold)[1], _bloch(h_hot)[1])
+    states = [_bloch(rho)[1] for rho in (
+        cold_eq[None], hot_eq[None], forward @ cold_eq @ backward, backward @ hot_eq @ forward
+    )]
+    points = _report_from_states(cfg, taus, fields, log_populations, swap_probs, states)
+    return points, fields, states
+
 
 def _report_from_states(
     cfg: CycleConfig,

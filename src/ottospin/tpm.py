@@ -15,10 +15,11 @@ the engine delivers net output.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,39 +80,9 @@ class EnergyDistribution:
         values, probs = _float_array(energies_pev), _float_array(probabilities)
         if values.shape != probs.shape or values.ndim != 1:
             raise ValueError("energies and probabilities must be 1d and equal length")
-        order = np.argsort(values, kind="stable")
-        values, probs = values[order], probs[order]
-        atom_values, atom_probs = values.tolist(), probs.tolist()
-        if not all(map(math.isfinite, atom_values + atom_probs)):
-            raise ValueError("atoms must be finite")
-        if any(p < -1e-12 for p in atom_probs):
-            raise ValueError("probabilities must be nonnegative")
-        probs = np.maximum(probs, 0.0)
-
-        # a cluster runs while atoms lie within the tolerance of its first
-        # atom; a one-atom cluster takes v * p / p, the same IEEE operations
-        # as the one-element dot product (its weight is kept only when
-        # positive, so it needs no clip), and longer clusters keep numpy's
-        # sum and dot so that their rounding stays that of the library
-        n_atoms = len(atom_values)
-        merged_values: list[float] = []
-        merged_probs: list[float] = []
-        start = 0
-        for i in range(1, n_atoms + 1):
-            if i < n_atoms and atom_values[i] - atom_values[start] <= MERGE_TOLERANCE_PEV:
-                continue
-            if i - start == 1:
-                weight = atom_probs[start]
-                value = atom_values[start] * weight
-            else:
-                chunk_p = probs[start:i]
-                weight = float(np.add.reduce(chunk_p))
-                value = np.dot(values[start:i], chunk_p)
-            if weight > 0.0:
-                merged_values.append(float(value / weight))
-                merged_probs.append(weight)
-            start = i
-        return cls(tuple(merged_values), tuple(merged_probs), kind)
+        atoms = _sorted_atoms(values)
+        weights = probs.tolist()
+        return cls(*_merge(atoms, [weights[i] for i in atoms.order]), kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,19 +103,19 @@ class CharacteristicSamples:
             raise ValueError("chi samples must be finite")
         # pair each u with the last sample whose u rounds to -u (12 decimals);
         # NaN keys pair with nothing
-        keys = np.round(u, 12)
-        if not (keys < 0.0).any():
+        zero_keys = _zero_keys(u.tobytes())
+        if zero_keys is not None:
             # no negative key, as on a conjugate_u_grid grid: only the zero
             # keys pair, each with the last of them, and every |u| < 1e-15
             # has a zero key
-            zero = keys == 0.0
-            zero_u, zero_vals = u[zero].tolist(), vals[zero].tolist()
-            if any(abs(x) < 1e-15 and abs(v - 1.0) > 1e-12
-                   for x, v in zip(zero_u, zero_vals)):
+            zero, at_zero = zero_keys
+            zero_vals = vals[zero].tolist()
+            if any(tiny and abs(v - 1.0) > 1e-12 for tiny, v in zip(at_zero, zero_vals)):
                 raise ValueError("chi(0) must equal 1")
             if any(abs(zero_vals[-1] - v.conjugate()) > 1e-12 for v in zero_vals):
                 raise ValueError("chi(-u) must equal conj(chi(u))")
             return
+        keys = np.round(u, 12)
         if (np.abs(vals[np.abs(u) < 1e-15] - 1.0) > 1e-12).any():
             raise ValueError("chi(0) must equal 1")
         order = np.argsort(keys, kind="stable")
@@ -238,11 +209,15 @@ def characteristic_function(
 ) -> CharacteristicSamples:
     """chi(u) = sum_atoms p * exp(i u E) sampled on ``u_grid`` (1/peV)."""
     u = np.asarray(u_grid, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("u grid must be finite")
     energies = np.asarray(dist.energies_pev)
     probs = np.asarray(dist.probabilities)
-    # two real products instead of one complex one: exp(i phase) @ p
-    phase = np.outer(u, energies)
-    values = np.cos(phase) @ probs + 1j * (np.sin(phase) @ probs)
+    # two real products instead of one complex one: exp(i phase) @ p; a phase
+    # that overflows leaves chi non-finite, which CharacteristicSamples rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.outer(u, energies)
+        values = np.cos(phase) @ probs + 1j * (np.sin(phase) @ probs)
     return CharacteristicSamples(u, values)
 
 
@@ -276,32 +251,22 @@ def invert_characteristic(
     dE = 2 pi / (N du); weights are recovered exactly (up to round-off) for
     any distribution whose atoms sit on that grid within a window of N
     consecutive multiples centered at zero.  The weight of E_j = j dE is
-    exp(-i u_0 E_j) * FFT(chi)[j mod N] / N, one O(N log N) transform.
-    Recovered weights within the transform's round-off,
-    16 N eps max(sum|chi| / N, 1), are discarded as inversion noise.  When
-    dE is well above the merge tolerance the recovered energies are the
-    lattice values j dE themselves; a finer lattice goes through
+    exp(-i u_0 E_j) * FFT(chi)[j mod N] / N, one O(N log N) transform; the
+    lattice and its phase factors depend on the u grid alone and are kept
+    for the next call on a grid with the same bytes.  Recovered weights
+    within the transform's round-off, 16 N eps max(sum|chi| / N, 1), are
+    discarded as inversion noise.  When dE is well above the merge
+    tolerance the recovered energies are the lattice values j dE
+    themselves; a finer lattice goes through
     ``EnergyDistribution.from_atoms``, which merges atoms closer than the
     tolerance.
     """
-    u = samples.u_per_pev
-    if len(u) < 2:
-        raise ValueError("need at least two samples to invert")
-    du = u[1] - u[0]
-    # NaN fails both comparisons, as a decreasing or uneven grid does
-    with np.errstate(invalid="ignore"):
-        uniform = du > 0.0 and np.abs(u[1:] - u[:-1] - du).max() <= 1e-9 * du
-    if not uniform:
-        raise ValueError("u grid must be uniformly spaced and increasing")
-    n = len(u)
-    indices = np.arange(-(n // 2), n - n // 2)
-    spacing = 2.0 * np.pi / (n * du)
-    energies = indices * spacing
+    n, fold, spacing, energies, phase, noise_floor = _lattice(samples.u_per_pev.tobytes())
     # numpy.fft loads on first use, so the CLI's import does not pay for it
-    spectrum = np.fft.fft(samples.values)[indices % n]
-    weights = (np.exp(-1j * u[0] * energies) * spectrum).real / n
+    spectrum = np.fft.fft(samples.values)[fold]
+    weights = (phase * spectrum).real / n
     scale = max(float(np.abs(samples.values).sum()) / n, 1.0)
-    keep = np.abs(weights) > 16.0 * n * np.finfo(float).eps * scale
+    keep = np.abs(weights) > noise_floor * scale
     if not keep.any():
         raise ValueError("inversion recovered no atoms above threshold")
     if not spacing > 2.0 * MERGE_TOLERANCE_PEV:
@@ -402,12 +367,7 @@ def mean_heat_cold_closed_form(
 
 def endpoint_spectra(protocol: DriveProtocol) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint energy pairs (ascending, peV) of the expansion ramp."""
-    gap_i = PLANCK_PEV_PER_KHZ * protocol.nu_initial_khz
-    gap_f = PLANCK_PEV_PER_KHZ * protocol.nu_final_khz
-    return (
-        np.array([-0.5 * gap_i, 0.5 * gap_i]),
-        np.array([-0.5 * gap_f, 0.5 * gap_f]),
-    )
+    return _endpoint_spectra(protocol.nu_initial_khz, protocol.nu_final_khz)
 
 
 def engine_work_distribution(
@@ -417,19 +377,19 @@ def engine_work_distribution(
     probability.
 
     The sixteen histories of ``enumerate_histories``, in its [n, m, k, j]
-    order and with its IEEE operations, built on Python floats.
+    order and with its IEEE operations, built on Python floats.  Everything
+    but the weights comes from the engine's plan (see ``_engine_plan``).
     """
-    p, q, e_initial, e_final = _engine_levels(protocol, thermal)
+    plan = _engine_plan(protocol.nu_initial_khz, protocol.nu_final_khz,
+                        thermal.kt_cold_pev, thermal.kt_hot_pev)
     stay = _stay_probability(transition_prob)
     transfer = ((stay, transition_prob), (transition_prob, stay))
-    energies, probs = [], []
-    for p_n, e_n, row_n in zip(p, e_initial, transfer):
-        for e_m, t_nm in zip(e_final, row_n):
-            for q_k, e_k, row_k in zip(q, e_final, transfer):
-                for e_j, t_kj in zip(e_initial, row_k):
-                    energies.append((e_n - e_m) + (e_k - e_j))
-                    probs.append(p_n * t_nm * q_k * t_kj)
-    return EnergyDistribution.from_atoms(energies, probs, kind="work")
+    # p_n T[n][m] q_k T[k][j], multiplied left to right
+    pt = [p_n * t_nm for p_n, row in zip(plan.p, transfer) for t_nm in row]
+    ptq = [x * q_k for x in pt for q_k in plan.q]
+    probs = [x * t_kj for x, row in zip(ptq, transfer * 4) for t_kj in row]
+    atoms = plan.work
+    return EnergyDistribution(*_merge(atoms, [probs[i] for i in atoms.order]), "work")
 
 
 def engine_heat_distribution(
@@ -437,14 +397,167 @@ def engine_heat_distribution(
 ) -> EnergyDistribution:
     """Hot-reservoir heat distribution of the full cycle: the atoms of
     ``heat_distribution`` after ``post_expansion_populations``, on Python
-    floats."""
-    p, q, _, e_final = _engine_levels(protocol, thermal)
+    floats, with everything but the weights from the engine's plan."""
+    plan = _engine_plan(protocol.nu_initial_khz, protocol.nu_final_khz,
+                        thermal.kt_cold_pev, thermal.kt_hot_pev)
     # numpy's 2x2 matmul, whose rounding a*b + c*d does not always share
-    s = (transition_matrix(transition_prob) @ p).tolist()
+    s = (transition_matrix(transition_prob) @ plan.p_array).tolist()
     _checked_pair(s, "post-expansion")
-    energies = [e_k - e_m for e_m in e_final for e_k in e_final]
-    probs = [s_m * q_k for s_m in s for q_k in q]
-    return EnergyDistribution.from_atoms(energies, probs, kind="heat")
+    probs = [s_m * q_k for s_m in s for q_k in plan.q]
+    atoms = plan.heat
+    return EnergyDistribution(*_merge(atoms, [probs[i] for i in atoms.order]), "heat")
+
+
+# --- plans: what does not change between calls -----------------------------
+
+class _SortedAtoms(NamedTuple):
+    """Atom energies in ``from_atoms``' stable sort order and its merge
+    clusters: a cluster runs while atoms lie within the merge tolerance of
+    its first atom."""
+
+    order: tuple[int, ...]
+    values: np.ndarray  # sorted, read-only
+    value_list: tuple[float, ...]
+    finite: bool
+    clusters: tuple[tuple[int, int], ...]  # (start, stop) in sorted order
+
+
+def _sorted_atoms(energies: np.ndarray) -> _SortedAtoms:
+    order = np.argsort(energies, kind="stable")
+    values = energies[order]
+    values.flags.writeable = False
+    value_list = tuple(values.tolist())
+    clusters, start = [], 0
+    for i in range(1, len(value_list) + 1):
+        if i < len(value_list) and value_list[i] - value_list[start] <= MERGE_TOLERANCE_PEV:
+            continue
+        clusters.append((start, i))
+        start = i
+    return _SortedAtoms(tuple(order.tolist()), values, value_list,
+                        all(map(math.isfinite, value_list)), tuple(clusters))
+
+
+def _merge(atoms: _SortedAtoms, probs: list[float]) -> tuple[tuple, tuple]:
+    """``from_atoms``' checks, clip, merge and zero-weight drop for weights
+    given in the atoms' sort order: the merged (energies, probabilities).
+
+    A one-atom cluster takes v * p / p, the same IEEE operations as the
+    one-element dot product (its weight is kept only when positive, so it
+    needs no clip), and longer clusters keep numpy's sum and dot so that
+    their rounding stays that of the library.
+    """
+    if not (atoms.finite and all(map(math.isfinite, probs))):
+        raise ValueError("atoms must be finite")
+    if any(p < -1e-12 for p in probs):
+        raise ValueError("probabilities must be nonnegative")
+    clipped = np.maximum(probs, 0.0)
+    merged_values: list[float] = []
+    merged_probs: list[float] = []
+    for start, stop in atoms.clusters:
+        if stop - start == 1:
+            weight = probs[start]
+            value = atoms.value_list[start] * weight
+        else:
+            chunk_p = clipped[start:stop]
+            weight = float(np.add.reduce(chunk_p))
+            value = np.dot(atoms.values[start:stop], chunk_p)
+        if weight > 0.0:
+            merged_values.append(float(value / weight))
+            merged_probs.append(float(weight))
+    return tuple(merged_values), tuple(merged_probs)
+
+
+class _EnginePlan(NamedTuple):
+    """The part of an engine's work and heat distributions that does not
+    depend on the drive duration: its checked cold and hot populations and
+    the sorted history and heat energies."""
+
+    p: tuple[float, float]
+    q: tuple[float, float]
+    p_array: np.ndarray  # p for numpy's matmul, read-only
+    work: _SortedAtoms  # the 16 history energies, [n, m, k, j] before sorting
+    heat: _SortedAtoms  # the 4 heat energies, [m, k] before sorting
+
+
+# a sweep asks for one engine's plan at each of its durations; an entry holds
+# about 3.3 kB (two atom sets of 16 and 4 energies), so the 32 entries keep
+# at most about 110 kB
+@functools.lru_cache(maxsize=32)
+def _engine_plan(
+    nu_initial_khz: float, nu_final_khz: float, kt_cold_pev: float, kt_hot_pev: float
+) -> _EnginePlan:
+    p = thermal_populations(nu_initial_khz, kt_cold_pev)
+    q = thermal_populations(nu_final_khz, kt_hot_pev)
+    _checked_pair(p, "cold")
+    _checked_pair(q, "hot")
+    e_initial, e_final = (
+        energies.tolist() for energies in _endpoint_spectra(nu_initial_khz, nu_final_khz)
+    )
+    for low, high in (e_initial, e_final):
+        if high <= low:
+            raise ValueError(
+                f"spectrum must be ascending, got {np.array([low, high])}"
+            )
+    work = [(e_n - e_m) + (e_k - e_j)
+            for e_n in e_initial for e_m in e_final for e_k in e_final for e_j in e_initial]
+    heat = [e_k - e_m for e_m in e_final for e_k in e_final]
+    p_array = np.array(p)
+    p_array.flags.writeable = False
+    return _EnginePlan(p, q, p_array, _sorted_atoms(np.array(work)),
+                       _sorted_atoms(np.array(heat)))
+
+
+class _Lattice(NamedTuple):
+    """The energy lattice of a uniform u grid of n points: j mod n for each
+    lattice index j, the spacing dE, the energies j dE, the phase factors
+    exp(-i u_0 j dE) and the round-off scale 16 n eps."""
+
+    n: int
+    fold: np.ndarray
+    spacing: float
+    energies: np.ndarray
+    phase: np.ndarray
+    noise_floor: float
+
+
+# keyed on the grid's bytes, so a grid changed in place gets a new plan; an
+# entry holds 40 bytes per grid point (key, fold, energies, phase), so the
+# two entries keep at most 80 bytes per point of the larger recent grid
+@functools.lru_cache(maxsize=2)
+def _lattice(u_bytes: bytes) -> _Lattice:
+    u = np.frombuffer(u_bytes)
+    if len(u) < 2:
+        raise ValueError("need at least two samples to invert")
+    du = u[1] - u[0]
+    # NaN fails both comparisons, as a decreasing or uneven grid does
+    with np.errstate(invalid="ignore"):
+        uniform = du > 0.0 and np.abs(u[1:] - u[:-1] - du).max() <= 1e-9 * du
+    if not uniform:
+        raise ValueError("u grid must be uniformly spaced and increasing")
+    n = len(u)
+    indices = np.arange(-(n // 2), n - n // 2)
+    spacing = 2.0 * np.pi / (n * du)
+    energies = indices * spacing
+    fold, phase = indices % n, np.exp(-1j * u[0] * energies)
+    for array in (fold, energies, phase):
+        array.flags.writeable = False
+    return _Lattice(n, fold, spacing, energies, phase, 16.0 * n * np.finfo(float).eps)
+
+
+# keyed on the grid's bytes; an entry holds at most 24 bytes per grid point
+# (key, zero-key index and flag), so the two entries keep at most 48 bytes
+# per point of the larger recent grid
+@functools.lru_cache(maxsize=2)
+def _zero_keys(u_bytes: bytes) -> tuple[np.ndarray, tuple[bool, ...]] | None:
+    """None when some u of the grid rounds to a negative key (12 decimals);
+    else the indices of the zero keys and whether each |u| < 1e-15."""
+    u = np.frombuffer(u_bytes)
+    keys = np.round(u, 12)
+    if (keys < 0.0).any():
+        return None
+    zero = np.flatnonzero(keys == 0.0)
+    zero.flags.writeable = False
+    return zero, tuple(abs(x) < 1e-15 for x in u[zero].tolist())
 
 
 # --- shared validation ------------------------------------------------------
@@ -469,22 +582,6 @@ def _checked_pair(pops: list[float], label: str) -> None:
         raise ValueError(f"{label} populations must sum to 1, got {first + second}")
 
 
-def _engine_levels(protocol: DriveProtocol, thermal: ThermalParams):
-    """Cold and hot populations and the endpoint energy pairs of an engine,
-    as checked Python floats: ``(p, q, e_initial, e_final)``."""
-    p = list(thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev))
-    q = list(thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev))
-    _checked_pair(p, "cold")
-    _checked_pair(q, "hot")
-    spectra = [energies.tolist() for energies in endpoint_spectra(protocol)]
-    for low, high in spectra:
-        if high <= low:
-            raise ValueError(
-                f"spectrum must be ascending, got {np.array([low, high])}"
-            )
-    return p, q, *spectra
-
-
 def _stay_probability(transition_prob: float) -> float:
     """1 - transition_prob, for a transition probability in [0, 1]."""
     if not 0.0 <= transition_prob <= 1.0:
@@ -492,6 +589,17 @@ def _stay_probability(transition_prob: float) -> float:
             f"transition probability must lie in [0, 1], got {transition_prob}"
         )
     return 1.0 - transition_prob
+
+
+def _endpoint_spectra(
+    nu_initial_khz: float, nu_final_khz: float
+) -> tuple[np.ndarray, np.ndarray]:
+    gap_i = PLANCK_PEV_PER_KHZ * nu_initial_khz
+    gap_f = PLANCK_PEV_PER_KHZ * nu_final_khz
+    return (
+        np.array([-0.5 * gap_i, 0.5 * gap_i]),
+        np.array([-0.5 * gap_f, 0.5 * gap_f]),
+    )
 
 
 def _float_array(items: Iterable[float]) -> np.ndarray:

@@ -211,8 +211,15 @@ def test_sweep_preserves_order_and_matches_single_runs():
 
 
 def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau list must be nonempty"):
         o.sweep_tau(_config(100.0), [])
+
+
+def test_sweep_points_are_the_monte_carlo_sweep_points():
+    cfg = _config(100.0)
+    taus = [700.0, 100.0, 300.0]
+    swept = o.sweep_with_uncertainty(cfg, taus, rel_noise=0.01, n_samples=20, seed=3)
+    assert [repr(r) for r in o.sweep_tau(cfg, taus)] == [repr(r) for r, _ in swept]
 
 
 def test_work_sign_flips_once_on_the_hot_grid():

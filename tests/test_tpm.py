@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import types
 
 import numpy as np
 import pytest
@@ -511,34 +512,100 @@ def test_inversion_rejects_a_grid_with_non_finite_points(u):
         o.invert_characteristic(samples)
 
 
+@pytest.mark.parametrize("u", [[0.0, math.inf], [0.0, math.nan], [-math.inf, 0.0, 1.0]])
+def test_characteristic_function_rejects_a_grid_with_non_finite_points(u):
+    with pytest.raises(ValueError, match="u grid must be finite"):
+        o.characteristic_function(o.EnergyDistribution((0.0, 1.0), (0.5, 0.5), "work"), u)
+
+
+def test_an_overflowing_phase_is_rejected_without_a_warning():
+    # 1e308 * 2 peV overflows; the suite turns any RuntimeWarning into an error
+    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5), "work")
+    with pytest.raises(ValueError, match="chi samples must be finite"):
+        o.characteristic_function(dist, [0.0, 1e308])
+
+
+def test_a_grid_changed_in_place_is_checked_again():
+    u = o.conjugate_u_grid(H * 0.4, 24)
+    dist = o.engine_work_distribution(PROTOCOL, THERMAL_B, SWAP_100)
+    samples = o.characteristic_function(dist, u)
+    o.invert_characteristic(samples)
+    u[5] += 0.5 * (u[1] - u[0])  # samples.u_per_pev is this array
+    for chi in (samples, o.characteristic_function(dist, u)):
+        with pytest.raises(ValueError, match="u grid must be uniformly spaced and increasing"):
+            o.invert_characteristic(chi)
+    # the u = 0 sample moves to index 1, where chi is not 1
+    u = np.array([0.0, 1.0, 2.0, 3.0])
+    values = np.array([1.0, 0.5, 0.5, 0.5])
+    o.CharacteristicSamples(u, values)
+    u[:2] = 1.0, 0.0
+    with pytest.raises(ValueError, match=re.escape("chi(0) must equal 1")):
+        o.CharacteristicSamples(u, values)
+
+
 def _random_engine(rng):
-    nu_i = rng.uniform(0.3, 6.0)
-    nu_f = nu_i * rng.uniform(1.01, 5.0)
+    # expanding, flat and compressing ramps; one engine in five has gaps
+    # from ~4e-12 to ~4e-9 peV, around the 1e-9 peV merge tolerance
+    nu_i = 10.0 ** rng.uniform(-12.0, -9.0) if rng.random() < 0.2 else rng.uniform(0.3, 6.0)
+    nu_f = nu_i * rng.choice([1.0, rng.uniform(0.2, 0.99), rng.uniform(1.01, 5.0)])
     gap_i = H * nu_i
     # cold gap/kT from 0.05 to 60, and an infinitely hot bath now and then
     kt_cold = gap_i / (0.05 * 1200.0 ** rng.uniform())
     kt_hot = math.inf if rng.random() < 0.1 else kt_cold * rng.uniform(1.0, 10.0)
-    swap = rng.choice([0.0, 1.0, 0.5, rng.uniform(), rng.uniform() ** 12, 1.0 - 1e-17])
-    protocol = o.DriveProtocol(nu_i, nu_f, rng.uniform(50.0, 800.0))
-    return protocol, o.ThermalParams(kt_cold, kt_hot), float(swap)
+    return o.DriveProtocol(nu_i, nu_f, rng.uniform(50.0, 800.0)), o.ThermalParams(kt_cold, kt_hot)
+
+
+def _random_swap(rng):
+    return float(rng.choice([0.0, 1.0, 0.5, rng.uniform(), rng.uniform() ** 12, 1.0 - 1e-17]))
+
+
+def _outcome(route, *args):
+    try:
+        dist = route(*args)
+    except ValueError as exc:
+        return str(exc)
+    return dist.kind, [repr(x) for x in dist.energies_pev], [repr(x) for x in dist.probabilities]
 
 
 def test_engine_distributions_are_bit_identical_to_the_table_routes():
     rng = np.random.default_rng(20070501)
-    swaps = set()
-    for _ in range(2400):
-        protocol, thermal, swap = _random_engine(rng)
+    swaps, flat, falling, tiny, errors = set(), 0, 0, 0, set()
+    calls = []
+    for _ in range(150):
+        # four engines at four swap probabilities each, interleaved, so that
+        # calls meet engines seen just before and engines not seen yet
+        engines = [_random_engine(rng) for _ in range(4)]
+        calls += [engine + (_random_swap(rng),) for _ in range(4) for engine in engines]
+    for protocol, thermal, swap in calls:
         swaps.add(swap)
+        flat += protocol.nu_final_khz == protocol.nu_initial_khz
+        falling += protocol.nu_final_khz < protocol.nu_initial_khz
+        tiny += H * protocol.nu_initial_khz < o.MERGE_TOLERANCE_PEV
         for got, expected in [
-            (o.engine_work_distribution(protocol, thermal, swap),
-             oracles.engine_work_distribution_by_table(protocol, thermal, swap)),
-            (o.engine_heat_distribution(protocol, thermal, swap),
-             oracles.engine_heat_distribution_by_populations(protocol, thermal, swap)),
+            (_outcome(o.engine_work_distribution, protocol, thermal, swap),
+             _outcome(oracles.engine_work_distribution_by_table, protocol, thermal, swap)),
+            (_outcome(o.engine_heat_distribution, protocol, thermal, swap),
+             _outcome(oracles.engine_heat_distribution_by_populations, protocol, thermal, swap)),
         ]:
-            assert got.kind == expected.kind
-            assert [repr(x) for x in got.energies_pev] == [repr(x) for x in expected.energies_pev]
-            assert [repr(x) for x in got.probabilities] == [repr(x) for x in expected.probabilities]
+            assert got == expected, (protocol, thermal, swap)
+            if isinstance(expected, str):
+                errors.add(expected)
     assert {0.0, 1.0} <= swaps
+    assert min(flat, falling, tiny) > 100, (flat, falling, tiny)
+    # gaps near the tolerance can leave merged atoms within it (both routes)
+    assert errors <= {"energies must be ascending with separated atoms"}
+
+
+def test_an_invalid_engine_raises_on_every_call():
+    # a gap that overflows makes the history energies inf - inf
+    protocol = o.DriveProtocol(1e308, 1e308, 100.0)
+    cold_at_zero = types.SimpleNamespace(kt_cold_pev=0.0, kt_hot_pev=40.5)
+    for route in (o.engine_work_distribution, o.engine_heat_distribution):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="atoms must be finite"):
+                route(protocol, THERMAL_B, 0.3)
+            with pytest.raises(ValueError, match="kT must be positive, got 0.0 peV"):
+                route(PROTOCOL, cold_at_zero, 0.3)
 
 
 @pytest.mark.parametrize("swap", [-0.1, 1.1, math.nan])
