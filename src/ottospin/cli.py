@@ -3,7 +3,7 @@ work/heat atom distributions, and process-matrix diagnostics.
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
 out-of-range values, a propagator that does not converge or breaks the
-transition-probability symmetry), 2 I/O problem
+transition-probability symmetry, a run too large to allocate), 2 I/O problem
 (unreadable config, unwritable output).
 """
 
@@ -168,6 +168,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # RuntimeError covers ConvergenceError and the transition-symmetry check
     except (ConfigError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # an accepted sample count or curve size whose arrays cannot be allocated
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,12 +27,12 @@ from .propagator import (
     transition_probabilities,
 )
 from .spin import (
-    PLANCK_PEV_PER_KHZ,
     US_PER_MS,
     DriveProtocol,
     Phase,
     ThermalParams,
     _bloch,
+    _gibbs_log_populations,
     drive_hamiltonian,
     gibbs_state,
     polarization,
@@ -256,14 +256,17 @@ def sweep_with_uncertainty(
     Each state is resampled ``n_samples`` times with additive complex
     Gaussian noise N = re + i im of width ``rel_noise`` per matrix element,
     repaired to a valid state (see ``_repair_batch``), and the report
-    quantities are recomputed.  All noise comes from one generator on
-    ``SeedSequence(seed)``, drawn once per call as an
-    ``(n_samples, 4, 2, 2, 2)`` array in C order: sample by sample, the real,
-    then the imaginary part of the noise on the cold and hot equilibria and
-    the expansion and compression outputs.  Every tau sees the same draws,
-    and sample i's draws do not depend on ``n_samples``.  The repair sees the
-    Hermitian part (t I + (r + dr) . sigma)/2 of rho + N, with
-    t = 1 + re_00 + re_11 and dr = (re_01 + re_10, im_10 - im_01, re_00 - re_11).
+    quantities are recomputed.  The repair sees only the Hermitian part
+    (t I + (r + dr) . sigma)/2 of rho + N, with t - 1 = re_00 + re_11 and
+    dr = (re_01 + re_10, im_10 - im_01, re_00 - re_11).  Each is a sum or
+    difference of two independent N(0, w^2) draws, and the four are jointly
+    Gaussian with zero covariance, so they are four independent N(0, 2 w^2)
+    variables, and those are what is drawn.  All noise comes from one
+    generator on ``SeedSequence(seed)``, drawn once per call as an
+    ``(n_samples, 4, 4)`` array in C order: sample by sample, for the cold
+    and hot equilibria and the expansion and compression outputs,
+    (t - 1, dr_x, dr_y, dr_z).  Every tau sees the same draws, and sample
+    i's draws do not depend on ``n_samples``.
 
     With ``rel_noise == 0`` nothing is drawn and the means are the point
     estimates, bit for bit, with zero spread.  A non-finite width, or one
@@ -288,16 +291,12 @@ def sweep_with_uncertainty(
         ]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = rng.normal(0.0, rel_noise, (n_samples, 4, 2, 2, 2))
-    # a view with the samples last: (state, re/im, row, column, sample)
-    samples_last = np.moveaxis(draws, 0, -1)
-    re, im = samples_last[:, 0], samples_last[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = 1.0 + re[:, 0, 0] + re[:, 1, 1]
-        shift = np.stack([re[:, 0, 1] + re[:, 1, 0], im[:, 1, 0] - im[:, 0, 1],
-                          re[:, 0, 0] - re[:, 1, 1]], axis=1)
-    if not (np.isfinite(trace).all() and np.isfinite(shift).all()):
+    draws = rng.normal(0.0, math.sqrt(2.0) * rel_noise, (n_samples, 4, 4))
+    if not np.isfinite(draws).all():
         raise ValueError(f"Monte Carlo noise overflows at noise width {rel_noise}")
+    # a view with the samples last: (state, (t - 1, dr_x, dr_y, dr_z), sample)
+    samples_last = np.moveaxis(draws, 0, -1)
+    trace, shift = 1.0 + samples_last[:, 0], samples_last[:, 1:]
     cold_s, hot_s = (_repair_batch(trace[k], states[k] + shift[k]) for k in (0, 1))
     results = []
     for point, exp_r, comp_r in zip(points, states[2].T, states[3].T):
@@ -408,19 +407,6 @@ def _figures_of_merit(
     power = US_PER_MS * work / period
     figures = (work, heat_hot, heat_cold, work / divisor, lag, sigma, power)
     return dict(zip(MONTE_CARLO_FIELDS, figures))
-
-
-def _gibbs_log_populations(
-    protocol: DriveProtocol, thermal: ThermalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-populations (ground, excited) of the cold Gibbs state in H_i and
-    of the hot one in H_f: -E/kT - log Z, with log Z = gap/2kT +
-    log1p(exp(-gap/kT)), which never logs a small population."""
-    x = PLANCK_PEV_PER_KHZ * np.array(
-        [protocol.nu_initial_khz, protocol.nu_final_khz]
-    ) / np.array([thermal.kt_cold_pev, thermal.kt_hot_pev])
-    log_p, log_q = np.stack([np.zeros(2), -x], axis=1) - np.log1p(np.exp(-x))[:, None]
-    return log_p, log_q
 
 
 def _drive_relative_entropy(

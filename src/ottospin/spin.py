@@ -211,6 +211,19 @@ def polarization(nu_khz: float, kt_pev: float) -> float:
     return ground - excited
 
 
+def _gibbs_log_populations(
+    protocol: DriveProtocol, thermal: ThermalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-populations (ground, excited) of the cold Gibbs state in H_i and
+    of the hot one in H_f: -E/kT - log Z, with log Z = gap/2kT +
+    log1p(exp(-gap/kT)), which never logs a small population."""
+    x = PLANCK_PEV_PER_KHZ * np.array(
+        [protocol.nu_initial_khz, protocol.nu_final_khz]
+    ) / np.array([thermal.kt_cold_pev, thermal.kt_hot_pev])
+    log_p, log_q = np.stack([np.zeros(2), -x], axis=1) - np.log1p(np.exp(-x))[:, None]
+    return log_p, log_q
+
+
 def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:
     """Effective temperature (peV) of a two-level population pair.
 

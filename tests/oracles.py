@@ -346,21 +346,47 @@ def relative_entropy_batch_rows(a, b):
 
 
 def monte_carlo_noise(seed, n_samples, width):
-    """Complex noise on the four cycle states (cold, hot, after expansion,
+    """Hermitian noise on the four cycle states (cold, hot, after expansion,
     after compression) of each Monte Carlo sample, shape (n_samples, 4, 2, 2).
 
     The documented stream layout, one draw at a time: one generator on
     ``SeedSequence(seed)`` draws, sample by sample and for each state in that
-    order, a (2, 2) real part and then a (2, 2) imaginary part.
+    order, four numbers (a, x, y, z) of width sqrt(2) * width.  The noise is
+    (a I + (x, y, z) . sigma)/2, so the repair of rho + N sees the trace
+    1 + a and the Bloch shift (x, y, z).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise = np.empty((n_samples, 4, 2, 2), dtype=complex)
     for i in range(n_samples):
         for k in range(4):
-            real = rng.normal(0.0, width, (2, 2))
-            imag = rng.normal(0.0, width, (2, 2))
-            noise[i, k] = real + 1j * imag
+            a, x, y, z = rng.normal(0.0, np.sqrt(2.0) * width, 4)
+            noise[i, k] = [[(a + z) / 2, (x - 1j * y) / 2],
+                           [(x + 1j * y) / 2, (a - z) / 2]]
     return noise
+
+
+def monte_carlo_heats_eight_draws(seed, n_samples, width, states, h_cold, h_hot):
+    """Hot and cold heat of each Monte Carlo sample under the eight-draw
+    stream: complex noise re + i im of width ``width`` on every matrix
+    element of the four cycle states (cold, hot, after expansion, after
+    compression), drawn as one (n_samples, 4, 2, 2, 2) array in C order (per
+    sample and state, the real part, then the imaginary part).  Every noisy
+    state is Hermitized, clipped and renormalized by one batched
+    eigendecomposition, as :func:`repair_state_eigh` does one at a time.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.normal(0.0, width, (n_samples, 4, 2, 2, 2))
+    noisy = np.asarray(states) + (draws[:, :, 0] + 1j * draws[:, :, 1])
+    w, v = np.linalg.eigh(0.5 * (noisy + noisy.conj().swapaxes(-1, -2)))
+    w = np.clip(w, 0.0, None)
+    total = w.sum(axis=-1, keepdims=True)
+    w = np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), 0.5)
+    cold, hot, after_exp, after_comp = np.moveaxis(
+        (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), 1, 0
+    )
+    heat_hot = np.einsum("ij,nji->n", h_hot, hot - after_exp).real
+    heat_cold = np.einsum("ij,nji->n", h_cold, cold - after_comp).real
+    return heat_hot, heat_cold
 
 
 def trace_norm_svd(m):

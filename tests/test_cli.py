@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from ottospin import propagator
+from ottospin import cli, propagator
 from ottospin.cli import main
 
 H = 4.135667696
@@ -252,15 +252,28 @@ def test_non_finite_drive_input_is_a_one_line_error(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_rank_deficient_monte_carlo_reference_is_a_counted_one_line_error(tmp_path, capsys):
-    cfg = tmp_path / "wide.cfg"
-    cfg.write_text("[monte_carlo]\nnoise_width = 0.3\n")
+def _assert_counted_reference_error(tmp_path, capsys, config_text, width, count):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(config_text)
     rc, out, err = _run(capsys, ["sweep", "--config", str(cfg)])
     assert rc == 1 and out == ""
-    assert err.count("\n") == 1 and err.count("error:") == 1
-    assert "relative entropy infinite" in err and "noise width 0.3" in err
-    count = re.search(r"(\d+) of 1000 Monte Carlo samples", err)
-    assert count is not None and 0 < int(count.group(1)) <= 1000
+    assert err == (
+        f"error: relative entropy infinite: {count} of 1000 Monte Carlo samples have "
+        f"a rank-deficient reference at noise width {width}\n"
+    )
+
+
+def test_rank_deficient_monte_carlo_reference_is_a_counted_one_line_error(tmp_path, capsys):
+    _assert_counted_reference_error(
+        tmp_path, capsys, "[monte_carlo]\nnoise_width = 0.3\n", "0.3", 540
+    )
+
+
+def test_cold_bath_monte_carlo_reference_is_a_counted_one_line_error(tmp_path, capsys):
+    # gap/kT_cold = 41: most noisy cold references repair to a pure state
+    _assert_counted_reference_error(
+        tmp_path, capsys, "[thermal]\nkt_cold_pev = 0.2\n", "0.01", 509
+    )
 
 
 @pytest.mark.parametrize(
@@ -283,6 +296,26 @@ def test_huge_or_infinite_noise_width_is_a_one_line_error(
     assert err.count("\n") == 1 and err.count("error:") == 1
     assert err.startswith("error:") and message in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 2.33 TiB for an array"),
+         "error: out of memory: Unable to allocate 2.33 TiB for an array\n"),
+        (MemoryError(), "error: out of memory: allocation failed\n"),
+    ],
+)
+def test_an_allocation_that_fails_is_a_one_line_error(monkeypatch, capsys, exc, message):
+    # never a real huge array here: under memory overcommit it can exhaust
+    # the machine instead of raising
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "sweep_with_uncertainty", exhausted)
+    rc, out, err = _run(capsys, ["cycle", "--tau", "300", "--mc-samples", "10000000000"])
+    assert rc == 1 and out == ""
+    assert err == message
 
 
 def test_cold_bath_sweep_without_noise_reports_every_row(tmp_path, capsys):

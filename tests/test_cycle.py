@@ -630,6 +630,46 @@ def test_monte_carlo_sample_draws_do_not_depend_on_the_sample_count(seed):
         assert spread[field].stddev == pytest.approx(stddev, rel=1e-12)
 
 
+def test_monte_carlo_spreads_keep_the_law_of_the_eight_draw_stream():
+    # The four draws per state have the law of the Hermitian part of eight
+    # complex-element draws, whatever their layout.  Each spread of a
+    # heat-linear field is held to the eight-draw spread (independent seed)
+    # within 4 standard errors of the difference of two sample stddevs,
+    # 4 * sqrt(2) * s / sqrt(2 (n - 1)), about 2.8 % at n = 20000; each mean
+    # within 4 standard errors of the difference of two means.
+    n, width, tau = 20000, 0.01, 300.0
+    cfg = _config(tau)
+    spread = o.cycle_with_uncertainty(cfg, width, n, seed=2026)[1]
+
+    h_cold, h_hot = o.endpoint_hamiltonians(cfg.protocol)
+    cold = o.gibbs_state(h_cold, THERMAL_B.kt_cold_pev)
+    hot = o.gibbs_state(h_hot, THERMAL_B.kt_hot_pev)
+    u = o.evolve_unitary(cfg.protocol, cfg.n_steps).matrix
+    states = (cold, hot, u @ cold @ u.conj().T, u.conj().T @ hot @ u)
+    heat_hot, heat_cold = oracles.monte_carlo_heats_eight_draws(
+        2027, n, width, states, h_cold, h_hot
+    )
+    work = heat_hot + heat_cold
+    period = 2.0 * tau + cfg.t_thermalization_us + cfg.t_cooling_us
+    reference = {
+        "mean_work_pev": work,
+        "mean_heat_hot_pev": heat_hot,
+        "mean_heat_cold_pev": heat_cold,
+        "entropy_production": (-heat_cold / THERMAL_B.kt_cold_pev
+                               - heat_hot / THERMAL_B.kt_hot_pev),
+        "power_pev_per_ms": 1000.0 * work / period,
+    }
+    for field, values in reference.items():
+        stddev = np.std(values, ddof=1)
+        assert abs(spread[field].stddev - stddev) <= 4.0 * stddev / math.sqrt(n - 1), field
+        mean_se = math.sqrt((spread[field].stddev**2 + stddev**2) / n)
+        assert abs(spread[field].mean - np.mean(values)) <= 4.0 * mean_se, field
+    # the ratio spreads are heavy-tailed where the mean hot heat is a few
+    # spreads from zero; only their finiteness is required
+    for field in ("efficiency", "efficiency_lag"):
+        assert math.isfinite(spread[field].mean) and math.isfinite(spread[field].stddev)
+
+
 def test_monte_carlo_validates_arguments():
     cfg = _config(300.0)
     for width in (-0.01, math.inf, math.nan):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ottospin as o
+from ottospin import tpm
 import oracles
 
 PROTOCOL = o.DriveProtocol(2.0, 3.6, 100.0)
@@ -716,3 +717,56 @@ def test_lattice_atoms_match_the_from_atoms_route():
             sites = np.asarray(got.energies_pev) / spacing
             np.testing.assert_array_equal(np.round(sites) * spacing, got.energies_pev)
     assert min(outcomes.values()) > 100, outcomes
+
+
+def _acceptance_engines():
+    """The 1000 engines of the ``random_configurations`` fixture of
+    ``test_acceptance.py``, drawn from its seed in its order, each with the
+    transition probability of its Haar-random stroke unitary."""
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        nu1 = rng.uniform(0.5, 5.0)
+        nu2 = nu1 + rng.uniform(0.1, 5.0)
+        kt1 = rng.uniform(1.0, 30.0)
+        kt2 = kt1 + rng.uniform(0.5, 60.0)
+        protocol = o.DriveProtocol(nu1, nu2, 100.0)
+        h_i, h_f = o.endpoint_hamiltonians(protocol)
+        umap = o.UnitaryMap(oracles.haar_unitary(rng), protocol, 1)
+        yield protocol, o.ThermalParams(kt1, kt2), o.transition_probability(umap, h_i, h_f)
+
+
+def test_history_route_gives_the_mean_entropy_production_and_the_fluctuation_theorem():
+    # tolerances: <sigma> against the heat route to rel 1e-12 (abs 1e-14),
+    # <e^-sigma> against 1 to 1e-12
+    for protocol, thermal, swap in _acceptance_engines():
+        mean_sigma, mean_exp = tpm._history_entropy_production(protocol, thermal, swap)
+        expected = o.entropy_production_drive(
+            o.mean_heat_cold_closed_form(protocol, thermal, swap),
+            o.mean_heat_hot_closed_form(protocol, thermal, swap),
+            thermal,
+        )
+        assert mean_sigma == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert mean_exp == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "nu, kt, tau",
+    [
+        ((2.0, 3.6), (6.6, 40.5), 100.0),
+        ((2.0, 3.6), (0.2, 40.5), 300.0),
+        ((1.3, 2.9), (6.6, 40.5), 700.0),
+        # cold excited population 1.3e-318: e^-sigma overflows where the
+        # history weight underflows
+        ((2.0, 3.6), (0.0113, 40.5), 300.0),
+    ],
+)
+def test_history_route_matches_the_cycle_report(nu, kt, tau):
+    # same tolerances as over the random engines
+    cfg = o.CycleConfig(o.DriveProtocol(*nu, tau), o.ThermalParams(*kt))
+    report = o.run_cycle(cfg)
+    mean_sigma, mean_exp = tpm._history_entropy_production(
+        cfg.protocol, cfg.thermal, report.transition_prob
+    )
+    assert mean_sigma == pytest.approx(report.entropy_production, rel=1e-12, abs=1e-14)
+    assert mean_exp == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
