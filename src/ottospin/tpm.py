@@ -74,16 +74,16 @@ class EnergyDistribution:
         """Normalize raw atoms: sort, merge near-coincident values, drop
         zero-probability entries.
 
-        Merged atoms sit at the probability-weighted mean of their cluster.
-        Tiny negative weights (above -1e-12, as produced by Fourier
-        inversion round-off) are clipped to zero.
+        A cluster of atoms, each within the merge tolerance of the previous
+        one, merges at its probability-weighted mean.  Tiny negative weights
+        (above -1e-12, as produced by Fourier inversion round-off) are
+        clipped to zero.
         """
         values, probs = _float_array(energies_pev), _float_array(probabilities)
         if values.shape != probs.shape or values.ndim != 1:
             raise ValueError("energies and probabilities must be 1d and equal length")
         atoms = _sorted_atoms(values)
-        weights = probs.tolist()
-        return cls(*_merge(atoms, [weights[i] for i in atoms.order]), kind)
+        return cls(*_merge(atoms, np.take(probs, atoms.order).tolist()), kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,14 +212,10 @@ def characteristic_function(
     u = np.asarray(u_grid, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("u grid must be finite")
-    energies = np.asarray(dist.energies_pev)
-    probs = np.asarray(dist.probabilities)
-    # two real products instead of one complex one: exp(i phase) @ p; a phase
-    # that overflows leaves chi non-finite, which CharacteristicSamples rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.outer(u, energies)
-        values = np.cos(phase) @ probs + 1j * (np.sin(phase) @ probs)
-    return CharacteristicSamples(u, values)
+    energies = np.array(dist.energies_pev, dtype=float)
+    cos_t, sin_t = _phase_table(u.tobytes(), energies.tobytes())
+    probs = np.asarray(dist.probabilities)  # two real products: exp(i phase) @ p
+    return CharacteristicSamples(u, cos_t @ probs + 1j * (sin_t @ probs))
 
 
 def conjugate_u_grid(energy_spacing_pev: float, n_points: int) -> np.ndarray:
@@ -273,17 +269,11 @@ def invert_characteristic(
     if not spacing > 2.0 * MERGE_TOLERANCE_PEV:
         return EnergyDistribution.from_atoms(energies[keep], weights[keep], kind)
     # the lattice is sorted, and rounding j dE cannot bring two atoms within
-    # the merge tolerance: from_atoms' checks, clip and zero-weight drop
-    # without its sort and merge
-    values, probs = energies[keep].tolist(), weights[keep].tolist()
-    if not all(map(math.isfinite, values + probs)):
-        raise ValueError("atoms must be finite")
-    if any(p < -1e-12 for p in probs):
-        raise ValueError("probabilities must be nonnegative")
-    atoms = [(v, p) for v, p in zip(values, probs) if p > 0.0]
-    return EnergyDistribution(
-        tuple(v for v, _ in atoms), tuple(p for _, p in atoms), kind
-    )
+    # the merge tolerance: each atom is a cluster of its own
+    values = energies[keep].tolist()
+    atoms = _SortedAtoms((), all(map(math.isfinite, values)),
+                         tuple((i, i + 1, v, v, ()) for i, v in enumerate(values)))
+    return EnergyDistribution(*_merge(atoms, weights[keep].tolist()), kind)
 
 
 def lorentzian_broaden(
@@ -389,8 +379,7 @@ def engine_work_distribution(
     pt = [p_n * t_nm for p_n, row in zip(plan.p, transfer) for t_nm in row]
     ptq = [x * q_k for x in pt for q_k in plan.q]
     probs = [x * t_kj for x, row in zip(ptq, transfer * 4) for t_kj in row]
-    atoms = plan.work
-    return EnergyDistribution(*_merge(atoms, [probs[i] for i in atoms.order]), "work")
+    return EnergyDistribution(*_merge(plan.work, [probs[i] for i in plan.work.order]), "work")
 
 
 def engine_heat_distribution(
@@ -405,8 +394,7 @@ def engine_heat_distribution(
     s = (transition_matrix(transition_prob) @ plan.p_array).tolist()
     _checked_pair(s, "post-expansion")
     probs = [s_m * q_k for s_m in s for q_k in plan.q]
-    atoms = plan.heat
-    return EnergyDistribution(*_merge(atoms, [probs[i] for i in atoms.order]), "heat")
+    return EnergyDistribution(*_merge(plan.heat, [probs[i] for i in plan.heat.order]), "heat")
 
 
 def _history_entropy_production(
@@ -445,59 +433,56 @@ def _history_entropy_production(
 # --- plans: what does not change between calls -----------------------------
 
 class _SortedAtoms(NamedTuple):
-    """Atom energies in ``from_atoms``' stable sort order and its merge
-    clusters: a cluster runs while atoms lie within the merge tolerance of
-    its first atom."""
+    """``from_atoms``' stable sort order of the atom energies and its merge
+    clusters: a cluster runs while each atom lies within the merge tolerance
+    of the previous atom."""
 
     order: tuple[int, ...]
-    values: np.ndarray  # sorted, read-only
-    value_list: tuple[float, ...]
     finite: bool
-    clusters: tuple[tuple[int, int], ...]  # (start, stop) in sorted order
+    # (start, stop) in sorted order, first and last energy, first - v per atom
+    # v, or () when every such offset is zero
+    clusters: tuple[tuple[int, int, float, float, tuple[float, ...]], ...]
 
 
 def _sorted_atoms(energies: np.ndarray) -> _SortedAtoms:
     order = np.argsort(energies, kind="stable")
-    values = energies[order]
-    values.flags.writeable = False
-    value_list = tuple(values.tolist())
+    values = energies[order].tolist()
     clusters, start = [], 0
-    for i in range(1, len(value_list) + 1):
-        if i < len(value_list) and value_list[i] - value_list[start] <= MERGE_TOLERANCE_PEV:
+    for i in range(1, len(values) + 1):
+        if i < len(values) and values[i] - values[i - 1] <= MERGE_TOLERANCE_PEV:
             continue
-        clusters.append((start, i))
+        offsets = tuple(values[start] - v for v in values[start:i])
+        offsets = offsets if any(offsets) else ()
+        clusters.append((start, i, values[start], values[i - 1], offsets))
         start = i
-    return _SortedAtoms(tuple(order.tolist()), values, value_list,
-                        all(map(math.isfinite, value_list)), tuple(clusters))
+    return _SortedAtoms(tuple(order.tolist()), all(map(math.isfinite, values)),
+                        tuple(clusters))
 
 
 def _merge(atoms: _SortedAtoms, probs: list[float]) -> tuple[tuple, tuple]:
     """``from_atoms``' checks, clip, merge and zero-weight drop for weights
     given in the atoms' sort order: the merged (energies, probabilities).
 
-    A one-atom cluster takes v * p / p, the same IEEE operations as the
-    one-element dot product (its weight is kept only when positive, so it
-    needs no clip), and longer clusters keep numpy's sum and dot so that
-    their rounding stays that of the library.
-    """
+    A cluster weighs fsum(c) of its clipped weights c and sits at first -
+    fsum((first - v) r) / fsum(r), r = c / max(c), clamped to its last atom:
+    no product underflows, equal atoms keep their bits, and merged atoms stay
+    more than the tolerance apart."""
     if not (atoms.finite and all(map(math.isfinite, probs))):
         raise ValueError("atoms must be finite")
     if any(p < -1e-12 for p in probs):
         raise ValueError("probabilities must be nonnegative")
-    clipped = np.maximum(probs, 0.0)
-    merged_values: list[float] = []
-    merged_probs: list[float] = []
-    for start, stop in atoms.clusters:
-        if stop - start == 1:
-            weight = probs[start]
-            value = atoms.value_list[start] * weight
-        else:
-            chunk_p = clipped[start:stop]
-            weight = float(np.add.reduce(chunk_p))
-            value = np.dot(atoms.values[start:stop], chunk_p)
+    clipped = [p if p > 0.0 else 0.0 for p in probs]
+    merged_values, merged_probs = [], []
+    for start, stop, first, last, offsets in atoms.clusters:
+        chunk = clipped[start:stop]
+        weight = math.fsum(chunk)
         if weight > 0.0:
-            merged_values.append(float(value / weight))
-            merged_probs.append(float(weight))
+            if offsets:  # else first - 0 / fsum(r) is first
+                peak = max(chunk)
+                ratios = [c / peak for c in chunk]
+                first -= math.fsum(map(operator.mul, offsets, ratios)) / math.fsum(ratios)
+            merged_values.append(min(first, last))
+            merged_probs.append(weight)
     return tuple(merged_values), tuple(merged_probs)
 
 
@@ -514,8 +499,8 @@ class _EnginePlan(NamedTuple):
 
 
 # a sweep asks for one engine's plan at each of its durations; an entry holds
-# about 3.3 kB (two atom sets of 16 and 4 energies), so the 32 entries keep
-# at most about 110 kB
+# about 2.9 kB (two atom sets of 16 and 4 energies), up to ~4 kB when clusters
+# merge distinct energies, so the 32 entries keep at most about 130 kB
 @functools.lru_cache(maxsize=32)
 def _engine_plan(
     nu_initial_khz: float, nu_final_khz: float, kt_cold_pev: float, kt_hot_pev: float
@@ -576,6 +561,21 @@ def _lattice(u_bytes: bytes) -> _Lattice:
     for array in (fold, energies, phase):
         array.flags.writeable = False
     return _Lattice(n, fold, spacing, energies, phase, 16.0 * n * np.finfo(float).eps)
+
+
+# cos and sin of the phases u E, whose energies keep their bits over an
+# engine's durations; keyed on bytes, as -0.0 == 0.0 would share an entry.  A
+# phase that overflows leaves chi non-finite: CharacteristicSamples rejects
+# it.  Past its key, an entry holds 16 bytes per (u, atom) pair, less than
+# one call's phase, cos and sin
+@functools.lru_cache(maxsize=2)
+def _phase_table(u_bytes: bytes, energy_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.outer(np.frombuffer(u_bytes), np.frombuffer(energy_bytes))
+        tables = np.cos(phase), np.sin(phase)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 # keyed on the grid's bytes; an entry holds at most 24 bytes per grid point

@@ -22,6 +22,8 @@ regressions show up as honest failures.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, logm, svdvals
@@ -163,27 +165,28 @@ def convolved_stroke_work_atoms(p, q, swap_prob, levels_cold, levels_hot):
 
 
 def merge_atoms_loop(energies, probabilities):
-    """Raw atoms normalized as ``EnergyDistribution.from_atoms`` did with one
-    numpy ``sum`` and ``dot`` per cluster: clip weights above -1e-12 to zero,
-    sort stably, merge atoms within 1e-9 peV of their cluster's first atom at
-    the weighted mean, drop zero-weight clusters.  Returns the (energies,
-    probabilities) tuples; the bit-exact reference for the merge."""
-    values = np.asarray(list(energies), dtype=float)
-    probs = np.clip(np.asarray(list(probabilities), dtype=float), 0.0, None)
-    order = np.argsort(values, kind="stable")
-    values, probs = values[order], probs[order]
-    merged_values, merged_probs = [], []
-    cluster_start = 0
+    """Raw atoms normalized as ``EnergyDistribution.from_atoms`` defines it,
+    in exact rational arithmetic: clip weights above -1e-12 to zero, sort
+    stably, merge each atom within 1e-9 peV of the previous atom into its
+    cluster, drop zero-weight clusters.  Returns one
+    ``(mean, weight, first, last)`` per kept cluster: its exact weighted mean
+    and weight as ``Fraction``s, and its first and last energies."""
+    values = [float(v) for v in energies]
+    probs = [max(float(p), 0.0) for p in probabilities]
+    # Python's sort is stable, and -0.0 == 0.0 keeps signed zeros in order
+    order = sorted(range(len(values)), key=values.__getitem__)
+    values, probs = [values[i] for i in order], [probs[i] for i in order]
+    merged, start = [], 0
     for i in range(1, len(values) + 1):
-        if i < len(values) and values[i] - values[cluster_start] <= 1e-9:
+        if i < len(values) and values[i] - values[i - 1] <= 1e-9:
             continue
-        chunk_p = probs[cluster_start:i]
-        weight = float(chunk_p.sum())
-        if weight > 0.0:
-            merged_values.append(float(np.dot(values[cluster_start:i], chunk_p) / weight))
-            merged_probs.append(weight)
-        cluster_start = i
-    return tuple(merged_values), tuple(merged_probs)
+        weights = [Fraction(p) for p in probs[start:i]]
+        weight = sum(weights)
+        if weight > 0:
+            mean = sum(Fraction(v) * w for v, w in zip(values[start:i], weights)) / weight
+            merged.append((mean, weight, values[start], values[i - 1]))
+        start = i
+    return merged
 
 
 def engine_work_distribution_by_table(protocol, thermal, transition_prob):
@@ -234,7 +237,7 @@ def characteristic_samples_verdict(u, values):
 
 def inversion_by_from_atoms(samples, kind="work"):
     """FFT inversion of uniformly sampled chi whose kept lattice atoms go
-    through ``EnergyDistribution.from_atoms`` (sort, merge, v * p / p)."""
+    through ``EnergyDistribution.from_atoms`` (sort, single-linkage merge)."""
     import ottospin as o
 
     u = samples.u_per_pev

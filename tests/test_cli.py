@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from ottospin import cli, propagator
+from ottospin import cli, parse_config, propagator, run_cycle, to_cycle_config
 from ottospin.cli import main
 
 H = 4.135667696
@@ -340,6 +340,34 @@ def test_distribution_on_a_cold_bath_past_exp_overflow(tmp_path, capsys, command
     rows = _rows(out)
     assert rows and all(float(r["probability"]) > 0.0 for r in rows)
     assert sum(float(r["probability"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_work_atoms_with_subnormal_weights_keep_their_lattice_energies(tmp_path, capsys):
+    # cold excited population 1.3e-318: three work atoms weigh below 1e-300
+    cfg = tmp_path / "cold.cfg"
+    cfg.write_text("[thermal]\nkt_cold_pev = 0.0113\n")
+    rc, out, err = _run(capsys, ["work-dist", "--tau", "300", "--config", str(cfg)])
+    assert rc == 0 and err == ""
+    lattice = ["23.1597390976", "14.8884037056", "8.271335392", "6.6170683136"]
+    expected = ["-" + e for e in lattice] + ["0"] + lattice[::-1]
+    assert [row["energy_pev"] for row in _rows(out)] == expected
+
+
+def test_an_engine_whose_gaps_are_within_the_merge_tolerance_gives_a_report(
+    tmp_path, capsys
+):
+    # gaps of 4.8e-10 and 5.5e-10 peV: every work history merges into one atom
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "[drive]\nnu_initial_khz = 1.33e-10\nnu_final_khz = 1.15e-10\n"
+        "[thermal]\nhot_option = custom\nkt_cold_pev = 2.35e-11\nkt_hot_pev = 5.88e-11\n"
+    )
+    rc, out, err = _run(capsys, ["work-dist", "--tau", "100", "--config", str(cfg)])
+    assert rc == 0 and err == ""
+    (row,) = _rows(out)
+    assert row["probability"] == "1"
+    mean_work = run_cycle(to_cycle_config(parse_config(cfg.read_text()), 100.0)).mean_work_pev
+    assert float(row["energy_pev"]) == pytest.approx(mean_work, rel=1e-10)
 
 
 def test_unwritable_output_path_is_an_io_error(capsys):

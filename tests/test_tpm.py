@@ -2,6 +2,8 @@ import math
 import random
 import re
 import types
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,8 +341,8 @@ def test_from_atoms_drops_zero_probability_atoms():
 
 def _raw_atoms(rng):
     """Random raw atoms: clusters of 1-12 atoms within the merge tolerance of
-    their first atom, some anchor chains (consecutive gaps within the
-    tolerance, span beyond it), -0.0 energies, zero and slightly negative
+    their first atom, some chains (consecutive gaps within the tolerance,
+    span beyond it), -0.0 energies, zero, subnormal and slightly negative
     weights, whole clusters of zero weight."""
     energies = []
     anchor = rng.uniform(-30.0, -20.0)
@@ -357,6 +359,8 @@ def _raw_atoms(rng):
         energies += [-0.0, 0.0, -0.0][: rng.integers(1, 4)]
     energies = np.array(energies)
     weights = rng.uniform(0.0, 1.0, len(energies)) ** rng.uniform(1.0, 6.0)
+    tiny = rng.random(len(energies)) < 0.1
+    weights[tiny] = rng.uniform(0.0, 1e-310, tiny.sum())  # subnormal
     dead = rng.random(len(energies)) < 0.15
     if rng.random() < 0.2:  # one whole cluster (energies within 1e-9) weightless
         dead |= np.abs(energies - energies[rng.integers(len(energies))]) <= 1e-9
@@ -368,9 +372,15 @@ def _raw_atoms(rng):
     return rng.permutation(energies), weights
 
 
-def test_from_atoms_is_bit_identical_to_the_numpy_reduction_loop():
+def test_from_atoms_matches_the_exact_single_linkage_merge():
+    # bound, from the operations: first - v, c / max(c), their products, both
+    # fsums and the division each round once, so the offset from the first
+    # atom is off by at most ~3 eps (last - first); the last subtraction
+    # rounds once more, and the clamp only moves toward the exact mean.  So
+    # |got - exact| <= ulp(got) / 2 + 4 eps (last - first)
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(20140930)
-    sizes, compared, chains = set(), 0, 0
+    sizes, chains, spread, subnormal = set(), 0, 0, 0
     for trial in range(1500):
         energies, weights = _raw_atoms(rng)
         expected = oracles.merge_atoms_loop(energies, weights)
@@ -379,29 +389,38 @@ def test_from_atoms_is_bit_identical_to_the_numpy_reduction_loop():
             (energies.tolist(), weights.tolist()),
             ((e for e in energies.tolist()), iter(weights)),
         )[trial % 3]
-        try:
-            dist = o.EnergyDistribution.from_atoms(*inputs, "work")
-        except ValueError:
-            # merged means closer than the tolerance, or weights that miss 1:
-            # the old loop's atoms are rejected by the same invariants
-            with pytest.raises(ValueError):
-                o.EnergyDistribution(*expected, "work")
-            continue
-        assert dist.energies_pev == expected[0]
-        assert dist.probabilities == expected[1]
-        assert [repr(x) for x in dist.energies_pev] == [repr(x) for x in expected[0]]
-        compared += 1
-        anchored = _anchor_clusters(np.sort(energies).tolist())
-        sizes.update(anchored)
-        # a chain: the anchor rule splits what consecutive gaps would join
-        chains += len(anchored) > 1 + (np.diff(np.sort(energies)) > 1e-9).sum()
-    assert compared > 900
+        dist = o.EnergyDistribution.from_atoms(*inputs, "work")
+        assert len(dist.energies_pev) == len(expected)
+        for got, prob, (mean, weight, first, last) in zip(
+            dist.energies_pev, dist.probabilities, expected
+        ):
+            assert prob == float(weight)  # fsum rounds the exact sum once
+            assert first <= got <= last
+            bound = math.ulp(got) / 2 + 4.0 * eps * (last - first)
+            assert abs(Fraction(got) - mean) <= bound, (got, float(mean), first, last)
+            spread += last > first
+            subnormal += 0.0 < weight < 2.2250738585072014e-308
+        assert all(b - a > o.MERGE_TOLERANCE_PEV
+                   for a, b in zip(dist.energies_pev, dist.energies_pev[1:]))
+        values = np.sort(energies).tolist()
+        linked = _linked_clusters(values)
+        sizes.update(linked)
+        # a chain: single linkage joins what the span from the first atom would split
+        chains += len(linked) < len(_anchor_clusters(values))
     assert set(range(1, 13)) <= sizes
     assert chains > 50
+    assert spread > 1000 and subnormal > 20, (spread, subnormal)
+
+
+def _linked_clusters(values):
+    """Sizes of the clusters of sorted ``values`` under single linkage."""
+    gaps = np.diff(values) > 1e-9
+    return np.diff(np.flatnonzero(np.concatenate([[True], gaps, [True]]))).tolist()
 
 
 def _anchor_clusters(values):
-    """Sizes of the clusters of sorted ``values`` under the anchor rule."""
+    """Sizes of the clusters of sorted ``values`` when each cluster ends
+    beyond the tolerance from its first atom."""
     sizes, start = [], 0
     for i in range(1, len(values) + 1):
         if i == len(values) or values[i] - values[start] > 1e-9:
@@ -544,15 +563,78 @@ def test_a_grid_changed_in_place_is_checked_again():
         o.CharacteristicSamples(u, values)
 
 
-def _random_engine(rng):
-    # expanding, flat and compressing ramps; one engine in five has gaps
-    # from ~4e-12 to ~4e-9 peV, around the 1e-9 peV merge tolerance
-    nu_i = 10.0 ** rng.uniform(-12.0, -9.0) if rng.random() < 0.2 else rng.uniform(0.3, 6.0)
+def _chi_by_outer(dist, u):
+    """chi by a fresh phase table: np.outer, cos and sin on every call."""
+    probs = np.asarray(dist.probabilities)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.outer(u, np.array(dist.energies_pev, dtype=float))
+        return np.cos(phase) @ probs + 1j * (np.sin(phase) @ probs)
+
+
+def test_characteristic_function_is_bit_identical_to_a_fresh_phase_table():
+    rng = np.random.default_rng(20071017)
+    negative_zeros = 0
+    for trial in range(400):
+        n = int(rng.integers(1, 12))
+        scale = rng.choice([1e-9, 1.0, 30.0])
+        energies = scale * rng.normal() + np.cumsum(rng.uniform(2e-9, 3.0 * scale, n))
+        if trial % 4 == 0:  # an atom at -0.0 or 0.0, in turn
+            energies -= energies[int(rng.integers(n))]
+            energies[energies == 0.0] = -0.0 if trial % 8 else 0.0
+        weights = rng.dirichlet(np.ones(n))
+        dist = o.EnergyDistribution(tuple(energies.tolist()),
+                                    tuple((weights / weights.sum()).tolist()), "work")
+        u = rng.choice([0.5, 3.0]) * np.arange(int(rng.integers(1, 40))) - rng.choice([0.0, 5.0])
+        negative_zeros += bool(np.signbit(dist.energies_pev).any())
+        for call in range(3):  # the second call finds its table kept
+            got = o.characteristic_function(dist, u)
+            assert got.values.tobytes() == _chi_by_outer(dist, u).tobytes()
+            if call == 1:  # the caller changes the grid in place
+                u[int(rng.integers(len(u)))] += 0.25
+    assert negative_zeros > 40, negative_zeros
+
+
+def test_characteristic_function_checks_the_grid_before_its_table():
+    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5), "work")
+    before = tpm._phase_table.cache_info()
+    for u in ([0.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="u grid must be finite"):
+            o.characteristic_function(dist, u)
+    assert tpm._phase_table.cache_info() == before
+    # an overflowing phase fails again once its table is kept
+    for _ in range(2):
+        with pytest.raises(ValueError, match="chi samples must be finite"):
+            o.characteristic_function(dist, [0.0, 1e308])
+
+
+def test_an_engine_keeps_its_atom_energies_at_every_duration():
+    # the kept phase table serves every duration only because of this
+    run_cfg = o.parse_config("")
+    cfg = o.to_cycle_config(run_cfg)
+    energies = {"work": set(), "heat": set()}
+    for report in o.sweep_tau(cfg, run_cfg.tau_list_us):
+        protocol = replace(cfg.protocol, tau_us=report.tau_us)
+        for kind, route in (("work", o.engine_work_distribution),
+                            ("heat", o.engine_heat_distribution)):
+            dist = route(protocol, cfg.thermal, report.transition_prob)
+            energies[kind].add(np.array(dist.energies_pev).tobytes())
+    assert [len(v) for v in energies.values()] == [1, 1]
+
+
+def _random_engine(rng, near_tolerance=False):
+    # expanding, flat and compressing ramps.  One engine in five, and every
+    # one drawn near the tolerance, has nu_i from 10^-12.5 to 10^-9 kHz (gaps
+    # around the 1e-9 peV merge tolerance) and kT from 1e-12 to 1e-9 peV
+    tiny = near_tolerance or rng.random() < 0.2
+    nu_i = 10.0 ** rng.uniform(-12.5, -9.0) if tiny else rng.uniform(0.3, 6.0)
     nu_f = nu_i * rng.choice([1.0, rng.uniform(0.2, 0.99), rng.uniform(1.01, 5.0)])
-    gap_i = H * nu_i
-    # cold gap/kT from 0.05 to 60, and an infinitely hot bath now and then
-    kt_cold = gap_i / (0.05 * 1200.0 ** rng.uniform())
-    kt_hot = math.inf if rng.random() < 0.1 else kt_cold * rng.uniform(1.0, 10.0)
+    if tiny:
+        kt_cold, kt_hot = 10.0 ** rng.uniform(-12.0, -9.0, 2)
+    else:  # cold gap/kT from 0.05 to 60
+        kt_cold = H * nu_i / (0.05 * 1200.0 ** rng.uniform())
+        kt_hot = kt_cold * rng.uniform(1.0, 10.0)
+    if rng.random() < 0.1:  # an infinitely hot bath now and then
+        kt_hot = math.inf
     return o.DriveProtocol(nu_i, nu_f, rng.uniform(50.0, 800.0)), o.ThermalParams(kt_cold, kt_hot)
 
 
@@ -593,8 +675,26 @@ def test_engine_distributions_are_bit_identical_to_the_table_routes():
                 errors.add(expected)
     assert {0.0, 1.0} <= swaps
     assert min(flat, falling, tiny) > 100, (flat, falling, tiny)
-    # gaps near the tolerance can leave merged atoms within it (both routes)
-    assert errors <= {"energies must be ascending with separated atoms"}
+    # single-linkage clusters keep merged atoms apart, even near the tolerance
+    assert not errors, errors
+
+
+def test_engines_near_the_merge_tolerance_give_distributions():
+    # gaps near the 1e-9 peV tolerance merge distinct history energies, and
+    # cold baths give subnormal weights; every call gives a distribution
+    rng = np.random.default_rng(20070502)
+    merged = 0
+    for _ in range(1500):
+        protocol, thermal = _random_engine(rng, near_tolerance=True)
+        swap = _random_swap(rng)
+        work = o.engine_work_distribution(protocol, thermal, swap)
+        o.engine_heat_distribution(protocol, thermal, swap)
+        p = o.thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev)
+        q = o.thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev)
+        delta_e, prob = o.enumerate_histories(p, q, swap, o.endpoint_spectra(protocol))
+        # distinct history energies of positive weight that share one atom
+        merged += len(set(delta_e[prob > 0.0].tolist())) > len(work.energies_pev)
+    assert merged > 1000, merged
 
 
 def test_an_invalid_engine_raises_on_every_call():
@@ -707,9 +807,9 @@ def test_lattice_atoms_match_the_from_atoms_route():
             outcomes["error"] += 1
             continue
         got = o.invert_characteristic(samples, kind)
-        assert len(got.energies_pev) == len(expected.energies_pev)
-        np.testing.assert_allclose(got.energies_pev, expected.energies_pev, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got.probabilities, expected.probabilities, rtol=0, atol=1e-15)
+        # the lattice atoms are one-atom clusters of the same merge
+        assert [repr(x) for x in got.energies_pev] == [repr(x) for x in expected.energies_pev]
+        assert [repr(x) for x in got.probabilities] == [repr(x) for x in expected.probabilities]
         u = samples.u_per_pev
         spacing = 2.0 * np.pi / (len(u) * (u[1] - u[0]))
         outcomes["direct" if spacing > 2e-9 else "fallback"] += 1
