@@ -6,10 +6,14 @@ cold reservoirs).  Everything here reduces to four states: the two reservoir
 equilibria and the two drive outputs; all reported quantities are functions
 of those states, which is also what makes the Monte Carlo error propagation a
 straight resampling of them.
+
+What an engine fixes at every drive duration (endpoint Hamiltonians, Gibbs
+states, their Bloch vectors) is built once per engine and kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -313,13 +317,11 @@ def sweep_with_uncertainty(
         samples = _figures_of_merit(
             cfg, point.tau_us, fields, (cold_s, hot_s, exp_s, comp_s), relent
         )
-        spread = {
-            name: UncertaintyEstimate(
-                float(np.mean(values)),
-                float(np.std(values, ddof=1)) if n_samples > 1 else 0.0,
-            )
-            for name, values in samples.items()
-        }
+        # one (7, n) reduction; each row rounds as np.mean/np.std of its field
+        stacked = np.stack(list(samples.values()))
+        stddevs = stacked.std(axis=1, ddof=1) if n_samples > 1 else np.zeros(len(samples))
+        spread = dict(zip(samples, map(
+            UncertaintyEstimate, stacked.mean(axis=1).tolist(), stddevs.tolist())))
         results.append((point, spread))
     return results
 
@@ -336,20 +338,43 @@ def _sweep_points(
     # each duration passes DriveProtocol's checks before anything is drawn
     # or propagated
     taus = [replace(expansion, tau_us=float(tau)).tau_us for tau in tau_list_us]
-    h_cold, h_hot = endpoint_hamiltonians(expansion)
-    cold_eq = gibbs_state(h_cold, cfg.thermal.kt_cold_pev)
-    hot_eq = gibbs_state(h_hot, cfg.thermal.kt_hot_pev)
-    log_populations = _gibbs_log_populations(expansion, cfg.thermal)
-
+    (h_cold, h_hot), (cold_eq, hot_eq), log_populations, fields, equilibria = _cycle_plan(
+        expansion.nu_initial_khz, expansion.nu_final_khz,
+        cfg.thermal.kt_cold_pev, cfg.thermal.kt_hot_pev,
+    )
     forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
     backward = forward.conj().transpose(0, 2, 1)
     swap_probs = transition_probabilities(forward, h_cold, h_hot)
-    fields = (_bloch(h_cold)[1], _bloch(h_hot)[1])
-    states = [_bloch(rho)[1] for rho in (
-        cold_eq[None], hot_eq[None], forward @ cold_eq @ backward, backward @ hot_eq @ forward
-    )]
+    states = [*equilibria, *(_bloch(rho)[1] for rho in (
+        forward @ cold_eq @ backward, backward @ hot_eq @ forward
+    ))]
     points = _report_from_states(cfg, taus, fields, log_populations, swap_probs, states)
     return points, fields, states
+
+
+# What an engine fixes at every drive duration, as (cold, hot) pairs of
+# read-only arrays: the endpoint Hamiltonians, their Gibbs states and
+# log-populations, and the Bloch vectors of both, (3, 1) for the states.
+# s/tau is exactly 1 at the ramp's end, so H(0) and H(tau) have the same bits
+# for every tau and a protocol of tau = 1 builds them.  An entry holds about
+# 2.7 kB, so the 32 entries keep at most about 90 kB
+@functools.lru_cache(maxsize=32)
+def _cycle_plan(
+    nu_initial_khz: float, nu_final_khz: float, kt_cold_pev: float, kt_hot_pev: float
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    expansion = DriveProtocol(nu_initial_khz, nu_final_khz, 1.0)
+    hamiltonians = endpoint_hamiltonians(expansion)
+    gibbs = tuple(map(gibbs_state, hamiltonians, (kt_cold_pev, kt_hot_pev)))
+    plan = (
+        hamiltonians, gibbs,
+        _gibbs_log_populations(expansion, ThermalParams(kt_cold_pev, kt_hot_pev)),
+        tuple(_bloch(h)[1] for h in hamiltonians),
+        tuple(_bloch(rho[None])[1] for rho in gibbs),
+    )
+    for pair in plan:
+        for array in pair:
+            array.flags.writeable = False
+    return plan
 
 
 def _report_from_states(

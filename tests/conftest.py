@@ -1,5 +1,7 @@
 import pytest
 
+from ottospin import cycle, propagator
+
 _CRITERION_LINES: list[str] = []
 
 
@@ -14,6 +16,16 @@ def criterion():
         assert passed, line
 
     return record
+
+
+@pytest.fixture(autouse=True)
+def _fresh_drive_caches():
+    """Start each test with no kept propagator, endpoint eigenvectors or
+    cycle plan, so a test that patches the kernel or ``eigensystem`` sees
+    its patch called rather than a product kept by an earlier test."""
+    propagator._CONVERGED.clear()
+    propagator._eigenvectors.cache_clear()
+    cycle._cycle_plan.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

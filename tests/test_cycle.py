@@ -222,6 +222,40 @@ def test_sweep_points_are_the_monte_carlo_sweep_points():
     assert [repr(r) for r in o.sweep_tau(cfg, taus)] == [repr(r) for r, _ in swept]
 
 
+def test_run_cycle_at_a_swept_duration_is_that_sweeps_report():
+    cold = {}
+    for thermal in (THERMAL_A, THERMAL_B):
+        for tau in TAU_GRID:
+            propagator._CONVERGED.clear()
+            cycle._cycle_plan.cache_clear()
+            cold[thermal, tau] = repr(o.run_cycle(_config(tau, thermal)))
+    propagator._CONVERGED.clear()
+    cycle._cycle_plan.cache_clear()
+    for thermal in (THERMAL_A, THERMAL_B):
+        swept = o.sweep_tau(_config(100.0, thermal), TAU_GRID)
+        for tau, report in zip(TAU_GRID, swept):
+            assert repr(report) == cold[thermal, tau]
+            assert repr(o.run_cycle(_config(tau, thermal))) == cold[thermal, tau]
+
+
+def test_cycle_plan_is_read_only_and_the_same_at_every_duration():
+    plan = cycle._cycle_plan(2.0, 3.6, 6.6, 40.5)
+    hamiltonians, gibbs, _, _, equilibria = plan
+    assert [len(pair) for pair in plan] == [2] * 5
+    for array in (array for pair in plan for array in pair):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    assert [e.shape for e in equilibria] == [(3, 1), (3, 1)]
+    assert cycle._cycle_plan(2.0, 3.6, 6.6, 40.5) is plan
+    # H(0) and H(tau) have the same bits at every tau
+    for tau in (1e-3, 0.37, 100.0, 7e5):
+        ends = o.endpoint_hamiltonians(o.DriveProtocol(2.0, 3.6, tau))
+        assert [h.tobytes() for h in ends] == [h.tobytes() for h in hamiltonians]
+    for h, kt, rho in zip(hamiltonians, (6.6, 40.5), gibbs):
+        assert o.gibbs_state(h, kt).tobytes() == rho.tobytes()
+
+
 def test_work_sign_flips_once_on_the_hot_grid():
     signs = [o.run_cycle(_config(tau)).mean_work_pev > 0 for tau in TAU_GRID]
     flips = sum(a != b for a, b in zip(signs, signs[1:]))
@@ -668,6 +702,31 @@ def test_monte_carlo_spreads_keep_the_law_of_the_eight_draw_stream():
     # spreads from zero; only their finiteness is required
     for field in ("efficiency", "efficiency_lag"):
         assert math.isfinite(spread[field].mean) and math.isfinite(spread[field].stddev)
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 1000])
+def test_monte_carlo_spreads_are_each_fields_mean_and_stddev(monkeypatch, n_samples):
+    # the one (7, n) reduction against np.mean and np.std of each field's
+    # samples, bit for bit
+    captured = []
+    exact = cycle._figures_of_merit
+
+    def recorded(*args):
+        captured.append(exact(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(cycle, "_figures_of_merit", recorded)
+    swept = o.sweep_with_uncertainty(_config(100.0), TAU_GRID, 0.01, n_samples, 11)
+    # the first call gives the point reports, then one call per tau
+    assert len(captured) == 1 + len(TAU_GRID)
+    for (_, spread), samples in zip(swept, captured[1:]):
+        assert list(spread) == list(o.MONTE_CARLO_FIELDS)
+        for name, values in samples.items():
+            assert values.shape == (n_samples,)
+            stddev = float(np.std(values, ddof=1)) if n_samples > 1 else 0.0
+            assert repr(spread[name]) == repr(
+                o.UncertaintyEstimate(float(np.mean(values)), stddev)
+            )
 
 
 def test_monte_carlo_validates_arguments():

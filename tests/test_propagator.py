@@ -7,6 +7,7 @@ which knows nothing about time stepping, or against the plain-loop
 `scipy.linalg.expm` instead of the closed axis-angle form.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -189,6 +190,156 @@ def test_grid_rejects_a_kernel_output_off_unitarity(monkeypatch):
         evolve_unitaries(DEFAULT, [100.0, 300.0])
     with pytest.raises(ValueError, match="matrix is not unitary"):
         o.evolve_unitary(DEFAULT)
+
+
+def _counting_kernel(monkeypatch):
+    """Patch the kernel with a wrapper that records the durations of each
+    call; returns the record."""
+    calls = []
+    exact = propagator.cayley_klein_product
+
+    def counted(*args):
+        calls.append(list(args[2]))
+        return exact(*args)
+
+    monkeypatch.setattr(propagator, "cayley_klein_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "taus, message",
+    [
+        ([], "tau list must be nonempty"),
+        ([np.nan], "drive duration must be positive and finite, got nan us"),
+        ([100.0, np.inf], "drive duration must be positive and finite, got inf us"),
+        ([-100.0], "drive duration must be positive and finite, got -100.0 us"),
+        ([0.0], "drive duration must be positive and finite, got 0.0 us"),
+        ([-0.0], "drive duration must be positive and finite, got -0.0 us"),
+    ],
+    ids=["empty", "nan", "inf", "negative", "zero", "negative-zero"],
+)
+def test_grid_rejects_bad_duration_lists_before_the_kernel(
+    monkeypatch, recwarn, taus, message
+):
+    calls = _counting_kernel(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evolve_unitaries(DEFAULT, taus)
+    assert calls == [] and len(propagator._CONVERGED) == 0
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "protocol, n_steps",
+    [(DEFAULT, 64), (o.DriveProtocol(1.1, 7.3, 1.0, o.Phase.COMPRESSION), 25)],
+    ids=["expansion-64", "compression-25"],
+)
+def test_kept_products_are_bit_identical_to_cold_ones(monkeypatch, protocol, n_steps):
+    rng = np.random.default_rng(5)
+    taus = rng.uniform(20.0, 700.0, 12).tolist()
+    cold = {}
+    for tau in taus:
+        propagator._CONVERGED.clear()
+        matrices, steps = evolve_unitaries(protocol, [tau], n_steps)
+        cold[tau] = (matrices[0].tobytes(), int(steps[0]))
+    propagator._CONVERGED.clear()
+    # misses only, then hits and misses mixed, in any order, with duplicates
+    lists = [
+        taus[:5],
+        rng.permutation(taus + taus[2:7]).tolist(),
+        taus[::-1],
+        [taus[3]] * 3,
+    ]
+    for tau_list in lists:
+        matrices, steps = evolve_unitaries(protocol, tau_list, n_steps)
+        got = [(u.tobytes(), int(n)) for u, n in zip(matrices, steps)]
+        assert got == [cold[tau] for tau in tau_list]
+    # a drive whose durations are all kept runs no kernel
+    calls = _counting_kernel(monkeypatch)
+    evolve_unitaries(protocol, taus, n_steps)
+    assert calls == []
+    # another step count, phase or ramp is another drive
+    other = replace(protocol, nu_final_khz=protocol.nu_final_khz + 0.5)
+    for drive, steps_from in ((protocol, 2 * n_steps), (other, n_steps)):
+        evolve_unitaries(drive, taus[:1], steps_from)
+        assert calls.pop(0) == taus[:1]
+
+
+def test_a_failing_grid_keeps_nothing(monkeypatch):
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            evolve_unitaries(DEFAULT, [10.0, 700.0, 50.0], n_steps=1)
+        assert len(propagator._CONVERGED) == 0
+    exact = propagator.cayley_klein_product
+    monkeypatch.setattr(
+        propagator, "cayley_klein_product", lambda *args: 1.001 * exact(*args)
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            evolve_unitaries(DEFAULT, [100.0, 300.0])
+        assert len(propagator._CONVERGED) == 0
+    monkeypatch.undo()
+    # a later clean call runs the kernel on every duration
+    calls = _counting_kernel(monkeypatch)
+    assert evolve_unitaries(DEFAULT, [10.0], n_steps=1)[1].tolist() == [32]
+    matrices, _ = evolve_unitaries(DEFAULT, [100.0, 300.0])
+    assert calls[0] == [10.0] and [100.0, 300.0] in calls
+    assert np.max(np.abs(matrices[0] - oracles.ode_unitary(2.0, 3.6, 100.0))) < 1e-8
+
+
+def test_writing_into_a_returned_stack_leaves_the_next_result(monkeypatch):
+    matrices, steps = evolve_unitaries(DEFAULT, [100.0, 300.0])
+    expected = matrices.tobytes(), steps.tobytes()
+    matrices[:] = 0.0
+    steps[:] = 0
+    calls = _counting_kernel(monkeypatch)
+    again = evolve_unitaries(DEFAULT, [100.0, 300.0])
+    assert calls == [] and (again[0].tobytes(), again[1].tobytes()) == expected
+
+
+def test_the_kept_products_never_exceed_their_bound(monkeypatch):
+    bound = propagator._CONVERGED_SIZE
+    taus = (10.0 + 0.01 * np.arange(bound + 50)).tolist()
+    evolve_unitaries(DEFAULT, taus[:100])
+    # the first duration is used again, so it outlives the next 50 of its call
+    evolve_unitaries(DEFAULT, taus[:1])
+    evolve_unitaries(DEFAULT, taus[100:])
+    assert len(propagator._CONVERGED) == bound
+    calls = _counting_kernel(monkeypatch)
+    evolve_unitaries(DEFAULT, [taus[0], taus[-1]])
+    assert calls == []
+    evolve_unitaries(DEFAULT, taus[1:2])
+    assert calls[0] == taus[1:2]
+    assert len(propagator._CONVERGED) == bound
+    # one call of more distinct durations than the bound keeps its latest
+    evolve_unitaries(DEFAULT, (20.0 + 0.01 * np.arange(bound + 5)).tolist())
+    assert len(propagator._CONVERGED) == bound
+
+
+def test_endpoint_eigenvectors_are_kept_read_only_and_symmetry_still_checked(
+    monkeypatch,
+):
+    calls = []
+    exact = propagator.eigensystem
+    monkeypatch.setattr(
+        propagator, "eigensystem", lambda h: calls.append(h) or exact(h)
+    )
+    h_i, h_f = o.endpoint_hamiltonians(DEFAULT)
+    good = o.evolve_unitary(DEFAULT).matrix
+    first = propagator.transition_probabilities(good[None], h_i, h_f)
+    assert len(calls) == 2
+    second = propagator.transition_probabilities(good[None], h_i, h_f)
+    assert len(calls) == 2 and second.tobytes() == first.tobytes()
+    for h in (h_i, h_f):
+        vectors = propagator._eigenvectors(h.tobytes(), h.shape)
+        assert not vectors.flags.writeable
+        assert vectors.tobytes() == exact(h)[1].tobytes()
+    # a kept eigenbasis does not skip the symmetry check of a new stack
+    _, vec_i = exact(h_i)
+    _, vec_f = exact(h_f)
+    sheared = vec_f @ np.array([[1.0, 0.1], [0.0, 1.0]]) @ vec_i.conj().T
+    with pytest.raises(RuntimeError, match="symmetry violated"):
+        propagator.transition_probabilities(np.stack([good, sheared]), h_i, h_f)
+    assert len(calls) == 2
 
 
 def test_batched_overlap_checks_the_symmetry_of_every_propagator():
