@@ -7,7 +7,7 @@ equilibria and the two drive outputs; all reported quantities are functions
 of those states, which is also what makes the Monte Carlo error propagation a
 straight resampling of them.
 
-What an engine fixes at every drive duration (endpoint Hamiltonians, Gibbs
+What an engine fixes at every drive duration (endpoint eigenvectors, Gibbs
 states, their Bloch vectors) is built once per engine and kept.
 """
 
@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import propagator
 from .propagator import (
     DEFAULT_N_STEPS,
     evolve_unitaries,
@@ -28,7 +29,6 @@ from .propagator import (
     evolve_unitary,  # noqa: F401
     propagate_state,  # noqa: F401
     transition_probability,  # noqa: F401
-    transition_probabilities,
 )
 from .spin import (
     US_PER_MS,
@@ -338,13 +338,13 @@ def _sweep_points(
     # each duration passes DriveProtocol's checks before anything is drawn
     # or propagated
     taus = [replace(expansion, tau_us=float(tau)).tau_us for tau in tau_list_us]
-    (h_cold, h_hot), (cold_eq, hot_eq), log_populations, fields, equilibria = _cycle_plan(
+    vectors, (cold_eq, hot_eq), log_populations, fields, equilibria = _cycle_plan(
         expansion.nu_initial_khz, expansion.nu_final_khz,
         cfg.thermal.kt_cold_pev, cfg.thermal.kt_hot_pev,
     )
     forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
     backward = forward.conj().transpose(0, 2, 1)
-    swap_probs = transition_probabilities(forward, h_cold, h_hot)
+    swap_probs = propagator._flip_probabilities(forward, *vectors)
     states = [*equilibria, *(_bloch(rho)[1] for rho in (
         forward @ cold_eq @ backward, backward @ hot_eq @ forward
     ))]
@@ -352,12 +352,11 @@ def _sweep_points(
     return points, fields, states
 
 
-# What an engine fixes at every drive duration, as (cold, hot) pairs of
-# read-only arrays: the endpoint Hamiltonians, their Gibbs states and
-# log-populations, and the Bloch vectors of both, (3, 1) for the states.
-# s/tau is exactly 1 at the ramp's end, so H(0) and H(tau) have the same bits
-# for every tau and a protocol of tau = 1 builds them.  An entry holds about
-# 2.7 kB, so the 32 entries keep at most about 90 kB
+# What an engine fixes at every drive duration, as read-only (cold, hot)
+# pairs: the endpoint eigenvectors (from the propagator's eigensystem), Gibbs
+# states and log-populations, and the Bloch vectors of the Hamiltonians and
+# equilibria.  s/tau is exactly 1 at the ramp's end, so a protocol of tau = 1
+# builds them with the bits of every tau.  About 2.7 kB an entry
 @functools.lru_cache(maxsize=32)
 def _cycle_plan(
     nu_initial_khz: float, nu_final_khz: float, kt_cold_pev: float, kt_hot_pev: float
@@ -366,7 +365,7 @@ def _cycle_plan(
     hamiltonians = endpoint_hamiltonians(expansion)
     gibbs = tuple(map(gibbs_state, hamiltonians, (kt_cold_pev, kt_hot_pev)))
     plan = (
-        hamiltonians, gibbs,
+        tuple(propagator.eigensystem(h)[1] for h in hamiltonians), gibbs,
         _gibbs_log_populations(expansion, ThermalParams(kt_cold_pev, kt_hot_pev)),
         tuple(_bloch(h)[1] for h in hamiltonians),
         tuple(_bloch(rho[None])[1] for rho in gibbs),

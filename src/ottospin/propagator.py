@@ -8,20 +8,19 @@ doubles the step count of each duration in lockstep until it converges, and
 whole stack.  :func:`slice_product`, :func:`evolve_unitary` and
 :func:`transition_probability` are their one-duration cases.
 
-Converged products and endpoint eigenvectors are kept, bounded, so a
-repeated drive skips the escalation; every result keeps its bits.
+The converged propagators of a call are kept, bounded, so a repeated call
+skips the escalation; every result keeps its bits.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .spin import KHZ_US, DriveProtocol, Phase, eigensystem
+from .spin import KHZ_US, DriveProtocol, Phase, _check_duration, eigensystem
 
 #: Starting Magnus step count for the converged propagator.
 DEFAULT_N_STEPS = 64
@@ -30,12 +29,6 @@ DEFAULT_N_STEPS = 64
 CONVERGENCE_TOLERANCE = 1e-8
 
 _MAX_DOUBLINGS = 6
-
-# converged Cayley-Klein pairs as Python numbers (a, b, steps), keyed on
-# (nu_i, nu_f, compression, n_steps, the IEEE bits of tau), least recently
-# used dropped first; an entry holds about 0.33 kB, so at most about 0.34 MB
-_CONVERGED: OrderedDict[tuple, tuple[complex, complex, int]] = OrderedDict()
-_CONVERGED_SIZE = 1024
 
 # sqrt(3)/6: offset of the two Gauss-Legendre nodes from the step midpoint (in
 # steps), and the weight of the Magnus cross-product term.
@@ -182,7 +175,7 @@ def evolve_unitaries(
     unconverged after six doublings, and ``ValueError`` if a product is off
     unitarity by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
     A bad list (empty, or a duration not positive and finite) is rejected
-    first.  Each converged product is kept (see ``_CONVERGED``); a call that
+    first.  The result of each call is kept (see ``_converged``); a call that
     raises keeps nothing.
 
     Returns the ``(n_tau, 2, 2)`` stack of propagators and the step count
@@ -193,46 +186,49 @@ def evolve_unitaries(
     taus = np.asarray(tau_list_us, dtype=np.float64)
     if len(taus) == 0:
         raise ValueError("tau list must be nonempty")
-    # NaN fails this as inf and nonpositive durations do
-    if bad := [tau for tau in taus.tolist() if not 0.0 < tau < np.inf]:
-        raise ValueError(f"drive duration must be positive and finite, got {bad[0]} us")
-    compression = protocol.phase is Phase.COMPRESSION
-    ramp = (protocol.nu_initial_khz, protocol.nu_final_khz)
-    keys = [(*ramp, compression, n_steps, bits) for bits in taus.view(np.int64).tolist()]
-    entries = {key: _CONVERGED.get(key) for key in keys}
-    if missed := [key for key, entry in entries.items() if entry is None]:
-        # the distinct durations that missed, from their bits
-        taus = np.array([key[-1] for key in missed], dtype=np.int64).view(np.float64)
-        pairs = np.empty((2, len(taus)), dtype=np.complex128)
-        steps = np.empty(len(taus), dtype=np.int64)
-        pending = np.arange(len(taus))
-        current = cayley_klein_product(*ramp, taus, n_steps, compression)
-        n = n_steps
-        for _ in range(_MAX_DOUBLINGS):
-            n *= 2
-            finer = cayley_klein_product(*ramp, taus[pending], n, compression)
-            done = np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE
-            pairs[:, pending[done]] = finer[:, done]
-            steps[pending[done]] = n
-            pending, current = pending[~done], finer[:, ~done]
-            if len(pending) == 0:
-                break
-        else:
-            raise ConvergenceError(
-                f"Magnus product not converged to {CONVERGENCE_TOLERANCE} after "
-                f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps}"
-            )
-        defect = np.abs((pairs.real**2 + pairs.imag**2).sum(axis=0) - 1.0).max()
-        if defect > 1e-10:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-        entries.update(zip(missed, zip(*pairs.tolist(), steps.tolist())))
-    for key, entry in entries.items():  # only a call that succeeded gets here
-        _CONVERGED.pop(key, None)  # re-inserted as the most recently used
-        _CONVERGED[key] = entry
-    while len(_CONVERGED) > _CONVERGED_SIZE:
-        _CONVERGED.popitem(last=False)
-    a, b, steps = zip(*(entries[key] for key in keys))
-    return _matrices(np.array([a, b])), np.array(steps, dtype=np.int64)
+    for tau in taus.tolist():
+        _check_duration(tau)
+    matrices, steps = _converged(
+        protocol.nu_initial_khz, protocol.nu_final_khz,
+        protocol.phase is Phase.COMPRESSION, n_steps, taus.tobytes(),
+    )
+    return matrices.copy(), steps.copy()
+
+
+# one call's converged stack and step counts, read-only, keyed on the drive,
+# the starting step count and the bytes of the durations in order; about
+# 0.5 kB plus 80 B per duration an entry
+@functools.lru_cache(maxsize=32)
+def _converged(
+    nu_initial_khz: float, nu_final_khz: float, compression: bool, n_steps: int, tau_bytes: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    ramp = (nu_initial_khz, nu_final_khz)
+    taus = np.frombuffer(tau_bytes, dtype=np.float64)
+    pairs = np.empty((2, len(taus)), dtype=np.complex128)
+    steps = np.empty(len(taus), dtype=np.int64)
+    pending = np.arange(len(taus))
+    current = cayley_klein_product(*ramp, taus, n_steps, compression)
+    n = n_steps
+    for _ in range(_MAX_DOUBLINGS):
+        n *= 2
+        finer = cayley_klein_product(*ramp, taus[pending], n, compression)
+        done = np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE
+        pairs[:, pending[done]] = finer[:, done]
+        steps[pending[done]] = n
+        pending, current = pending[~done], finer[:, ~done]
+        if len(pending) == 0:
+            break
+    else:
+        raise ConvergenceError(
+            f"Magnus product not converged to {CONVERGENCE_TOLERANCE} after "
+            f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps}"
+        )
+    defect = np.abs((pairs.real**2 + pairs.imag**2).sum(axis=0) - 1.0).max()
+    if defect > 1e-10:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+    matrices = _matrices(pairs)
+    matrices.flags.writeable = steps.flags.writeable = False
+    return matrices, steps
 
 
 def evolve_unitary(
@@ -251,14 +247,21 @@ def transition_probabilities(
     """Probability that each propagator of an ``(n, 2, 2)`` stack flips the
     medium between instantaneous eigenstates of the endpoint Hamiltonians.
 
-    The endpoint eigenvectors are found once per Hamiltonian and kept, as
-    read-only arrays, for the next call.  Both cross elements
-    |<up_f|U|down_i>|^2 and |<down_f|U|up_i>|^2 are computed; unitarity of a
-    2x2 map forces them equal, and that symmetry is asserted (to 1e-9) for
-    every propagator rather than trusted.  Their means are returned.
+    The endpoint eigenvectors are found once for the whole stack.  Both cross
+    elements |<up_f|U|down_i>|^2 and |<down_f|U|up_i>|^2 are computed;
+    unitarity of a 2x2 map forces them equal, and that symmetry is asserted
+    (to 1e-9) for every propagator rather than trusted.  Their means are
+    returned.
     """
-    hamiltonians = (np.asarray(h, dtype=np.complex128) for h in (h_initial, h_final))
-    vec_i, vec_f = (_eigenvectors(h.tobytes(), h.shape) for h in hamiltonians)
+    _, vec_i = eigensystem(h_initial)
+    _, vec_f = eigensystem(h_final)
+    return _flip_probabilities(matrices, vec_i, vec_f)
+
+
+def _flip_probabilities(
+    matrices: np.ndarray, vec_i: np.ndarray, vec_f: np.ndarray
+) -> np.ndarray:
+    """:func:`transition_probabilities` from the endpoint eigenvectors."""
     overlap = vec_f.conj().T @ matrices @ vec_i
     up = np.abs(overlap[:, 1, 0]) ** 2
     down = np.abs(overlap[:, 0, 1]) ** 2
@@ -269,15 +272,6 @@ def transition_probabilities(
             f"transition-probability symmetry violated: {up[k]} vs {down[k]}"
         )
     return np.clip(0.5 * (up + down), 0.0, 1.0)
-
-
-# keyed on a Hamiltonian's bytes and shape; a miss calls the module's
-# eigensystem, so a patched one is reached.  An entry holds under 1 kB
-@functools.lru_cache(maxsize=4)
-def _eigenvectors(h_bytes: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    vectors = eigensystem(np.frombuffer(h_bytes, dtype=np.complex128).reshape(shape))[1]
-    vectors.flags.writeable = False
-    return vectors
 
 
 def transition_probability(

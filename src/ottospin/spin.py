@@ -69,15 +69,18 @@ class DriveProtocol:
             raise ValueError(
                 f"drive frequencies must be positive and finite, got ({nu_i}, {nu_f}) kHz"
             )
-        if not 0.0 < self.tau_us < math.inf:
-            raise ValueError(
-                f"drive duration must be positive and finite, got {self.tau_us} us"
-            )
+        _check_duration(self.tau_us)
 
     @property
     def compression_factor(self) -> float:
         """Ratio of final to initial gap frequency."""
         return self.nu_final_khz / self.nu_initial_khz
+
+
+def _check_duration(tau_us: float) -> None:
+    # NaN fails this chained comparison as inf and nonpositive values do
+    if not 0.0 < tau_us < math.inf:
+        raise ValueError(f"drive duration must be positive and finite, got {tau_us} us")
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ def criterion():
 
 @pytest.fixture(autouse=True)
 def _fresh_drive_caches():
-    """Start each test with no kept propagator, endpoint eigenvectors or
-    cycle plan, so a test that patches the kernel or ``eigensystem`` sees
-    its patch called rather than a product kept by an earlier test."""
-    propagator._CONVERGED.clear()
-    propagator._eigenvectors.cache_clear()
+    """Start each test with no kept propagators or cycle plan, so a test
+    that patches the kernel or ``eigensystem`` sees its patch called rather
+    than a product or eigenbasis kept by an earlier test."""
+    propagator._converged.cache_clear()
     cycle._cycle_plan.cache_clear()
 
 

@@ -180,6 +180,8 @@ def test_batched_sweep_report_equals_the_one_duration_report(thermal, taus):
     reports = o.sweep_tau(_config(100.0, thermal), taus)
     assert [r.tau_us for r in reports] == taus
     for tau, report in zip(taus, reports):
+        propagator._converged.cache_clear()
+        cycle._cycle_plan.cache_clear()
         single = o.run_cycle(_config(tau, thermal))
         for name in REPORT_FIELDS:
             got, want = getattr(report, name), getattr(single, name)
@@ -226,10 +228,10 @@ def test_run_cycle_at_a_swept_duration_is_that_sweeps_report():
     cold = {}
     for thermal in (THERMAL_A, THERMAL_B):
         for tau in TAU_GRID:
-            propagator._CONVERGED.clear()
+            propagator._converged.cache_clear()
             cycle._cycle_plan.cache_clear()
             cold[thermal, tau] = repr(o.run_cycle(_config(tau, thermal)))
-    propagator._CONVERGED.clear()
+    propagator._converged.cache_clear()
     cycle._cycle_plan.cache_clear()
     for thermal in (THERMAL_A, THERMAL_B):
         swept = o.sweep_tau(_config(100.0, thermal), TAU_GRID)
@@ -240,7 +242,7 @@ def test_run_cycle_at_a_swept_duration_is_that_sweeps_report():
 
 def test_cycle_plan_is_read_only_and_the_same_at_every_duration():
     plan = cycle._cycle_plan(2.0, 3.6, 6.6, 40.5)
-    hamiltonians, gibbs, _, _, equilibria = plan
+    vectors, gibbs, _, _, equilibria = plan
     assert [len(pair) for pair in plan] == [2] * 5
     for array in (array for pair in plan for array in pair):
         assert not array.flags.writeable
@@ -249,10 +251,12 @@ def test_cycle_plan_is_read_only_and_the_same_at_every_duration():
     assert [e.shape for e in equilibria] == [(3, 1), (3, 1)]
     assert cycle._cycle_plan(2.0, 3.6, 6.6, 40.5) is plan
     # H(0) and H(tau) have the same bits at every tau
+    hamiltonians = o.endpoint_hamiltonians(o.DriveProtocol(2.0, 3.6, 1.0))
     for tau in (1e-3, 0.37, 100.0, 7e5):
         ends = o.endpoint_hamiltonians(o.DriveProtocol(2.0, 3.6, tau))
         assert [h.tobytes() for h in ends] == [h.tobytes() for h in hamiltonians]
-    for h, kt, rho in zip(hamiltonians, (6.6, 40.5), gibbs):
+    for h, kt, vec, rho in zip(hamiltonians, (6.6, 40.5), vectors, gibbs):
+        assert o.eigensystem(h)[1].tobytes() == vec.tobytes()
         assert o.gibbs_state(h, kt).tobytes() == rho.tobytes()
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ottospin as o
-from ottospin import propagator
+from ottospin import cycle, propagator
 from ottospin.propagator import ConvergenceError, evolve_unitaries, slice_product
 import oracles
 
@@ -161,6 +161,7 @@ def test_grid_kernel_matches_one_tau_propagator_and_plain_loop(ramp, phase):
     counts = dict(zip(*np.unique(steps, return_counts=True)))
     assert counts == GRID_STEP_COUNTS[ramp]
     for tau, u, n in zip(CRITERION_10_GRID, matrices, steps):
+        propagator._converged.cache_clear()
         single = o.evolve_unitary(replace(protocol, tau_us=tau))
         assert n == single.n_steps
         assert np.max(np.abs(u - single.matrix)) < 1e-14
@@ -224,7 +225,7 @@ def test_grid_rejects_bad_duration_lists_before_the_kernel(
     calls = _counting_kernel(monkeypatch)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         evolve_unitaries(DEFAULT, taus)
-    assert calls == [] and len(propagator._CONVERGED) == 0
+    assert calls == [] and propagator._converged.cache_info().currsize == 0
     assert not recwarn.list
 
 
@@ -236,39 +237,41 @@ def test_grid_rejects_bad_duration_lists_before_the_kernel(
 def test_kept_products_are_bit_identical_to_cold_ones(monkeypatch, protocol, n_steps):
     rng = np.random.default_rng(5)
     taus = rng.uniform(20.0, 700.0, 12).tolist()
-    cold = {}
-    for tau in taus:
-        propagator._CONVERGED.clear()
-        matrices, steps = evolve_unitaries(protocol, [tau], n_steps)
-        cold[tau] = (matrices[0].tobytes(), int(steps[0]))
-    propagator._CONVERGED.clear()
-    # misses only, then hits and misses mixed, in any order, with duplicates
-    lists = [
-        taus[:5],
-        rng.permutation(taus + taus[2:7]).tolist(),
-        taus[::-1],
-        [taus[3]] * 3,
-    ]
+    # one duration, a list, the list reordered with duplicates, a repeat
+    lists = [taus[:1], taus, rng.permutation(taus + taus[2:7]).tolist(), [taus[3]] * 3]
+    cold = []
     for tau_list in lists:
+        propagator._converged.cache_clear()
         matrices, steps = evolve_unitaries(protocol, tau_list, n_steps)
-        got = [(u.tobytes(), int(n)) for u, n in zip(matrices, steps)]
-        assert got == [cold[tau] for tau in tau_list]
-    # a drive whose durations are all kept runs no kernel
+        cold.append((matrices.tobytes(), steps.tobytes()))
+    for tau_list, expected in zip(lists, cold):
+        for _ in range(2):  # kept by the first call unless already kept
+            matrices, steps = evolve_unitaries(protocol, tau_list, n_steps)
+            assert (matrices.tobytes(), steps.tobytes()) == expected
+    # every list is kept now, also when passed as an array: no kernel runs
     calls = _counting_kernel(monkeypatch)
-    evolve_unitaries(protocol, taus, n_steps)
+    for tau_list, expected in zip(lists, cold):
+        matrices, steps = evolve_unitaries(protocol, np.array(tau_list), n_steps)
+        assert (matrices.tobytes(), steps.tobytes()) == expected
     assert calls == []
-    # another step count, phase or ramp is another drive
-    other = replace(protocol, nu_final_khz=protocol.nu_final_khz + 0.5)
-    for drive, steps_from in ((protocol, 2 * n_steps), (other, n_steps)):
-        evolve_unitaries(drive, taus[:1], steps_from)
-        assert calls.pop(0) == taus[:1]
+    # another step count, ramp, phase or order is another call
+    phase = o.Phase.EXPANSION if protocol.phase is o.Phase.COMPRESSION else o.Phase.COMPRESSION
+    for drive, steps_from, tau_list in (
+        (protocol, 2 * n_steps, taus),
+        (replace(protocol, nu_final_khz=protocol.nu_final_khz + 0.5), n_steps, taus),
+        (replace(protocol, phase=phase), n_steps, taus),
+        (protocol, n_steps, taus[::-1]),
+    ):
+        evolve_unitaries(drive, tau_list, steps_from)
+        assert calls.pop(0) == tau_list
+        calls.clear()
 
 
 def test_a_failing_grid_keeps_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(ConvergenceError):
             evolve_unitaries(DEFAULT, [10.0, 700.0, 50.0], n_steps=1)
-        assert len(propagator._CONVERGED) == 0
+        assert propagator._converged.cache_info().currsize == 0
     exact = propagator.cayley_klein_product
     monkeypatch.setattr(
         propagator, "cayley_klein_product", lambda *args: 1.001 * exact(*args)
@@ -276,7 +279,7 @@ def test_a_failing_grid_keeps_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="matrix is not unitary"):
             evolve_unitaries(DEFAULT, [100.0, 300.0])
-        assert len(propagator._CONVERGED) == 0
+        assert propagator._converged.cache_info().currsize == 0
     monkeypatch.undo()
     # a later clean call runs the kernel on every duration
     calls = _counting_kernel(monkeypatch)
@@ -297,49 +300,50 @@ def test_writing_into_a_returned_stack_leaves_the_next_result(monkeypatch):
 
 
 def test_the_kept_products_never_exceed_their_bound(monkeypatch):
-    bound = propagator._CONVERGED_SIZE
-    taus = (10.0 + 0.01 * np.arange(bound + 50)).tolist()
-    evolve_unitaries(DEFAULT, taus[:100])
-    # the first duration is used again, so it outlives the next 50 of its call
+    bound = propagator._converged.cache_info().maxsize
+    taus = (10.0 + 0.01 * np.arange(bound + 5)).tolist()
+    for tau in taus[:bound]:
+        evolve_unitaries(DEFAULT, [tau])
+    # the first call is made again, so it outlives the next five
     evolve_unitaries(DEFAULT, taus[:1])
-    evolve_unitaries(DEFAULT, taus[100:])
-    assert len(propagator._CONVERGED) == bound
+    for tau in taus[bound:]:
+        evolve_unitaries(DEFAULT, [tau])
+    assert propagator._converged.cache_info().currsize == bound
     calls = _counting_kernel(monkeypatch)
-    evolve_unitaries(DEFAULT, [taus[0], taus[-1]])
+    evolve_unitaries(DEFAULT, taus[:1])
+    evolve_unitaries(DEFAULT, taus[-1:])
     assert calls == []
     evolve_unitaries(DEFAULT, taus[1:2])
     assert calls[0] == taus[1:2]
-    assert len(propagator._CONVERGED) == bound
-    # one call of more distinct durations than the bound keeps its latest
-    evolve_unitaries(DEFAULT, (20.0 + 0.01 * np.arange(bound + 5)).tolist())
-    assert len(propagator._CONVERGED) == bound
+    assert propagator._converged.cache_info().currsize == bound
 
 
-def test_endpoint_eigenvectors_are_kept_read_only_and_symmetry_still_checked(
-    monkeypatch,
-):
+def test_an_engines_kept_eigenvectors_still_check_every_sweep(monkeypatch):
     calls = []
     exact = propagator.eigensystem
     monkeypatch.setattr(
         propagator, "eigensystem", lambda h: calls.append(h) or exact(h)
     )
+    cfg = o.CycleConfig(DEFAULT, o.ThermalParams(6.6, 40.5))
+    first = o.sweep_tau(cfg, [100.0, 300.0])
+    again = o.sweep_tau(cfg, [300.0, 150.0])
+    assert len(calls) == 2
+    assert repr(again[0]) == repr(first[1])
+    vectors = cycle._cycle_plan(2.0, 3.6, 6.6, 40.5)[0]
     h_i, h_f = o.endpoint_hamiltonians(DEFAULT)
-    good = o.evolve_unitary(DEFAULT).matrix
-    first = propagator.transition_probabilities(good[None], h_i, h_f)
-    assert len(calls) == 2
-    second = propagator.transition_probabilities(good[None], h_i, h_f)
-    assert len(calls) == 2 and second.tobytes() == first.tobytes()
-    for h in (h_i, h_f):
-        vectors = propagator._eigenvectors(h.tobytes(), h.shape)
-        assert not vectors.flags.writeable
-        assert vectors.tobytes() == exact(h)[1].tobytes()
-    # a kept eigenbasis does not skip the symmetry check of a new stack
-    _, vec_i = exact(h_i)
-    _, vec_f = exact(h_f)
-    sheared = vec_f @ np.array([[1.0, 0.1], [0.0, 1.0]]) @ vec_i.conj().T
-    with pytest.raises(RuntimeError, match="symmetry violated"):
-        propagator.transition_probabilities(np.stack([good, sheared]), h_i, h_f)
-    assert len(calls) == 2
+    assert [v.tobytes() for v in vectors] == [exact(h)[1].tobytes() for h in (h_i, h_f)]
+
+    def sheared(h):
+        # non-orthogonal eigenvector columns make the two cross elements differ
+        energies, vectors = exact(h)
+        return energies, vectors @ np.array([[1.0, 0.01], [0.0, 1.0]])
+
+    monkeypatch.setattr(propagator, "eigensystem", sheared)
+    hotter = o.CycleConfig(DEFAULT, o.ThermalParams(6.6, 21.5))
+    for _ in range(2):  # the second sweep reads the plan the first one kept
+        with pytest.raises(RuntimeError, match="symmetry violated"):
+            o.sweep_tau(hotter, [100.0])
+    assert cycle._cycle_plan.cache_info().currsize == 2
 
 
 def test_batched_overlap_checks_the_symmetry_of_every_propagator():
