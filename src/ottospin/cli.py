@@ -3,7 +3,8 @@ work/heat atom distributions, and process-matrix diagnostics.
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
 out-of-range values, a propagator that does not converge or breaks the
-transition-probability symmetry, a run too large to allocate), 2 I/O problem
+transition-probability symmetry, a floating-point overflow, division by zero
+or invalid operation, a run too large to allocate), 2 I/O problem
 (unreadable config, unwritable output).
 """
 
@@ -164,9 +165,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "heat-dist": _cmd_heat_dist,
             "qpt": _cmd_qpt,
         }[args.command]
-        handler(cfg)
+        # an overflow, a division by zero or an invalid operation is an error
+        # line, not a warning before one or a non-finite report
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            handler(cfg)
     # RuntimeError covers ConvergenceError and the transition-symmetry check
-    except (ConfigError, RuntimeError, ValueError) as exc:
+    except (ConfigError, RuntimeError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # an accepted sample count or curve size whose arrays cannot be allocated

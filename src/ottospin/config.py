@@ -118,7 +118,7 @@ _RANGES: dict[str, tuple[Callable, str]] = {
         lambda v: v in (*HOT_PRESETS_PEV, "custom"),
         "must be A, B, or custom",
     ),
-    "kt_cold_pev": (lambda v: v > 0, "must be positive"),
+    "kt_cold_pev": (_finite_positive, "must be finite and positive"),
     "kt_hot_pev": (lambda v: v is None or v > 0, "must be positive"),
     "tau_us": (_finite_positive, "must be finite and positive"),
     "tau_list_us": (

@@ -36,10 +36,10 @@ from .spin import (
     Phase,
     ThermalParams,
     _bloch,
+    _endpoint_polarizations,
     _gibbs_log_populations,
     drive_hamiltonian,
     gibbs_state,
-    polarization,
 )
 
 
@@ -166,8 +166,7 @@ def extraction_bound(protocol: DriveProtocol, thermal: ThermalParams) -> float:
     ratio = nu_f / nu_i
     if not 1.0 <= ratio <= thermal.kt_hot_pev / thermal.kt_cold_pev:
         return 0.0
-    p_cold = polarization(nu_i, thermal.kt_cold_pev)
-    p_hot = polarization(nu_f, thermal.kt_hot_pev)
+    p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
     denom = 2.0 * (nu_f * p_cold + nu_i * p_hot)
     if denom == 0.0:
         return 0.0
@@ -188,8 +187,7 @@ def efficiency_closed_form(
     probability and equals mean work over mean hot heat everywhere.
     """
     nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
-    p_cold = polarization(nu_i, thermal.kt_cold_pev)
-    p_hot = polarization(nu_f, thermal.kt_hot_pev)
+    p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
     if math.isclose(p_cold, p_hot, rel_tol=0.0, abs_tol=1e-15):
         raise ValueError("efficiency undefined for equal cold and hot polarizations")
     f = p_hot / (p_hot - p_cold)
@@ -206,8 +204,6 @@ def run_cycle(cfg: CycleConfig) -> CycleReport:
 
 def sweep_tau(cfg: CycleConfig, tau_list_us: Sequence[float]) -> list[CycleReport]:
     """Run the cycle across drive durations; order-preserving."""
-    if len(tau_list_us) == 0:
-        raise ValueError("tau list must be nonempty")
     return _sweep_points(cfg, tau_list_us)[0]
 
 
@@ -331,18 +327,18 @@ def sweep_with_uncertainty(
 def _sweep_points(
     cfg: CycleConfig, tau_list_us: Sequence[float]
 ) -> tuple[list[CycleReport], tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
-    """The point reports of a nonempty tau list, with what the Monte Carlo
+    """The point reports of a tau list, with what the Monte Carlo
     resamples: the Bloch vectors of the endpoint Hamiltonians (cold, hot)
     and of the four cycle states (see :func:`sweep_with_uncertainty`)."""
     expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
-    # each duration passes DriveProtocol's checks before anything is drawn
-    # or propagated
-    taus = [replace(expansion, tau_us=float(tau)).tau_us for tau in tau_list_us]
+    # evolve_unitaries rejects an empty list, and every duration that is not
+    # positive and finite, before anything is propagated, drawn or planned
+    taus = [float(tau) for tau in tau_list_us]
+    forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
     vectors, (cold_eq, hot_eq), log_populations, fields, equilibria = _cycle_plan(
         expansion.nu_initial_khz, expansion.nu_final_khz,
         cfg.thermal.kt_cold_pev, cfg.thermal.kt_hot_pev,
     )
-    forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
     backward = forward.conj().transpose(0, 2, 1)
     swap_probs = propagator._flip_probabilities(forward, *vectors)
     states = [*equilibria, *(_bloch(rho)[1] for rho in (

@@ -4,9 +4,9 @@ transition probability.
 One Magnus kernel, :func:`cayley_klein_product`, builds the propagators of a
 whole array of drive durations at one step count; :func:`evolve_unitaries`
 doubles the step count of each duration in lockstep until it converges, and
-:func:`transition_probabilities` finds the endpoint eigenvectors once for the
-whole stack.  :func:`slice_product`, :func:`evolve_unitary` and
-:func:`transition_probability` are their one-duration cases.
+``_flip_probabilities`` takes every propagator's eigenstate flip probability
+from the endpoint eigenvectors.  :func:`slice_product`, :func:`evolve_unitary`
+and :func:`transition_probability` are their one-duration cases.
 
 The converged propagators of a call are kept, bounded, so a repeated call
 skips the escalation; every result keeps its bits.
@@ -241,27 +241,15 @@ def evolve_unitary(
     return UnitaryMap(matrix=matrices[0], protocol=protocol, n_steps=int(steps[0]))
 
 
-def transition_probabilities(
-    matrices: np.ndarray, h_initial: np.ndarray, h_final: np.ndarray
-) -> np.ndarray:
-    """Probability that each propagator of an ``(n, 2, 2)`` stack flips the
-    medium between instantaneous eigenstates of the endpoint Hamiltonians.
-
-    The endpoint eigenvectors are found once for the whole stack.  Both cross
-    elements |<up_f|U|down_i>|^2 and |<down_f|U|up_i>|^2 are computed;
-    unitarity of a 2x2 map forces them equal, and that symmetry is asserted
-    (to 1e-9) for every propagator rather than trusted.  Their means are
-    returned.
-    """
-    _, vec_i = eigensystem(h_initial)
-    _, vec_f = eigensystem(h_final)
-    return _flip_probabilities(matrices, vec_i, vec_f)
-
-
 def _flip_probabilities(
     matrices: np.ndarray, vec_i: np.ndarray, vec_f: np.ndarray
 ) -> np.ndarray:
-    """:func:`transition_probabilities` from the endpoint eigenvectors."""
+    """Probability that each propagator of an ``(n, 2, 2)`` stack flips the
+    medium between the endpoint eigenstates, eigenvector columns ``vec_i``
+    and ``vec_f``.  Both cross elements |<up_f|U|down_i>|^2 and
+    |<down_f|U|up_i>|^2 are computed; unitarity of a 2x2 map forces them
+    equal, and that symmetry is asserted (to 1e-9) for every propagator
+    rather than trusted.  Their means are returned."""
     overlap = vec_f.conj().T @ matrices @ vec_i
     up = np.abs(overlap[:, 1, 0]) ** 2
     down = np.abs(overlap[:, 0, 1]) ** 2
@@ -278,8 +266,10 @@ def transition_probability(
     unitary: UnitaryMap, h_initial: np.ndarray, h_final: np.ndarray
 ) -> float:
     """Eigenstate flip probability of one propagator (see
-    :func:`transition_probabilities`)."""
-    return float(transition_probabilities(unitary.matrix[None], h_initial, h_final)[0])
+    ``_flip_probabilities``)."""
+    _, vec_i = eigensystem(h_initial)
+    _, vec_f = eigensystem(h_final)
+    return float(_flip_probabilities(unitary.matrix[None], vec_i, vec_f)[0])
 
 
 def propagate_state(rho: np.ndarray, unitary: UnitaryMap) -> np.ndarray:

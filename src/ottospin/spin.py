@@ -214,6 +214,15 @@ def polarization(nu_khz: float, kt_pev: float) -> float:
     return ground - excited
 
 
+def _endpoint_polarizations(
+    protocol: DriveProtocol, thermal: ThermalParams
+) -> tuple[float, float]:
+    """(p_cold, p_hot): the cold bath's polarization at the initial gap and
+    the hot bath's at the final gap."""
+    return (polarization(protocol.nu_initial_khz, thermal.kt_cold_pev),
+            polarization(protocol.nu_final_khz, thermal.kt_hot_pev))
+
+
 def _gibbs_log_populations(
     protocol: DriveProtocol, thermal: ThermalParams
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -27,8 +27,8 @@ from .spin import (
     PLANCK_PEV_PER_KHZ,
     DriveProtocol,
     ThermalParams,
+    _endpoint_polarizations,
     _gibbs_log_populations,
-    polarization,
     thermal_populations,
 )
 
@@ -102,28 +102,12 @@ class CharacteristicSamples:
         object.__setattr__(self, "values", vals)
         if not np.isfinite(vals).all():
             raise ValueError("chi samples must be finite")
-        # pair each u with the last sample whose u rounds to -u (12 decimals);
-        # NaN keys pair with nothing
-        zero_keys = _zero_keys(u.tobytes())
-        if zero_keys is not None:
-            # no negative key, as on a conjugate_u_grid grid: only the zero
-            # keys pair, each with the last of them, and every |u| < 1e-15
-            # has a zero key
-            zero, at_zero = zero_keys
-            zero_vals = vals[zero].tolist()
-            if any(tiny and abs(v - 1.0) > 1e-12 for tiny, v in zip(at_zero, zero_vals)):
-                raise ValueError("chi(0) must equal 1")
-            if any(abs(zero_vals[-1] - v.conjugate()) > 1e-12 for v in zero_vals):
-                raise ValueError("chi(-u) must equal conj(chi(u))")
-            return
-        keys = np.round(u, 12)
-        if (np.abs(vals[np.abs(u) < 1e-15] - 1.0) > 1e-12).any():
+        indices, n_zero = _pairing(u.tobytes())
+        picked = vals[indices].tolist()
+        if _apart([v - 1.0 for v in picked[:n_zero]]):
             raise ValueError("chi(0) must equal 1")
-        order = np.argsort(keys, kind="stable")
-        pos = np.searchsorted(keys[order], -keys, side="right") - 1
-        partner = order[np.maximum(pos, 0)]
-        paired = (pos >= 0) & (keys[partner] == -keys)
-        if (np.abs(vals[partner] - vals.conj())[paired] > 1e-12).any():
+        own, partner = picked[n_zero::2], picked[n_zero + 1::2]
+        if _apart([w - v.conjugate() for v, w in zip(own, partner)]):
             raise ValueError("chi(-u) must equal conj(chi(u))")
 
 
@@ -322,8 +306,7 @@ def mean_work_closed_form(
     """
     h = PLANCK_PEV_PER_KHZ
     nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
-    p_cold = polarization(nu_i, thermal.kt_cold_pev)
-    p_hot = polarization(nu_f, thermal.kt_hot_pev)
+    p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
     return 0.5 * h * (nu_f - nu_i) * (p_cold - p_hot) - h * transition_prob * (
         nu_f * p_cold + nu_i * p_hot
     )
@@ -335,10 +318,8 @@ def mean_heat_hot_closed_form(
     """Mean heat absorbed from the hot reservoir per cycle (peV):
     (gap_f / 2) * ((1 - 2 * transition_prob) * p_cold - p_hot)."""
     h = PLANCK_PEV_PER_KHZ
-    nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
-    p_cold = polarization(nu_i, thermal.kt_cold_pev)
-    p_hot = polarization(nu_f, thermal.kt_hot_pev)
-    return 0.5 * h * nu_f * ((1.0 - 2.0 * transition_prob) * p_cold - p_hot)
+    p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
+    return 0.5 * h * protocol.nu_final_khz * ((1.0 - 2.0 * transition_prob) * p_cold - p_hot)
 
 
 def mean_heat_cold_closed_form(
@@ -348,10 +329,8 @@ def mean_heat_cold_closed_form(
     (gap_i / 2) * ((1 - 2 * transition_prob) * p_hot - p_cold).  Negative
     while the engine runs."""
     h = PLANCK_PEV_PER_KHZ
-    nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
-    p_cold = polarization(nu_i, thermal.kt_cold_pev)
-    p_hot = polarization(nu_f, thermal.kt_hot_pev)
-    return 0.5 * h * nu_i * ((1.0 - 2.0 * transition_prob) * p_hot - p_cold)
+    p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
+    return 0.5 * h * protocol.nu_initial_khz * ((1.0 - 2.0 * transition_prob) * p_hot - p_cold)
 
 
 # --- engine-level conveniences ---------------------------------------------
@@ -509,14 +488,8 @@ def _engine_plan(
     q = thermal_populations(nu_final_khz, kt_hot_pev)
     _checked_pair(p, "cold")
     _checked_pair(q, "hot")
-    e_initial, e_final = (
-        energies.tolist() for energies in _endpoint_spectra(nu_initial_khz, nu_final_khz)
-    )
-    for low, high in (e_initial, e_final):
-        if high <= low:
-            raise ValueError(
-                f"spectrum must be ascending, got {np.array([low, high])}"
-            )
+    e_initial, e_final = (_checked_spectrum(energies).tolist()
+                          for energies in _endpoint_spectra(nu_initial_khz, nu_final_khz))
     work = [(e_n - e_m) + (e_k - e_j)
             for e_n in e_initial for e_m in e_final for e_k in e_final for e_j in e_initial]
     heat = [e_k - e_m for e_m in e_final for e_k in e_final]
@@ -578,20 +551,33 @@ def _phase_table(u_bytes: bytes, energy_bytes: bytes) -> tuple[np.ndarray, np.nd
     return tables
 
 
-# keyed on the grid's bytes; an entry holds at most 24 bytes per grid point
-# (key, zero-key index and flag), so the two entries keep at most 48 bytes
-# per point of the larger recent grid
+# keyed on the grid's bytes, so a grid changed in place gets a new plan; an
+# entry holds at most 32 bytes per grid point (key and indices), so the two
+# entries keep at most 64 bytes per point of the larger recent grid
 @functools.lru_cache(maxsize=2)
-def _zero_keys(u_bytes: bytes) -> tuple[np.ndarray, tuple[bool, ...]] | None:
-    """None when some u of the grid rounds to a negative key (12 decimals);
-    else the indices of the zero keys and whether each |u| < 1e-15."""
+def _pairing(u_bytes: bytes) -> tuple[np.ndarray, int]:
+    """Read-only indices of the n_zero samples at |u| < 1e-15, then of each u
+    paired with the last sample whose u rounds to -u (12 decimals) and of
+    that partner, in turn.  NaN pairs with nothing."""
     u = np.frombuffer(u_bytes)
     keys = np.round(u, 12)
-    if (keys < 0.0).any():
-        return None
-    zero = np.flatnonzero(keys == 0.0)
-    zero.flags.writeable = False
-    return zero, tuple(abs(x) < 1e-15 for x in u[zero].tolist())
+    order = np.argsort(keys, kind="stable")
+    pos = np.searchsorted(keys[order], -keys, side="right") - 1
+    partner = order[np.maximum(pos, 0)]
+    own = np.flatnonzero((pos >= 0) & (keys[partner] == -keys))
+    zero = np.flatnonzero(np.abs(u) < 1e-15)
+    indices = np.concatenate([zero, np.stack([own, partner[own]], axis=1).ravel()])
+    indices.flags.writeable = False
+    return indices, len(zero)
+
+
+def _apart(differences: list[complex]) -> bool:
+    """Whether some |d| > 1e-12, rounded as numpy's complex abs rounds it;
+    Python's abs raises OverflowError only where numpy's gives inf."""
+    try:
+        return any(abs(d) > 1e-12 for d in differences)
+    except OverflowError:
+        return True
 
 
 # --- shared validation ------------------------------------------------------
@@ -628,12 +614,8 @@ def _stay_probability(transition_prob: float) -> float:
 def _endpoint_spectra(
     nu_initial_khz: float, nu_final_khz: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    gap_i = PLANCK_PEV_PER_KHZ * nu_initial_khz
-    gap_f = PLANCK_PEV_PER_KHZ * nu_final_khz
-    return (
-        np.array([-0.5 * gap_i, 0.5 * gap_i]),
-        np.array([-0.5 * gap_f, 0.5 * gap_f]),
-    )
+    gaps = (PLANCK_PEV_PER_KHZ * nu_initial_khz, PLANCK_PEV_PER_KHZ * nu_final_khz)
+    return tuple(np.array([-0.5 * gap, 0.5 * gap]) for gap in gaps)
 
 
 def _float_array(items: Iterable[float]) -> np.ndarray:

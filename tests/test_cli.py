@@ -252,6 +252,37 @@ def test_non_finite_drive_input_is_a_one_line_error(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "config_text, command, message",
+    [
+        ("[cycle]\ntau_us = 1e300\n", "cycle", "error: overflow encountered"),
+        ("[drive]\nnu_initial_khz = 1e308\nnu_final_khz = 1e308\n", "cycle",
+         "error: overflow encountered"),
+        ("[drive]\nnu_initial_khz = 1e308\nnu_final_khz = 1e308\n", "qpt",
+         "error: overflow encountered"),
+        ("[thermal]\nkt_cold_pev = inf\n", "sweep",
+         "error: line 2: kt_cold_pev must be finite and positive, got inf"),
+    ],
+    ids=["huge-duration", "huge-frequencies", "huge-frequencies-qpt", "infinite-cold-bath"],
+)
+def test_a_config_at_the_float_range_is_a_one_line_error(
+    tmp_path, capsys, config_text, command, message
+):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(config_text)
+    rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert rc == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_an_infinite_hot_bath_still_reports(tmp_path, capsys):
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("[thermal]\nhot_option = custom\nkt_hot_pev = inf\n")
+    rc, out, err = _run(capsys, ["cycle", "--config", str(cfg), "--mc-samples", "5"])
+    assert rc == 0 and err == ""
+    assert float(_rows(out)[0]["efficiency_carnot"]) == 1.0
+
+
 def _assert_counted_reference_error(tmp_path, capsys, config_text, width, count):
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(config_text)

@@ -354,7 +354,7 @@ def test_batched_overlap_checks_the_symmetry_of_every_propagator():
     sheared = vec_f @ np.array([[1.0, 0.1], [0.0, 1.0]]) @ vec_i.conj().T
     good = o.evolve_unitary(DEFAULT).matrix
     with pytest.raises(RuntimeError, match="symmetry violated"):
-        propagator.transition_probabilities(np.stack([good, sheared]), h_i, h_f)
+        propagator._flip_probabilities(np.stack([good, sheared]), vec_i, vec_f)
 
 
 def test_sweep_transition_probabilities_match_the_converged_oracle():

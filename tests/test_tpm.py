@@ -561,6 +561,17 @@ def test_a_grid_changed_in_place_is_checked_again():
     u[:2] = 1.0, 0.0
     with pytest.raises(ValueError, match=re.escape("chi(0) must equal 1")):
         o.CharacteristicSamples(u, values)
+    # -2 has no partner until it becomes -1, whose chi is not conj(chi(1))
+    u = np.array([1.0, 0.0, -2.0, 3.0])
+    values = np.array([0.5 + 0.1j, 1.0, 0.5 + 0.1j, 0.5])
+    o.CharacteristicSamples(u, values)
+    u[2] = -1.0
+    with pytest.raises(ValueError, match=re.escape("chi(-u) must equal conj(chi(u))")):
+        o.CharacteristicSamples(u, values)
+    values[2] = 0.5 - 0.1j
+    hits = tpm._pairing.cache_info().hits
+    o.CharacteristicSamples(u, values)  # the same bytes: the plan is kept
+    assert tpm._pairing.cache_info().hits == hits + 1
 
 
 def _chi_by_outer(dist, u):
@@ -761,13 +772,24 @@ def test_characteristic_samples_accept_and_reject_as_the_full_pairing_pass():
         except ValueError as exc:
             got = str(exc)
         assert got == expected, (u.tolist(), values.tolist())
-        fast = not (np.round(u, 12) < 0.0).any()
-        verdicts[fast, expected] = verdicts.get((fast, expected), 0) + 1
-    # both passes accept and reject both ways
-    for fast in (True, False):
+        negative = (np.round(u, 12) < 0.0).any()
+        verdicts[negative, expected] = verdicts.get((negative, expected), 0) + 1
+    # grids with and without a negative key accept and reject both ways
+    for negative in (True, False):
         for expected in (None, "chi(0) must equal 1", "chi(-u) must equal conj(chi(u))",
                          "chi samples must be finite"):
-            assert verdicts.get((fast, expected), 0) > 200, verdicts
+            assert verdicts.get((negative, expected), 0) > 200, verdicts
+
+
+@pytest.mark.parametrize("u, values, message", [
+    ([0.0], [1.7e308 + 1.7e308j], "chi(0) must equal 1"),
+    ([1.0, -1.0], [1.7e308 + 1.7e308j, 0.0], "chi(-u) must equal conj(chi(u))"),
+])
+def test_a_difference_too_large_for_abs_is_unequal(u, values, message):
+    # Python's abs raises OverflowError on these finite differences; numpy's is inf
+    assert oracles.characteristic_samples_verdict(u, values) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        o.CharacteristicSamples(u, values)
 
 
 def _lattice_samples(rng):
