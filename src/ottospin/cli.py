@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -364,5 +365,20 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _run() -> NoReturn:
+    """Process entry of ``python -m ottospin.cli`` and the ``ottospin`` script.
+
+    Before the interpreter exits, the objects that importing numpy and the
+    package made go to the permanent generation, so the full collections of
+    interpreter shutdown do not traverse them; the exit still flushes the
+    streams, runs the ``atexit`` handlers and tears the modules down.
+    ``main`` itself leaves the collector as it found it, for in-process
+    callers.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    _run()

@@ -208,8 +208,6 @@ def thermal_populations(nu_khz: float, kt_pev: float) -> tuple[float, float]:
 
 def polarization(nu_khz: float, kt_pev: float) -> float:
     """Population difference p_ground - p_excited = tanh(gap / 2 kT)."""
-    if math.isinf(kt_pev):
-        return 0.0
     ground, excited = thermal_populations(nu_khz, kt_pev)
     return ground - excited
 

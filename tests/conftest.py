@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from ottospin import cycle, propagator
+import ottospin  # noqa: F401 - loads every module whose caches are cleared below
 
 _CRITERION_LINES: list[str] = []
 
@@ -18,13 +20,25 @@ def criterion():
     return record
 
 
+def _package_caches():
+    """Every ``functools.lru_cache`` defined at module level in the package."""
+    return [
+        value
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("ottospin.")
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+        and getattr(value, "__module__", None) == name
+    ]
+
+
 @pytest.fixture(autouse=True)
-def _fresh_drive_caches():
-    """Start each test with no kept propagators or cycle plan, so a test
-    that patches the kernel or ``eigensystem`` sees its patch called rather
-    than a product or eigenbasis kept by an earlier test."""
-    propagator._converged.cache_clear()
-    cycle._cycle_plan.cache_clear()
+def _fresh_caches():
+    """Start each test with every package cache empty, so that a test that
+    patches the kernel or ``eigensystem`` sees its patch called rather than
+    a product, eigenbasis or plan kept by an earlier test."""
+    for cache in _package_caches():
+        cache.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -102,8 +102,11 @@ def test_every_public_name_resolves():
 
 FFT_PROBE = """
 import sys
+lazy = ("numpy.fft", "numpy.random")
 import ottospin
-print(sorted(m for m in sys.modules if m.startswith("numpy.fft")))
+print(sorted(m for m in sys.modules if m.startswith(lazy)))
+import ottospin.cli
+print(sorted(m for m in sys.modules if m.startswith(lazy)))
 samples = ottospin.characteristic_function(
     ottospin.EnergyDistribution((0.0,), (1.0,), "work"), ottospin.conjugate_u_grid(1.0, 4)
 )
@@ -113,11 +116,12 @@ print("numpy.fft" in sys.modules)
 
 
 def test_import_does_not_load_numpy_fft():
-    # every CLI run pays for what `import ottospin` loads; the FFT is loaded
-    # on first use by the inversion, which the probe then checks it sees
+    # every CLI run pays for what `import ottospin` and `ottospin.cli` load;
+    # the FFT is loaded on first use by the inversion, which the probe then
+    # checks it sees, and numpy.random by the Monte Carlo run that draws
     src = str(Path(o.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", FFT_PROBE], capture_output=True, text=True, check=True, env=env
     )
-    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+    assert done.stdout.split("\n")[:3] == ["[]", "[]", "True"]

@@ -1,10 +1,16 @@
-"""End-to-end command-line checks, run in-process through ``main``."""
+"""End-to-end command-line checks, run in-process through ``main``, and
+through the process entry in a fresh interpreter."""
 
 import csv
+import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,3 +469,91 @@ def test_a_curve_window_far_beyond_every_atom_draws_zeros_without_a_warning(
     assert rc == 0 and err == ""
     assert json.loads(out)["curve"]["density"][::2] == [0.0, 0.0]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# --- the process entry ----------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                   os.environ.get("PYTHONPATH", "")]))
+
+
+def _run_process(argv, *, cwd):
+    return subprocess.run([sys.executable, "-m", "ottospin.cli", *argv],
+                          capture_output=True, env=ENV, cwd=cwd)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--mc-samples", "5"],
+        ["cycle", "--tau", "300", "--mc-samples", "5", "--format", "json"],
+        ["work-dist", "--tau", "300"],
+        ["heat-dist", "--tau", "700", "--format", "json"],
+        ["qpt", "--tau", "300"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_run_as_a_process_prints_what_main_prints(tmp_path, capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    done = _run_process(argv, cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (rc, out.encode(), err.encode())
+    assert rc == 0 and out and not err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--bogus"], 1),
+        (["sweep", "--hot", "Z"], 1),
+        (["sweep", "--config", "bad.cfg"], 1),
+        (["sweep", "--config", "missing.cfg"], 2),
+    ],
+    ids=["bad-flag", "bad-flag-value", "bad-config-value", "missing-config"],
+)
+def test_a_failing_process_prints_one_error_line_and_mains_exit_code(
+    tmp_path, capsys, monkeypatch, argv, code
+):
+    (tmp_path / "bad.cfg").write_text("[drive]\nnu_initial_khz = -2\n")
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = _run(capsys, argv)
+    done = _run_process(argv, cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (rc, out.encode(), err.encode())
+    assert rc == code and out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+# each launcher reaches the entry as the console script and ``python -m`` do,
+# and reports from an atexit handler, which must still run after the freeze
+ENTRY_PROBES = {
+    "console-script": "from ottospin.cli import _run\nsys.exit(_run())",
+    "python-m": "import runpy\nrunpy.run_module('ottospin.cli', run_name='__main__')",
+}
+
+
+@pytest.mark.parametrize("launcher", sorted(ENTRY_PROBES))
+def test_the_process_entry_freezes_the_collector_before_the_exit(tmp_path, capsys, launcher):
+    argv = ["qpt", "--tau", "300"]
+    probe = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv = ['ottospin', *{argv!r}]\n" + ENTRY_PROBES[launcher]
+    )
+    rc, out, _ = _run(capsys, argv)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env=ENV, cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (rc, out.encode(), b"frozen True\n")
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    for argv in (["qpt", "--tau", "300"], ["sweep", "--hot", "Z"]):
+        main(argv)
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+    capsys.readouterr()
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"ottospin": "ottospin.cli:_run"}

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import _package_caches
+
 SOURCES = sorted(
     path for path in (Path(__file__).resolve().parents[1] / "src" / "ottospin").glob("*.py")
     if path.name != "__init__.py"
@@ -36,3 +38,17 @@ def test_module_has_no_unused_import(path):
 def test_an_unused_import_is_found():
     source = "import math\nimport os  # noqa: F401\nfrom typing import Any, List\nx: Any = 1\n"
     assert _unused_imports(source) == ["line 1: math", "line 3: List"]
+
+
+def test_every_package_cache_is_cleared_between_tests():
+    # the autouse fixture in conftest.py clears what _package_caches finds;
+    # a cache it missed could answer a later test from an earlier one
+    decorated = sorted(
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(ast.unparse(d).split("(")[0].endswith("cache") for d in node.decorator_list)
+    )
+    found = sorted(f"{c.__module__.rpartition('.')[2]}.{c.__name__}" for c in _package_caches())
+    assert decorated and found == decorated

@@ -216,6 +216,13 @@ def test_polarization_is_half_argument_tanh():
     assert o.polarization(2.0, math.inf) == 0.0
 
 
+@pytest.mark.parametrize("kt", [1.0, math.inf])
+def test_polarization_rejects_a_nonpositive_splitting_at_every_temperature(kt):
+    # an infinite bath checks the splitting too, as thermal_populations does
+    with pytest.raises(ValueError, match="splitting frequency must be positive"):
+        o.polarization(-1.0, kt)
+
+
 def test_populations_and_polarization_past_exp_overflow():
     # gap/kT = 1000: exp(gap/kT) is beyond the largest double, and the
     # excited weight exp(-1000) is below the smallest one
