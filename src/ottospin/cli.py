@@ -170,8 +170,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # line, not a warning before one or a non-finite report
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             handler(cfg)
+    except FloatingPointError as exc:
+        stage = _floating_point_stage(exc)
+        print(f"error: {stage + ': ' if stage else ''}{exc}", file=sys.stderr)
+        return 1
     # RuntimeError covers ConvergenceError and the transition-symmetry check
-    except (ConfigError, RuntimeError, ValueError, FloatingPointError) as exc:
+    except (ConfigError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # an accepted sample count or curve size whose arrays cannot be allocated
@@ -182,6 +186,36 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+#: The stage a floating-point error line names, by the package module that
+#: runs it; ``spin`` and ``config`` serve several stages and name none.
+_STAGES = {
+    "ottospin.propagator": "propagator",
+    "ottospin.cycle": "cycle report",
+    "ottospin.tpm": "TPM",
+    "ottospin.process": "process",
+}
+
+
+def _floating_point_stage(exc: FloatingPointError) -> str | None:
+    """The stage of the innermost frame of ``exc``'s traceback whose module
+    has one.  In ``cycle``, the innermost of ``_sweep_points`` (the point
+    reports) and ``sweep_with_uncertainty`` (which runs the Monte Carlo
+    after them) tells the two apart."""
+    frames = []
+    tb = exc.__traceback__
+    while tb is not None:
+        frames.append((tb.tb_frame.f_globals.get("__name__"), tb.tb_frame.f_code.co_name))
+        tb = tb.tb_next
+    frames.reverse()
+    module = next((module for module, _ in frames if module in _STAGES), None)
+    if module == "ottospin.cycle" and next(
+        (name for _, name in frames if name in ("_sweep_points", "sweep_with_uncertainty")),
+        None,
+    ) == "sweep_with_uncertainty":
+        return "Monte Carlo"
+    return _STAGES.get(module)
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:

@@ -261,11 +261,11 @@ def test_non_finite_drive_input_is_a_one_line_error(
 @pytest.mark.parametrize(
     "config_text, command, message",
     [
-        ("[cycle]\ntau_us = 1e300\n", "cycle", "error: overflow encountered"),
+        ("[cycle]\ntau_us = 1e300\n", "cycle", "error: propagator: overflow encountered"),
         ("[drive]\nnu_initial_khz = 1e308\nnu_final_khz = 1e308\n", "cycle",
-         "error: overflow encountered"),
+         "error: propagator: overflow encountered"),
         ("[drive]\nnu_initial_khz = 1e308\nnu_final_khz = 1e308\n", "qpt",
-         "error: overflow encountered"),
+         "error: propagator: overflow encountered"),
         ("[thermal]\nkt_cold_pev = inf\n", "sweep",
          "error: line 2: kt_cold_pev must be finite and positive, got inf"),
     ],
@@ -279,6 +279,34 @@ def test_a_config_at_the_float_range_is_a_one_line_error(
     rc, out, err = _run(capsys, [command, "--config", str(cfg)])
     assert rc == 1 and out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def _overflow(*args, **kwargs):
+    return np.multiply(1e308, 10.0)  # raises under main's errstate
+
+
+@pytest.mark.parametrize(
+    "module, name, argv, line",
+    [
+        ("cycle", "_drive_relative_entropy", ["cycle"], "cycle report"),
+        ("cycle", "_repair_batch", ["cycle"], "Monte Carlo"),
+        ("tpm", "_stay_probability", ["work-dist"], "TPM"),
+        ("process", "apply_process", ["qpt"], "process"),
+    ],
+)
+def test_a_floating_point_error_line_names_its_stage(
+    monkeypatch, capsys, module, name, argv, line
+):
+    monkeypatch.setattr(f"ottospin.{module}.{name}", _overflow)
+    rc, out, err = _run(capsys, [*argv, "--tau", "300"])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {line}: overflow encountered in multiply\n"
+
+
+def test_a_floating_point_error_outside_the_stages_names_none(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_render_table", _overflow)
+    rc, out, err = _run(capsys, ["cycle", "--mc-samples", "5"])
+    assert (rc, out, err) == (1, "", "error: overflow encountered in multiply\n")
 
 
 def test_an_infinite_hot_bath_still_reports(tmp_path, capsys):

@@ -9,6 +9,7 @@ relative-entropy production) are required to agree without sharing code.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -731,6 +732,50 @@ def test_monte_carlo_spreads_are_each_fields_mean_and_stddev(monkeypatch, n_samp
             assert repr(spread[name]) == repr(
                 o.UncertaintyEstimate(float(np.mean(values)), stddev)
             )
+
+
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("width", [0.01, 1e-310, 5e-324, 1e300])
+def test_monte_carlo_draws_are_the_normal_stream_bit_for_bit(width, n):
+    # signed zeros included: at 5e-324 most products w z underflow to zero
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    expected = np.moveaxis(rng.normal(0.0, math.sqrt(2) * width, (n, 4, 4)), 0, -1)
+    draws = cycle._draw_noise(3, width, n)
+    assert draws.shape == (4, 4, n) and draws.flags.c_contiguous
+    assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
+
+
+def test_an_overflowing_noise_width_is_the_counted_error_under_raising_errstate():
+    with np.errstate(over="raise"), pytest.raises(
+        ValueError, match=r"^Monte Carlo noise overflows at noise width 1e\+308$"
+    ):
+        o.cycle_with_uncertainty(_config(300.0), 1e308, 100, 0)
+
+
+@pytest.mark.parametrize("n_samples", [1000, 5000])
+@pytest.mark.parametrize("thermal", [THERMAL_A, THERMAL_B], ids=["A", "B"])
+def test_monte_carlo_sweep_spreads_are_the_one_duration_spreads_exactly(thermal, n_samples):
+    swept = o.sweep_with_uncertainty(_config(100.0, thermal), TAU_GRID, 0.01, n_samples, 4)
+    for tau, (_, spread) in zip(TAU_GRID, swept):
+        single = o.cycle_with_uncertainty(_config(tau, thermal), 0.01, n_samples, 4)[1]
+        assert spread == single, tau
+
+
+def test_monte_carlo_peak_memory_does_not_grow_with_the_duration_count():
+    # numpy reports its array buffers to tracemalloc; durations run one at a
+    # time, so ten of them peak where one does
+    def peak(taus):
+        o.sweep_with_uncertainty(_config(100.0), taus, 0.01, 20000, 1)  # warm caches
+        tracemalloc.start()
+        try:
+            o.sweep_with_uncertainty(_config(100.0), taus, 0.01, 20000, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, ten = peak(TAU_GRID[:1]), peak(TAU_GRID)
+    assert one > 4 * 4 * 20000 * 8
+    assert ten <= 1.1 * one, (one, ten)
 
 
 def test_monte_carlo_validates_arguments():
