@@ -143,9 +143,10 @@ class ConvergenceError(RuntimeError):
     """Raised when step doubling fails to stabilize the Magnus product."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryMap:
-    """A 2x2 unitary with the protocol and Magnus step count that produced it."""
+    """A 2x2 unitary with the protocol and Magnus step count that produced it.
+    Maps compare and hash by identity, as an array field has no truth value."""
 
     matrix: np.ndarray
     protocol: DriveProtocol
@@ -195,9 +196,11 @@ def evolve_unitaries(
     return matrices.copy(), steps.copy()
 
 
-# one call's converged stack and step counts, read-only, keyed on the drive,
-# the starting step count and the bytes of the durations in order; about
-# 0.5 kB plus 80 B per duration an entry
+# pays on mc_cycle: 40 hits / 10 misses over seed 1's 27 s request list,
+# where requests repeat a drive (tau_scan: 0 hits / 20 misses).  One call's
+# converged stack and step counts, read-only, keyed on the drive, the
+# starting step count and the bytes of the durations in order; about 0.5 kB
+# plus 80 B per duration an entry
 @functools.lru_cache(maxsize=32)
 def _converged(
     nu_initial_khz: float, nu_final_khz: float, compression: bool, n_steps: int, tau_bytes: bytes

@@ -2,10 +2,9 @@
 
 Work here is defined from projective energy measurements before and after
 each drive stroke.  A full engine cycle has sixteen possible four-outcome
-histories (two levels at each of the four measurements); their
-(2, 2, 2, 2) table, the resulting work and heat atom distributions,
-characteristic functions with discrete Fourier inversion, and the closed-form
-means all live in this module.
+histories (two levels at each of the four measurements); the work and heat
+atom distributions they give, characteristic functions with discrete
+Fourier inversion, and the closed-form means all live in this module.
 
 Sign convention: every per-history energy is the contribution to the
 *extracted* work (measured drop of the medium's energy during expansion plus
@@ -102,8 +101,9 @@ class CharacteristicSamples:
         object.__setattr__(self, "values", vals)
         if not np.isfinite(vals).all():
             raise ValueError("chi samples must be finite")
-        indices, n_zero = _pairing(u.tobytes())
-        picked = vals[indices].tolist()
+        plan = _grid_plan(u.tobytes())
+        picked = vals[plan.pairs].tolist()
+        n_zero = plan.n_zero
         if _apart([v - 1.0 for v in picked[:n_zero]]):
             raise ValueError("chi(0) must equal 1")
         own, partner = picked[n_zero::2], picked[n_zero + 1::2]
@@ -117,71 +117,6 @@ def transition_matrix(transition_prob: float) -> np.ndarray:
     stay probability."""
     stay = _stay_probability(transition_prob)
     return np.array([[stay, transition_prob], [transition_prob, stay]])
-
-
-def enumerate_histories(
-    cold_populations: Sequence[float],
-    hot_populations: Sequence[float],
-    transition_prob: float,
-    spectra: tuple[Sequence[float], Sequence[float]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """All sixteen cycle histories as ``(delta_e_pev, probability)``, two
-    arrays of shape (2, 2, 2, 2) indexed ``[n, m, k, j]``.
-
-    ``n``/``m`` are the levels found before and after the expansion stroke,
-    ``k``/``j`` before and after the compression stroke (0 = ground,
-    1 = excited).  ``spectra`` holds the (initial, final) endpoint energy
-    pairs (ascending, peV).  The expansion stroke contributes the energy drop
-    e_i[n] - e_f[m], the compression stroke e_f[k] - e_i[j]; both strokes
-    share the same transfer matrix because the compression propagator is the
-    adjoint of the expansion one.  The weight of a history is
-    p[n] T[m, n] q[k] T[j, k].
-    """
-    p = _checked_populations(cold_populations, "cold")
-    q = _checked_populations(hot_populations, "hot")
-    e_initial, e_final = (_checked_spectrum(s) for s in spectra)
-    # transfer_t[n, m] = T[m, n]: the weight of landing on m from n
-    transfer_t = transition_matrix(transition_prob).T
-
-    probability = (
-        p[:, None, None, None] * transfer_t[:, :, None, None] * q[:, None] * transfer_t
-    )
-    expansion = e_initial[:, None] - e_final
-    compression = e_final[:, None] - e_initial
-    delta_e = expansion[:, :, None, None] + compression
-    return delta_e, probability
-
-
-def post_expansion_populations(
-    cold_populations: Sequence[float], transition_prob: float
-) -> tuple[float, float]:
-    """Level occupations right after the expansion stroke."""
-    p = _checked_populations(cold_populations, "cold")
-    transfer = transition_matrix(transition_prob)
-    s = transfer @ p
-    return float(s[0]), float(s[1])
-
-
-def heat_distribution(
-    post_expansion: Sequence[float],
-    hot_populations: Sequence[float],
-    final_spectrum: Sequence[float],
-) -> EnergyDistribution:
-    """Distribution of heat absorbed from the hot reservoir.
-
-    The heating stroke happens at the wide gap, so the only atoms are 0 and
-    plus/minus that gap: the medium enters with occupations ``post_expansion``
-    and leaves thermalized with occupations ``hot_populations``; level
-    transfer during the stroke is unconstrained (full rethermalization), so
-    the joint weight is the plain product s_m * q_k.
-    """
-    s = _checked_populations(post_expansion, "post-expansion")
-    q = _checked_populations(hot_populations, "hot")
-    e_f = _checked_spectrum(final_spectrum)
-    # [m, k]: enter at level m, leave at level k
-    values = e_f - e_f[:, None]
-    probs = s[:, None] * q
-    return EnergyDistribution.from_atoms(values.ravel(), probs.ravel(), kind="heat")
 
 
 def mean(dist: EnergyDistribution) -> float:
@@ -242,7 +177,8 @@ def invert_characteristic(
     ``EnergyDistribution.from_atoms``, which merges atoms closer than the
     tolerance.
     """
-    n, fold, spacing, energies, phase, noise_floor = _lattice(samples.u_per_pev.tobytes())
+    n, fold, spacing, energies, phase, noise_floor = _grid_plan(
+        samples.u_per_pev.tobytes()).lattice
     # numpy.fft loads on first use, so the CLI's import does not pay for it
     spectrum = np.fft.fft(samples.values)[fold]
     weights = (phase * spectrum).real / n
@@ -343,12 +279,18 @@ def endpoint_spectra(protocol: DriveProtocol) -> tuple[np.ndarray, np.ndarray]:
 def engine_work_distribution(
     protocol: DriveProtocol, thermal: ThermalParams, transition_prob: float
 ) -> EnergyDistribution:
-    """Work distribution of the full cycle at the given level-swap
-    probability.
+    """Work distribution of the full cycle at the level-swap probability xi.
 
-    The sixteen histories of ``enumerate_histories``, in its [n, m, k, j]
-    order and with its IEEE operations, built on Python floats.  Everything
-    but the weights comes from the engine's plan (see ``_engine_plan``).
+    A history [n, m, k, j] finds level n before and m after the expansion
+    stroke, k before and j after the compression stroke (0 = ground,
+    1 = excited).  It extracts (e_i[n] - e_f[m]) + (e_f[k] - e_i[j]) for the
+    endpoint spectra e_i, e_f of ``endpoint_spectra`` and has the weight
+    p[n] T[m, n] q[k] T[j, k] (Talkner, Lutz & Hänggi, Phys. Rev. E 75,
+    050102 (2007)): p and q are the cold and hot Gibbs populations and T is
+    the ``transition_matrix`` of xi, which both strokes share because the
+    compression propagator is the adjoint of the expansion one.  The weights
+    are multiplied left to right on Python floats; everything else comes
+    from the engine's plan (see ``_engine_plan``).
     """
     plan = _engine_plan(protocol.nu_initial_khz, protocol.nu_final_khz,
                         thermal.kt_cold_pev, thermal.kt_hot_pev)
@@ -364,12 +306,18 @@ def engine_work_distribution(
 def engine_heat_distribution(
     protocol: DriveProtocol, thermal: ThermalParams, transition_prob: float
 ) -> EnergyDistribution:
-    """Hot-reservoir heat distribution of the full cycle: the atoms of
-    ``heat_distribution`` after ``post_expansion_populations``, on Python
-    floats, with everything but the weights from the engine's plan."""
+    """Hot-reservoir heat distribution of the full cycle at the level-swap
+    probability xi.
+
+    The medium meets the hot bath on level m of the wide gap, with the
+    post-expansion populations s = T p, and leaves it rethermalized on level
+    k: the heat e_f[k] - e_f[m] has the weight s[m] q[k], the weights of
+    ``engine_work_distribution`` summed over n and j.  Everything but the
+    weights comes from the engine's plan."""
     plan = _engine_plan(protocol.nu_initial_khz, protocol.nu_final_khz,
                         thermal.kt_cold_pev, thermal.kt_hot_pev)
-    # numpy's 2x2 matmul, whose rounding a*b + c*d does not always share
+    # s = T p by numpy's 2x2 matmul, whose rounding the heat weights keep and
+    # a*b + c*d on Python floats does not always share
     s = (transition_matrix(transition_prob) @ plan.p_array).tolist()
     _checked_pair(s, "post-expansion")
     probs = [s_m * q_k for s_m in s for q_k in plan.q]
@@ -380,7 +328,7 @@ def _history_entropy_production(
     protocol: DriveProtocol, thermal: ThermalParams, transition_prob: float
 ) -> tuple[float, float]:
     """<sigma> and <e^-sigma> over the sixteen histories [n, m, k, j] of
-    ``enumerate_histories``.  History [n, m, k, j] takes the hot heat
+    ``engine_work_distribution``.  History [n, m, k, j] takes the hot heat
     Q_h = e_f[k] - e_f[m] and the cold heat Q_c = e_i[n] - e_i[j], and
     produces the entropy sigma = -Q_h/kT_hot - Q_c/kT_cold.
 
@@ -477,8 +425,9 @@ class _EnginePlan(NamedTuple):
     heat: _SortedAtoms  # the 4 heat energies, [m, k] before sorting
 
 
-# a sweep asks for one engine's plan at each of its durations; an entry holds
-# about 2.9 kB (two atom sets of 16 and 4 energies), up to ~4 kB when clusters
+# pays on tau_scan: 1210 hits / 10 misses over seed 1's 27 s request list,
+# and on mc_cycle: 98 hits / 2 misses, as a sweep asks for one engine's plan
+# at each of its durations.  An entry holds about 2.9 kB (two atom sets of 16 and 4 energies), up to ~4 kB when clusters
 # merge distinct energies, so the 32 entries keep at most about 130 kB
 @functools.lru_cache(maxsize=32)
 def _engine_plan(
@@ -499,43 +448,7 @@ def _engine_plan(
                        _sorted_atoms(np.array(heat)))
 
 
-class _Lattice(NamedTuple):
-    """The energy lattice of a uniform u grid of n points: j mod n for each
-    lattice index j, the spacing dE, the energies j dE, the phase factors
-    exp(-i u_0 j dE) and the round-off scale 16 n eps."""
-
-    n: int
-    fold: np.ndarray
-    spacing: float
-    energies: np.ndarray
-    phase: np.ndarray
-    noise_floor: float
-
-
-# keyed on the grid's bytes, so a grid changed in place gets a new plan; an
-# entry holds 40 bytes per grid point (key, fold, energies, phase), so the
-# two entries keep at most 80 bytes per point of the larger recent grid
-@functools.lru_cache(maxsize=2)
-def _lattice(u_bytes: bytes) -> _Lattice:
-    u = np.frombuffer(u_bytes)
-    if len(u) < 2:
-        raise ValueError("need at least two samples to invert")
-    du = u[1] - u[0]
-    # NaN fails both comparisons, as a decreasing or uneven grid does
-    with np.errstate(invalid="ignore"):
-        uniform = du > 0.0 and np.abs(u[1:] - u[:-1] - du).max() <= 1e-9 * du
-    if not uniform:
-        raise ValueError("u grid must be uniformly spaced and increasing")
-    n = len(u)
-    indices = np.arange(-(n // 2), n - n // 2)
-    spacing = 2.0 * np.pi / (n * du)
-    energies = indices * spacing
-    fold, phase = indices % n, np.exp(-1j * u[0] * energies)
-    for array in (fold, energies, phase):
-        array.flags.writeable = False
-    return _Lattice(n, fold, spacing, energies, phase, 16.0 * n * np.finfo(float).eps)
-
-
+# pays on tau_scan: 600 hits / 10 misses over seed 1's 27 s request list.
 # cos and sin of the phases u E, whose energies keep their bits over an
 # engine's durations; keyed on bytes, as -0.0 == 0.0 would share an entry.  A
 # phase that overflows leaves chi non-finite: CharacteristicSamples rejects
@@ -551,24 +464,73 @@ def _phase_table(u_bytes: bytes, energy_bytes: bytes) -> tuple[np.ndarray, np.nd
     return tables
 
 
-# keyed on the grid's bytes, so a grid changed in place gets a new plan; an
-# entry holds at most 32 bytes per grid point (key and indices), so the two
-# entries keep at most 64 bytes per point of the larger recent grid
+class _Lattice(NamedTuple):
+    """The energy lattice of a uniform u grid of n points: j mod n for each
+    lattice index j, the spacing dE, the energies j dE, the phase factors
+    exp(-i u_0 j dE) and the round-off scale 16 n eps."""
+
+    n: int
+    fold: np.ndarray
+    spacing: float
+    energies: np.ndarray
+    phase: np.ndarray
+    noise_floor: float
+
+
+class _GridPlan:
+    """What a u grid fixes: ``pairs``, the read-only indices of the n_zero
+    samples at |u| < 1e-15 that ``CharacteristicSamples`` compares with 1,
+    then of each u paired with the last sample whose u rounds to -u (12
+    decimals) and of that partner, in turn (NaN pairs with nothing); and the
+    inversion's ``lattice``.  Any grid has pairs.  Only the inversion reads
+    the lattice, and it is built then, after the checks that only the
+    inversion makes, so a grid that fails them never has its phase factors
+    computed; a lattice once built is kept, and a failed one fails again."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        keys = np.round(u, 12)
+        order = np.argsort(keys, kind="stable")
+        pos = np.searchsorted(keys[order], -keys, side="right") - 1
+        partner = order[np.maximum(pos, 0)]
+        own = np.flatnonzero((pos >= 0) & (keys[partner] == -keys))
+        zero = np.flatnonzero(np.abs(u) < 1e-15)
+        self.u = u
+        self.pairs = np.concatenate([zero, np.stack([own, partner[own]], axis=1).ravel()])
+        self.pairs.flags.writeable = False
+        self.n_zero = len(zero)
+
+    @functools.cached_property
+    def lattice(self) -> _Lattice:
+        u = self.u
+        if len(u) < 2:
+            raise ValueError("need at least two samples to invert")
+        du = u[1] - u[0]
+        # NaN fails both comparisons, as a decreasing or uneven grid does
+        with np.errstate(invalid="ignore"):
+            uniform = du > 0.0 and np.abs(u[1:] - u[:-1] - du).max() <= 1e-9 * du
+        if not uniform:
+            raise ValueError("u grid must be uniformly spaced and increasing")
+        n = len(u)
+        indices = np.arange(-(n // 2), n - n // 2)
+        spacing = 2.0 * np.pi / (n * du)
+        energies = indices * spacing
+        fold, phase = indices % n, np.exp(-1j * u[0] * energies)
+        for array in (fold, energies, phase):
+            array.flags.writeable = False
+        return _Lattice(n, fold, spacing, energies, phase, 16.0 * n * np.finfo(float).eps)
+
+
+# pays on tau_scan: 1210 hits / 10 misses over seed 1's 27 s request list,
+# each chi checked and then inverted on its engine's grid.  Keyed on the
+# grid's bytes, so a grid changed in place gets a new plan.  Every grid the
+# package and perfbench build comes from conjugate_u_grid, which starts at
+# u = 0 and has no negative u, so its pairs are u = 0 with itself.  An entry
+# holds at most 64 bytes per grid point (key, pairs, and once inverted fold,
+# energies and phase), so the two entries keep at most 128 bytes per point
+# of the larger recent grid
 @functools.lru_cache(maxsize=2)
-def _pairing(u_bytes: bytes) -> tuple[np.ndarray, int]:
-    """Read-only indices of the n_zero samples at |u| < 1e-15, then of each u
-    paired with the last sample whose u rounds to -u (12 decimals) and of
-    that partner, in turn.  NaN pairs with nothing."""
-    u = np.frombuffer(u_bytes)
-    keys = np.round(u, 12)
-    order = np.argsort(keys, kind="stable")
-    pos = np.searchsorted(keys[order], -keys, side="right") - 1
-    partner = order[np.maximum(pos, 0)]
-    own = np.flatnonzero((pos >= 0) & (keys[partner] == -keys))
-    zero = np.flatnonzero(np.abs(u) < 1e-15)
-    indices = np.concatenate([zero, np.stack([own, partner[own]], axis=1).ravel()])
-    indices.flags.writeable = False
-    return indices, len(zero)
+def _grid_plan(u_bytes: bytes) -> _GridPlan:
+    return _GridPlan(np.frombuffer(u_bytes))
 
 
 def _apart(differences: list[complex]) -> bool:
@@ -582,17 +544,9 @@ def _apart(differences: list[complex]) -> bool:
 
 # --- shared validation ------------------------------------------------------
 
-def _checked_populations(populations: Sequence[float], label: str) -> np.ndarray:
-    pops = np.asarray(populations, dtype=float)
-    if pops.shape != (2,):
-        raise ValueError(f"{label} populations must be a pair, got shape {pops.shape}")
-    _checked_pair(pops.tolist(), label)
-    return pops
-
-
 def _checked_pair(pops: list[float], label: str) -> None:
-    """Check a population pair of Python floats as ``_checked_populations``
-    checks an array."""
+    """Check that a population pair of Python floats is nonnegative and sums
+    to 1 within 1e-9."""
     first, second = pops
     if first < 0.0 or second < 0.0:
         raise ValueError(

@@ -55,12 +55,10 @@ PUBLIC_API = [
     "engine_heat_distribution",
     "engine_work_distribution",
     "entropy_production_drive",
-    "enumerate_histories",
     "evolve_unitary",
     "extraction_bound",
     "gap_frequency",
     "gibbs_state",
-    "heat_distribution",
     "identity_process",
     "invert_characteristic",
     "lorentzian_broaden",
@@ -71,7 +69,6 @@ PUBLIC_API = [
     "mix_processes",
     "parse_config",
     "polarization",
-    "post_expansion_populations",
     "process_trace_distance",
     "propagate_state",
     "relative_entropy",

@@ -726,8 +726,8 @@ def test_monte_carlo_spreads_are_each_fields_mean_and_stddev(monkeypatch, n_samp
     assert len(captured) == 1 + len(TAU_GRID)
     for (_, spread), samples in zip(swept, captured[1:]):
         assert list(spread) == list(o.MONTE_CARLO_FIELDS)
-        for name, values in samples.items():
-            assert values.shape == (n_samples,)
+        assert samples.shape == (len(o.MONTE_CARLO_FIELDS), n_samples)
+        for name, values in zip(o.MONTE_CARLO_FIELDS, samples, strict=True):
             stddev = float(np.std(values, ddof=1)) if n_samples > 1 else 0.0
             assert repr(spread[name]) == repr(
                 o.UncertaintyEstimate(float(np.mean(values)), stddev)

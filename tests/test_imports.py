@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and says of each
+cache which benchmark workload it pays on."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,46 @@ def test_every_package_cache_is_cleared_between_tests():
     )
     found = sorted(f"{c.__module__.rpartition('.')[2]}.{c.__name__}" for c in _package_caches())
     assert decorated and found == decorated
+
+
+WORKLOAD_HITS = re.compile(r"\b(mc_cycle|tau_scan|sweep_cli)\b\W+\d+ hits / \d+ misses")
+
+
+def _caches_without_a_workload(source: str) -> list[str]:
+    """Module-level ``lru_cache`` functions whose comment block right above
+    the decorators does not name a benchmark workload with its hits and
+    misses, as in "pays on tau_scan: 600 hits / 10 misses"."""
+    lines = source.splitlines()
+    missing = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or not any(
+            "lru_cache" in ast.unparse(d) for d in node.decorator_list
+        ):
+            continue
+        above = node.decorator_list[0].lineno - 2
+        comment = []
+        while above >= 0 and lines[above].lstrip().startswith("#"):
+            comment.insert(0, lines[above].lstrip("# "))
+            above -= 1
+        if not WORKLOAD_HITS.search(" ".join(comment)):
+            missing.append(node.name)
+    return missing
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_cache_names_the_workload_it_pays_on(path):
+    # a cache is kept only where a workload shows it paying
+    assert _caches_without_a_workload(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_cache_without_its_workload_is_found():
+    source = (
+        "import functools\n\n"
+        "# pays on tau_scan: 600 hits / 10 misses\n"
+        "@functools.lru_cache(maxsize=2)\ndef kept(x):\n    return x\n\n"
+        "# pays on tau_scan\n"
+        "@functools.lru_cache(maxsize=2)\ndef uncounted(x):\n    return x\n\n"
+        "# pays on mc_cycle: 40 hits / 10 misses\n\n"
+        "@functools.lru_cache\ndef detached(x):\n    return x\n"
+    )
+    assert _caches_without_a_workload(source) == ["uncounted", "detached"]

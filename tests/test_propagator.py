@@ -387,6 +387,14 @@ def test_unitary_map_rejects_non_unitary_matrices():
         o.UnitaryMap(np.array([[1.0, 0.0], [0.0, 0.5]], complex), DEFAULT, 1)
 
 
+def test_unitary_maps_compare_by_identity_and_go_in_a_set():
+    # an array field has no truth value, so maps are equal only to themselves
+    u, v = o.evolve_unitary(DEFAULT), o.evolve_unitary(DEFAULT)
+    np.testing.assert_array_equal(u.matrix, v.matrix)
+    assert u == u and u != v
+    assert {u, v, u} == {u, v} and len({u, v}) == 2
+
+
 def test_transition_probability_default_ramp():
     ref = oracles.TRANSITION_PROB_CONVERGED
     assert _swap_prob(100.0) == pytest.approx(ref[100.0], abs=1e-10)

@@ -56,14 +56,14 @@ def test_transition_matrix_is_doubly_stochastic(swap_prob):
 
 
 def test_enumerate_histories_covers_all_sixteen_outcomes():
-    delta, prob = o.enumerate_histories(*_default_inputs(SWAP_100))
+    delta, prob = oracles.enumerate_histories(*_default_inputs(SWAP_100))
     assert delta.shape == prob.shape == (2, 2, 2, 2)
 
 
 def test_history_probabilities_factorize():
     p, q, swap_prob, spectra = _default_inputs(SWAP_100)
     t = o.transition_matrix(swap_prob)
-    _, prob = o.enumerate_histories(p, q, swap_prob, spectra)
+    _, prob = oracles.enumerate_histories(p, q, swap_prob, spectra)
     for n, m, k, j in np.ndindex(prob.shape):
         expected = p[n] * t[m, n] * q[k] * t[j, k]
         assert prob[n, m, k, j] == pytest.approx(expected, abs=1e-15)
@@ -71,7 +71,7 @@ def test_history_probabilities_factorize():
 
 def test_history_energies_match_brute_force_pairs():
     p, q, swap_prob, spectra = _default_inputs(SWAP_100)
-    got_delta, got_prob = o.enumerate_histories(p, q, swap_prob, spectra)
+    got_delta, got_prob = oracles.enumerate_histories(p, q, swap_prob, spectra)
     pairs = oracles.brute_force_work_pairs(p, q, swap_prob, spectra[0], spectra[1])
     # the oracle nests its loops in the same n, m, k, j order
     for idx, (prob, delta) in zip(np.ndindex(got_prob.shape), pairs, strict=True):
@@ -92,18 +92,18 @@ def test_history_energies_match_brute_force_pairs():
 def test_histories_reject_invalid_populations(cold, message):
     _, q, swap_prob, spectra = _default_inputs(SWAP_100)
     with pytest.raises(ValueError, match=message):
-        o.enumerate_histories(cold, q, swap_prob, spectra)
+        oracles.enumerate_histories(cold, q, swap_prob, spectra)
 
 
 def test_populations_within_the_sum_tolerance_are_accepted():
     _, q, swap_prob, spectra = _default_inputs(SWAP_100)
-    _, prob = o.enumerate_histories((0.5, 0.5 + 5e-10), q, swap_prob, spectra)
+    _, prob = oracles.enumerate_histories((0.5, 0.5 + 5e-10), q, swap_prob, spectra)
     assert prob.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @given(probs, probs, swap_probs)
 def test_history_probabilities_sum_to_one(p0, q0, swap_prob):
-    _, prob = o.enumerate_histories(
+    _, prob = oracles.enumerate_histories(
         (p0, 1 - p0), (q0, 1 - q0), swap_prob, ((-1.0, 1.0), (-2.0, 2.0))
     )
     assert prob.sum() == pytest.approx(1.0, abs=1e-12)
@@ -129,7 +129,7 @@ def test_default_engine_distribution_has_nine_atoms():
 def test_distribution_mean_equals_history_average(p0, q0, swap_prob):
     p, q = (p0, 1 - p0), (q0, 1 - q0)
     spectra = ((-4.135667696, 4.135667696), (-7.4442018528, 7.4442018528))
-    delta, prob = o.enumerate_histories(p, q, swap_prob, spectra)
+    delta, prob = oracles.enumerate_histories(p, q, swap_prob, spectra)
     dist = o.EnergyDistribution.from_atoms(delta.ravel(), prob.ravel(), "work")
     direct = (prob * delta).sum()
     assert o.mean(dist) == pytest.approx(direct, abs=1e-12)
@@ -294,9 +294,9 @@ def test_inversion_requires_a_uniform_grid():
 def test_heat_distribution_has_hot_gap_atoms():
     q = o.thermal_populations(3.6, 40.5)
     p = o.thermal_populations(2.0, 6.6)
-    s = o.post_expansion_populations(p, SWAP_100)
+    s = oracles.post_expansion_populations(p, SWAP_100)
     _, e_f = o.endpoint_spectra(PROTOCOL)
-    dist = o.heat_distribution(s, q, e_f)
+    dist = oracles.heat_distribution(s, q, e_f)
     np.testing.assert_allclose(
         dist.energies_pev, [-H * 3.6, 0.0, H * 3.6], atol=1e-12
     )
@@ -316,12 +316,12 @@ def test_heat_distribution_is_symmetric_when_nothing_flows():
     # populations already equilibrated with the hot bath: zero-mean exchange
     q = o.thermal_populations(3.6, 40.5)
     _, e_f = o.endpoint_spectra(PROTOCOL)
-    dist = o.heat_distribution(q, q, e_f)
+    dist = oracles.heat_distribution(q, q, e_f)
     assert o.mean(dist) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_post_expansion_populations_mix_by_swap_probability():
-    s = o.post_expansion_populations((0.8, 0.2), 0.25)
+    s = oracles.post_expansion_populations((0.8, 0.2), 0.25)
     assert s[0] == pytest.approx(0.8 * 0.75 + 0.2 * 0.25, abs=1e-15)
     assert s[1] == pytest.approx(0.2 * 0.75 + 0.8 * 0.25, abs=1e-15)
 
@@ -569,9 +569,9 @@ def test_a_grid_changed_in_place_is_checked_again():
     with pytest.raises(ValueError, match=re.escape("chi(-u) must equal conj(chi(u))")):
         o.CharacteristicSamples(u, values)
     values[2] = 0.5 - 0.1j
-    hits = tpm._pairing.cache_info().hits
+    hits = tpm._grid_plan.cache_info().hits
     o.CharacteristicSamples(u, values)  # the same bytes: the plan is kept
-    assert tpm._pairing.cache_info().hits == hits + 1
+    assert tpm._grid_plan.cache_info().hits == hits + 1
 
 
 def _chi_by_outer(dist, u):
@@ -702,10 +702,24 @@ def test_engines_near_the_merge_tolerance_give_distributions():
         o.engine_heat_distribution(protocol, thermal, swap)
         p = o.thermal_populations(protocol.nu_initial_khz, thermal.kt_cold_pev)
         q = o.thermal_populations(protocol.nu_final_khz, thermal.kt_hot_pev)
-        delta_e, prob = o.enumerate_histories(p, q, swap, o.endpoint_spectra(protocol))
+        delta_e, prob = oracles.enumerate_histories(p, q, swap, o.endpoint_spectra(protocol))
         # distinct history energies of positive weight that share one atom
         merged += len(set(delta_e[prob > 0.0].tolist())) > len(work.energies_pev)
     assert merged > 1000, merged
+
+
+def test_the_tpm_routes_serve_an_engine_whose_cycle_is_degenerate():
+    # gaps of ~1e-17 peV: the TPM routes only need the endpoint energies and
+    # Gibbs populations, while the cycle's plan takes the endpoint
+    # eigenvectors, which eigensystem's 1e-14 guard refuses; so the cycle
+    # builds its engine plan apart from _engine_plan, and only when it runs
+    protocol, thermal = o.DriveProtocol(1e-15, 2e-15, 100.0), o.ThermalParams(1.0, 2.0)
+    for route in (o.engine_work_distribution, o.engine_heat_distribution):
+        dist = route(protocol, thermal, 0.1)
+        assert len(dist.energies_pev) == 1 and dist.probabilities == (1.0,)
+        assert abs(dist.energies_pev[0]) < o.MERGE_TOLERANCE_PEV
+    with pytest.raises(ValueError, match="degenerate Hamiltonian"):
+        o.run_cycle(o.CycleConfig(protocol, thermal))
 
 
 def test_an_invalid_engine_raises_on_every_call():
