@@ -78,22 +78,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, tau: bool, mc: bool) -> None:
-    parser.add_argument("--config", metavar="PATH", help="configuration file")
-    parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument(
-        "--hot", choices=("A", "B"), help="hot-reservoir preset (21.5 / 40.5 peV)"
-    )
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed")
-    if tau:
-        parser.add_argument("--tau", type=float, metavar="US", help="drive duration")
-    if mc:
-        parser.add_argument(
-            "--mc-samples", type=int, metavar="N", help="Monte Carlo sample count"
-        )
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ottospin",
@@ -104,50 +88,21 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="figures of merit across the drive-duration grid",
-        description="One row per drive duration in the configured tau grid.",
-        epilog=_SWEEP_COLUMNS_DOC,
-    )
-    _add_common_flags(sweep, tau=False, mc=True)
-
-    cycle = sub.add_parser(
-        "cycle",
-        help="figures of merit for a single drive duration",
-        description="Single-row report for one drive duration.",
-        epilog=_SWEEP_COLUMNS_DOC,
-    )
-    _add_common_flags(cycle, tau=True, mc=True)
-
-    work = sub.add_parser(
-        "work-dist",
-        help="work atom distribution (and broadened curve)",
-        description="Exact work distribution of the full cycle at one drive duration.",
-        epilog=_DIST_COLUMNS_DOC,
-    )
-    _add_common_flags(work, tau=True, mc=False)
-
-    heat = sub.add_parser(
-        "heat-dist",
-        help="hot-reservoir heat atom distribution",
-        description="Exact heat distribution at one drive duration.",
-        epilog=_DIST_COLUMNS_DOC,
-    )
-    _add_common_flags(heat, tau=True, mc=False)
-
-    qpt = sub.add_parser(
-        "qpt",
-        help="process matrix of the expansion drive plus diagnostics",
-        description=(
-            "Process matrix of the expansion propagator, optionally mixed "
-            "with the fully depolarizing channel by [process] noise_mix."
-        ),
-        epilog=_QPT_COLUMNS_DOC,
-    )
-    _add_common_flags(qpt, tau=True, mc=False)
-
+    for name, (help_text, description, epilog, tau, mc, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, description=description, epilog=epilog)
+        command.add_argument("--config", metavar="PATH", help="configuration file")
+        command.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+        command.add_argument("--format", choices=("csv", "json"), help="output format")
+        command.add_argument(
+            "--hot", choices=("A", "B"), help="hot-reservoir preset (21.5 / 40.5 peV)"
+        )
+        command.add_argument("--seed", type=int, help="Monte Carlo seed")
+        if tau:
+            command.add_argument("--tau", type=float, metavar="US", help="drive duration")
+        if mc:
+            command.add_argument(
+                "--mc-samples", type=int, metavar="N", help="Monte Carlo sample count"
+            )
     return parser
 
 
@@ -159,17 +114,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         cfg = _load_run_config(args)
-        handler = {
-            "sweep": _cmd_sweep,
-            "cycle": _cmd_cycle,
-            "work-dist": _cmd_work_dist,
-            "heat-dist": _cmd_heat_dist,
-            "qpt": _cmd_qpt,
-        }[args.command]
         # an overflow, a division by zero or an invalid operation is an error
         # line, not a warning before one or a non-finite report
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            handler(cfg)
+            _COMMANDS[args.command][-1](cfg)
     except FloatingPointError as exc:
         stage = _floating_point_stage(exc)
         print(f"error: {stage + ': ' if stage else ''}{exc}", file=sys.stderr)
@@ -236,14 +184,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 # --- commands ----------------------------------------------------------------
 
-def _cmd_sweep(cfg: RunConfig) -> None:
-    _emit_report_rows(cfg, cfg.tau_list_us)
-
-
-def _cmd_cycle(cfg: RunConfig) -> None:
-    _emit_report_rows(cfg, (cfg.tau_us,))
-
-
 def _emit_report_rows(cfg: RunConfig, taus: Sequence[float]) -> None:
     results = sweep_with_uncertainty(
         to_cycle_config(cfg), taus, cfg.mc_noise_width, cfg.mc_samples, cfg.seed
@@ -257,30 +197,15 @@ def _emit_report_rows(cfg: RunConfig, taus: Sequence[float]) -> None:
     _write_text(cfg.output_path, _render_table(cfg.output_format, header, rows))
 
 
-def _distribution_payload(cfg: RunConfig, kind: str):
+def _emit_distribution(cfg: RunConfig, kind: str) -> None:
     cycle_cfg = to_cycle_config(cfg)
     swap_prob = run_cycle(cycle_cfg).transition_prob
-    if kind == "work":
-        dist = engine_work_distribution(cycle_cfg.protocol, cycle_cfg.thermal, swap_prob)
-    else:
-        dist = engine_heat_distribution(cycle_cfg.protocol, cycle_cfg.thermal, swap_prob)
+    route = engine_work_distribution if kind == "work" else engine_heat_distribution
+    dist = route(cycle_cfg.protocol, cycle_cfg.thermal, swap_prob)
     curve = None
     if cfg.lorentzian_fwhm_pev > 0.0:
         grid = np.linspace(cfg.curve_min_pev, cfg.curve_max_pev, cfg.curve_points)
         curve = (grid, lorentzian_broaden(dist, cfg.lorentzian_fwhm_pev, grid))
-    return swap_prob, dist, curve
-
-
-def _cmd_work_dist(cfg: RunConfig) -> None:
-    _emit_distribution(cfg, "work")
-
-
-def _cmd_heat_dist(cfg: RunConfig) -> None:
-    _emit_distribution(cfg, "heat")
-
-
-def _emit_distribution(cfg: RunConfig, kind: str) -> None:
-    swap_prob, dist, curve = _distribution_payload(cfg, kind)
     if cfg.output_format == "json":
         payload = {
             "kind": kind,
@@ -351,6 +276,41 @@ def _cmd_qpt(cfg: RunConfig) -> None:
     else:
         _write_text(cfg.output_path, matrix_table)
         _write_text(_sibling_path(cfg.output_path, "_summary"), summary_table)
+
+
+# name -> (help, description, epilog, takes --tau, takes --mc-samples, handler)
+_COMMANDS = {
+    "sweep": (
+        "figures of merit across the drive-duration grid",
+        "One row per drive duration in the configured tau grid.",
+        _SWEEP_COLUMNS_DOC, False, True,
+        lambda cfg: _emit_report_rows(cfg, cfg.tau_list_us),
+    ),
+    "cycle": (
+        "figures of merit for a single drive duration",
+        "Single-row report for one drive duration.",
+        _SWEEP_COLUMNS_DOC, True, True,
+        lambda cfg: _emit_report_rows(cfg, (cfg.tau_us,)),
+    ),
+    "work-dist": (
+        "work atom distribution (and broadened curve)",
+        "Exact work distribution of the full cycle at one drive duration.",
+        _DIST_COLUMNS_DOC, True, False,
+        lambda cfg: _emit_distribution(cfg, "work"),
+    ),
+    "heat-dist": (
+        "hot-reservoir heat atom distribution",
+        "Exact heat distribution at one drive duration.",
+        _DIST_COLUMNS_DOC, True, False,
+        lambda cfg: _emit_distribution(cfg, "heat"),
+    ),
+    "qpt": (
+        "process matrix of the expansion drive plus diagnostics",
+        "Process matrix of the expansion propagator, optionally mixed "
+        "with the fully depolarizing channel by [process] noise_mix.",
+        _QPT_COLUMNS_DOC, True, False, _cmd_qpt,
+    ),
+}
 
 
 # --- rendering ----------------------------------------------------------------

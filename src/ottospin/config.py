@@ -11,7 +11,7 @@ an off-the-shelf format reader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .cycle import CycleConfig
@@ -77,71 +77,61 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-# (section, key) -> (config field, parser)
-_SCHEMA: dict[tuple[str, str], tuple[str, Callable]] = {
-    ("drive", "nu_initial_khz"): ("nu_initial_khz", float),
-    ("drive", "nu_final_khz"): ("nu_final_khz", float),
-    ("drive", "n_steps"): ("n_steps", int),
-    ("thermal", "hot_option"): ("hot_option", str),
-    ("thermal", "kt_cold_pev"): ("kt_cold_pev", float),
-    ("thermal", "kt_hot_pev"): ("kt_hot_pev", float),
-    ("cycle", "tau_us"): ("tau_us", float),
-    ("cycle", "tau_list_us"): ("tau_list_us", _parse_float_list),
-    ("cycle", "t_thermalization_us"): ("t_thermalization_us", float),
-    ("cycle", "t_cooling_us"): ("t_cooling_us", float),
-    ("monte_carlo", "samples"): ("mc_samples", int),
-    ("monte_carlo", "noise_width"): ("mc_noise_width", float),
-    ("monte_carlo", "seed"): ("seed", int),
-    ("output", "format"): ("output_format", str),
-    ("output", "path"): ("output_path", str),
-    ("output", "lorentzian_fwhm_pev"): ("lorentzian_fwhm_pev", float),
-    ("output", "curve_min_pev"): ("curve_min_pev", float),
-    ("output", "curve_max_pev"): ("curve_max_pev", float),
-    ("output", "curve_points"): ("curve_points", int),
-    ("process", "noise_mix"): ("process_noise_mix", float),
-}
-
-_SECTIONS = sorted({section for section, _ in _SCHEMA})
-
-
 def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-# field -> (predicate, requirement description); line numbers get attached
-# wherever the value came from.
-_RANGES: dict[str, tuple[Callable, str]] = {
-    "nu_initial_khz": (_finite_positive, "must be finite and positive"),
-    "nu_final_khz": (_finite_positive, "must be finite and positive"),
-    "n_steps": (lambda v: v >= 1, "must be at least 1"),
+_FINITE_POSITIVE = "must be finite and positive"
+
+# RunConfig field -> (section, key, text parser, range predicate, requirement),
+# in field order; line numbers get attached wherever the value came from.
+_KEYS: dict[str, tuple[str, str, Callable, Callable, str]] = {
+    "nu_initial_khz": ("drive", "nu_initial_khz", float, _finite_positive, _FINITE_POSITIVE),
+    "nu_final_khz": ("drive", "nu_final_khz", float, _finite_positive, _FINITE_POSITIVE),
+    "n_steps": ("drive", "n_steps", int, lambda v: v >= 1, "must be at least 1"),
     "hot_option": (
-        lambda v: v in (*HOT_PRESETS_PEV, "custom"),
-        "must be A, B, or custom",
+        "thermal", "hot_option", str,
+        lambda v: v in (*HOT_PRESETS_PEV, "custom"), "must be A, B, or custom",
     ),
-    "kt_cold_pev": (_finite_positive, "must be finite and positive"),
-    "kt_hot_pev": (lambda v: v is None or v > 0, "must be positive"),
-    "tau_us": (_finite_positive, "must be finite and positive"),
+    "kt_cold_pev": ("thermal", "kt_cold_pev", float, _finite_positive, _FINITE_POSITIVE),
+    "kt_hot_pev": (
+        "thermal", "kt_hot_pev", float, lambda v: v is None or v > 0, "must be positive"
+    ),
+    "tau_us": ("cycle", "tau_us", float, _finite_positive, _FINITE_POSITIVE),
     "tau_list_us": (
+        "cycle", "tau_list_us", _parse_float_list,
         lambda v: len(v) > 0 and all(_finite_positive(t) for t in v),
         "must be nonempty, and each entry must be finite and positive",
     ),
-    "t_thermalization_us": (lambda v: v > 0, "must be positive"),
-    "t_cooling_us": (lambda v: v >= 0, "must be nonnegative"),
-    "mc_samples": (lambda v: v >= 1, "must be at least 1"),
-    "mc_noise_width": (
-        lambda v: math.isfinite(v) and v >= 0, "must be finite and nonnegative"
+    "t_thermalization_us": (
+        "cycle", "t_thermalization_us", float, lambda v: v > 0, "must be positive"
     ),
-    "seed": (lambda v: v >= 0, "must be nonnegative"),
-    "output_format": (lambda v: v in ("csv", "json"), "must be csv or json"),
+    "t_cooling_us": ("cycle", "t_cooling_us", float, lambda v: v >= 0, "must be nonnegative"),
+    "mc_samples": ("monte_carlo", "samples", int, lambda v: v >= 1, "must be at least 1"),
+    "mc_noise_width": (
+        "monte_carlo", "noise_width", float,
+        lambda v: math.isfinite(v) and v >= 0, "must be finite and nonnegative",
+    ),
+    "seed": ("monte_carlo", "seed", int, lambda v: v >= 0, "must be nonnegative"),
+    "output_format": (
+        "output", "format", str, lambda v: v in ("csv", "json"), "must be csv or json"
+    ),
+    "output_path": ("output", "path", lambda raw: raw or None, lambda v: True, ""),
     "lorentzian_fwhm_pev": (
+        "output", "lorentzian_fwhm_pev", float,
         lambda v: math.isfinite(v) and v >= 0,
         "must be finite and nonnegative (0 disables)",
     ),
-    "curve_min_pev": (math.isfinite, "must be finite"),
-    "curve_max_pev": (math.isfinite, "must be finite"),
-    "curve_points": (lambda v: v >= 2, "must be at least 2"),
-    "process_noise_mix": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "curve_min_pev": ("output", "curve_min_pev", float, math.isfinite, "must be finite"),
+    "curve_max_pev": ("output", "curve_max_pev", float, math.isfinite, "must be finite"),
+    "curve_points": ("output", "curve_points", int, lambda v: v >= 2, "must be at least 2"),
+    "process_noise_mix": (
+        "process", "noise_mix", float, lambda v: 0 <= v <= 1, "must lie in [0, 1]"
+    ),
 }
+
+_FIELDS = {(section, key): name for name, (section, key, *_) in _KEYS.items()}
+_SECTIONS = sorted({section for section, _ in _FIELDS})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -174,9 +164,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key outside any [section]", lineno)
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
         try:
-            field_name, parser = _SCHEMA[(section, key)]
+            field_name = _FIELDS[(section, key)]
         except KeyError:
             raise ConfigError(
                 f"unknown key {key!r} in section [{section}]", lineno
@@ -186,29 +175,28 @@ def parse_config(text: str) -> RunConfig:
                 f"duplicate key {key!r} (already set on line {value_lines[field_name]})",
                 lineno,
             )
-        if field_name == "output_path":
-            values[field_name] = raw_value or None
-        else:
-            try:
-                values[field_name] = parser(raw_value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
+        try:
+            values[field_name] = _KEYS[field_name][2](raw_value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
         value_lines[field_name] = lineno
+    return _checked(RunConfig(), values, value_lines)
 
+
+def _checked(base: RunConfig, values: dict, value_lines: dict[str, int]) -> RunConfig:
+    """``base`` with ``values`` in place, once each value is in range, the
+    curve window is ordered and the hot option pairs with its temperature;
+    an error names the line a value came from, where there is one."""
     for field_name, value in values.items():
-        predicate, requirement = _RANGES.get(field_name, (lambda v: True, ""))
+        predicate, requirement = _KEYS[field_name][3:]
         if not predicate(value):
             raise ConfigError(
-                f"{field_name} {requirement}, got {value}", value_lines[field_name]
+                f"{field_name} {requirement}, got {value}", value_lines.get(field_name)
             )
-    if "curve_min_pev" in values or "curve_max_pev" in values:
-        cfg_min = values.get("curve_min_pev", RunConfig.curve_min_pev)
-        cfg_max = values.get("curve_max_pev", RunConfig.curve_max_pev)
-        if cfg_min >= cfg_max:  # type: ignore[operator]
-            line = value_lines.get("curve_max_pev", value_lines.get("curve_min_pev"))
-            raise ConfigError("curve_min_pev must be below curve_max_pev", line)
-
-    cfg = RunConfig(**values)  # type: ignore[arg-type]
+    cfg = replace(base, **values)
+    if cfg.curve_min_pev >= cfg.curve_max_pev:
+        line = value_lines.get("curve_max_pev", value_lines.get("curve_min_pev"))
+        raise ConfigError("curve_min_pev must be below curve_max_pev", line)
     if cfg.hot_option == "custom" and cfg.kt_hot_pev is None:
         raise ConfigError("hot_option custom requires kt_hot_pev")
     if cfg.hot_option != "custom" and cfg.kt_hot_pev is not None:
@@ -221,18 +209,14 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text for a configuration; parse(serialize(c)) == c."""
-    by_field = {field_name: (sec, key) for (sec, key), (field_name, _) in _SCHEMA.items()}
     lines: list[str] = []
     for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for field in fields(cfg):
-            mapped = by_field.get(field.name)
-            if mapped is None or mapped[0] != section:
-                continue
-            value = getattr(cfg, field.name)
-            if field.name == "kt_hot_pev" and value is None:
-                continue  # only meaningful for hot_option = custom
-            lines.append(f"{mapped[1]} = {_format_value(value)}")
+        for field_name, (key_section, key, *_) in _KEYS.items():
+            value = getattr(cfg, field_name)
+            # kt_hot_pev is only meaningful for hot_option = custom
+            if key_section == section and not (field_name == "kt_hot_pev" and value is None):
+                lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -268,19 +252,12 @@ def to_cycle_config(cfg: RunConfig, tau_us: float | None = None) -> CycleConfig:
 
 
 def apply_overrides(cfg: RunConfig, **overrides: object) -> RunConfig:
-    """Replace fields (CLI flags beat config-file values), revalidating the
-    hot-option pairing."""
+    """Replace fields (CLI flags beat config-file values), under the checks
+    a config file meets; a preset ``hot_option`` displaces any custom
+    temperature that is not itself overridden."""
     filtered = {k: v for k, v in overrides.items() if v is not None}
     if not filtered:
         return cfg
-    updated = replace(cfg, **filtered)  # type: ignore[arg-type]
-    for field_name, value in filtered.items():
-        predicate, requirement = _RANGES.get(field_name, (lambda v: True, ""))
-        if not predicate(value):
-            raise ConfigError(f"{field_name} {requirement}, got {value}")
-    if updated.hot_option != "custom" and updated.kt_hot_pev is not None:
-        # a preset override displaces any custom temperature from the file
-        updated = replace(updated, kt_hot_pev=None)
-    if updated.hot_option == "custom" and updated.kt_hot_pev is None:
-        raise ConfigError("hot_option custom requires kt_hot_pev")
-    return updated
+    if filtered.get("hot_option", "custom") != "custom":
+        filtered.setdefault("kt_hot_pev", None)
+    return _checked(cfg, filtered, {})

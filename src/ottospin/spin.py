@@ -133,11 +133,11 @@ def drive_hamiltonian(t_us: float, protocol: DriveProtocol) -> np.ndarray:
     return sign * (-0.5 * gap) * (math.cos(angle) * PAULI_X + math.sin(angle) * PAULI_Y)
 
 
-def _require_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def _require_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > atol:
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
         raise ValueError("matrix is not Hermitian")
     return matrix
 

@@ -1,9 +1,12 @@
-import math
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import ottospin as o
+from ottospin import config
 from ottospin.config import ConfigError
 
 
@@ -205,3 +208,80 @@ def test_serialized_defaults_mention_every_section():
     text = o.serialize_config(o.RunConfig())
     for section in ("[drive]", "[thermal]", "[cycle]", "[monte_carlo]", "[output]", "[process]"):
         assert section in text
+
+
+def test_the_key_table_follows_the_run_config_fields():
+    assert list(config._KEYS) == [field.name for field in dataclasses.fields(o.RunConfig)]
+
+
+def test_an_override_cannot_set_a_curve_window_a_file_cannot():
+    with pytest.raises(ConfigError, match="^curve_min_pev must be below curve_max_pev$"):
+        o.apply_overrides(o.RunConfig(), curve_min_pev=100.0)
+    with pytest.raises(ConfigError, match="^line 2: curve_min_pev must be below"):
+        o.parse_config("[output]\ncurve_min_pev = 100.0\n")
+
+
+def test_an_explicit_temperature_override_needs_the_custom_hot_option():
+    only = "kt_hot_pev is only honored with hot_option = custom"
+    with pytest.raises(ConfigError, match=f"^{only}$"):
+        o.apply_overrides(o.RunConfig(), kt_hot_pev=30.0)
+    # a preset override displaces the file's temperature, not an explicit one
+    with pytest.raises(ConfigError, match=f"^{only}$"):
+        o.apply_overrides(o.parse_config(FULL_EXAMPLE), hot_option="A", kt_hot_pev=30.0)
+    kept = o.apply_overrides(o.parse_config(FULL_EXAMPLE), kt_hot_pev=30.0)
+    assert (kept.hot_option, kept.kt_hot_pev) == ("custom", 30.0)
+
+
+FLOAT_EDGES = ("5e-324", "1e-12", "0.0", "-1.0", "1e+300", "1.7e+308", "inf", "-inf", "nan")
+INT_EDGES = ("0", "-1", str(2**63))
+STRING_EDGES = ("nonsense", "")
+
+
+def _edge_cases():
+    for field_name, (section, key, parser, *_) in config._KEYS.items():
+        if parser in (float, config._parse_float_list):
+            edges = FLOAT_EDGES
+        else:
+            edges = INT_EDGES if parser is int else STRING_EDGES
+        for text in edges:
+            yield pytest.param(field_name, section, key, text, {}, id=f"{key}={text}")
+            if field_name == "kt_hot_pev":
+                yield pytest.param(
+                    field_name, section, key, text, {"hot_option": "custom"},
+                    id=f"custom:{key}={text}",
+                )
+
+
+def _verdict(build):
+    try:
+        return build(), None
+    except ConfigError as exc:
+        return None, re.sub(r"^line \d+: ", "", str(exc))
+
+
+@pytest.mark.parametrize("field_name, section, key, text, context", list(_edge_cases()))
+def test_a_file_and_an_override_give_one_verdict(field_name, section, key, text, context):
+    context_lines = "".join(f"{name} = {value}\n" for name, value in context.items())
+    from_file = _verdict(lambda: o.parse_config(f"[{section}]\n{context_lines}{key} = {text}\n"))
+    value = config._KEYS[field_name][2](text)
+    from_flags = _verdict(
+        lambda: o.apply_overrides(o.RunConfig(), **context, **{field_name: value})
+    )
+    assert from_file == from_flags
+    cfg = from_file[0]
+    if cfg is not None:
+        assert o.parse_config(o.serialize_config(cfg)) == cfg
+
+
+def test_the_readme_config_example_is_the_defaults_and_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert o.parse_config(block) == o.RunConfig()
+    named, section = set(), None
+    for line in block.splitlines():
+        line = line.lstrip("# ")
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            named.add((section, line.partition("=")[0].strip()))
+    assert named == {(section, key) for section, key, *_ in config._KEYS.values()}
