@@ -78,6 +78,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# RunConfig field -> (flag, argparse options) of each override flag, in the
+# order --help lists them; each flag's dest is its field.  A flag that some
+# _COMMANDS entry lists comes only with the commands that list it, every
+# other flag with every command.
+_FLAGS = {
+    "output_path": ("--out", {"metavar": "PATH", "help": "output file (default stdout)"}),
+    "output_format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
+    "hot_option": (
+        "--hot", {"choices": ("A", "B"), "help": "hot-reservoir preset (21.5 / 40.5 peV)"}
+    ),
+    "seed": ("--seed", {"type": int, "help": "Monte Carlo seed"}),
+    "tau_us": ("--tau", {"type": float, "metavar": "US", "help": "drive duration"}),
+    "mc_samples": (
+        "--mc-samples", {"type": int, "metavar": "N", "help": "Monte Carlo sample count"}
+    ),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ottospin",
@@ -88,21 +106,13 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (help_text, description, epilog, tau, mc, _) in _COMMANDS.items():
+    listed = {flag for *_, extra, _ in _COMMANDS.values() for flag in extra}
+    for name, (help_text, description, epilog, extra, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text, description=description, epilog=epilog)
         command.add_argument("--config", metavar="PATH", help="configuration file")
-        command.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        command.add_argument("--format", choices=("csv", "json"), help="output format")
-        command.add_argument(
-            "--hot", choices=("A", "B"), help="hot-reservoir preset (21.5 / 40.5 peV)"
-        )
-        command.add_argument("--seed", type=int, help="Monte Carlo seed")
-        if tau:
-            command.add_argument("--tau", type=float, metavar="US", help="drive duration")
-        if mc:
-            command.add_argument(
-                "--mc-samples", type=int, metavar="N", help="Monte Carlo sample count"
-            )
+        for field_name, (flag, options) in _FLAGS.items():
+            if flag in extra or flag not in listed:
+                command.add_argument(flag, dest=field_name, **options)
     return parser
 
 
@@ -171,15 +181,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
         cfg = RunConfig()
-    return apply_overrides(
-        cfg,
-        hot_option=args.hot,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
-        tau_us=getattr(args, "tau", None),
-        mc_samples=getattr(args, "mc_samples", None),
-    )
+    return apply_overrides(cfg, **{name: getattr(args, name, None) for name in _FLAGS})
 
 
 # --- commands ----------------------------------------------------------------
@@ -202,40 +204,27 @@ def _emit_distribution(cfg: RunConfig, kind: str) -> None:
     swap_prob = run_cycle(cycle_cfg).transition_prob
     route = engine_work_distribution if kind == "work" else engine_heat_distribution
     dist = route(cycle_cfg.protocol, cycle_cfg.thermal, swap_prob)
+    atoms = list(zip(dist.energies_pev, dist.probabilities))
+    tables = [("", ["energy_pev", "probability"], atoms)]
     curve = None
     if cfg.lorentzian_fwhm_pev > 0.0:
+        # np.linspace fails on an empty array at 2**63 - 1 points and above
+        if cfg.curve_points >= 2**63 - 1:
+            raise ValueError(f"curve_points {cfg.curve_points} is too large for an array")
         grid = np.linspace(cfg.curve_min_pev, cfg.curve_max_pev, cfg.curve_points)
-        curve = (grid, lorentzian_broaden(dist, cfg.lorentzian_fwhm_pev, grid))
-    if cfg.output_format == "json":
-        payload = {
-            "kind": kind,
-            "tau_us": cfg.tau_us,
-            "transition_prob": swap_prob,
-            "atoms": [
-                {"energy_pev": e, "probability": p}
-                for e, p in zip(dist.energies_pev, dist.probabilities)
-            ],
-            "curve": None
-            if curve is None
-            else {
-                "fwhm_pev": cfg.lorentzian_fwhm_pev,
-                "energy_pev": list(curve[0]),
-                "density": list(curve[1]),
-            },
-        }
-        _write_text(cfg.output_path, _render_json(payload))
-        return
-    atom_rows = [[e, p] for e, p in zip(dist.energies_pev, dist.probabilities)]
-    _write_text(
-        cfg.output_path,
-        _render_table("csv", ["energy_pev", "probability"], atom_rows),
-    )
-    if curve is not None and cfg.output_path is not None:
-        curve_rows = [[e, d] for e, d in zip(curve[0], curve[1])]
-        _write_text(
-            _sibling_path(cfg.output_path, "_curve"),
-            _render_table("csv", ["energy_pev", "density"], curve_rows),
-        )
+        density = lorentzian_broaden(dist, cfg.lorentzian_fwhm_pev, grid)
+        curve = {"fwhm_pev": cfg.lorentzian_fwhm_pev,
+                 "energy_pev": list(grid), "density": list(density)}
+        if cfg.output_path is not None:
+            tables.append(("_curve", ["energy_pev", "density"], list(zip(grid, density))))
+    payload = {
+        "kind": kind,
+        "tau_us": cfg.tau_us,
+        "transition_prob": swap_prob,
+        "atoms": [{"energy_pev": e, "probability": p} for e, p in atoms],
+        "curve": curve,
+    }
+    _emit(cfg, payload, tables)
 
 
 def _cmd_qpt(cfg: RunConfig) -> None:
@@ -248,67 +237,73 @@ def _cmd_qpt(cfg: RunConfig) -> None:
         actual = ideal
     defect = unitality_defect(actual)
     delta = process_trace_distance(actual, ideal)
+    matrix = actual.matrix
+    payload = {
+        "tau_us": cfg.tau_us,
+        "noise_mix": cfg.process_noise_mix,
+        "matrix_real": matrix.real.tolist(),
+        "matrix_imag": matrix.imag.tolist(),
+        "unitality_defect": defect,
+        "trace_distance_to_ideal": delta,
+    }
+    entries = [[row, col, matrix[row, col].real, matrix[row, col].imag]
+               for row in range(4) for col in range(4)]
+    _emit(cfg, payload, [
+        ("", ["row", "col", "real", "imag"], entries),
+        ("_summary", ["tau_us", "noise_mix", "unitality_defect", "trace_distance_to_ideal"],
+         [[cfg.tau_us, cfg.process_noise_mix, defect, delta]]),
+    ])
 
+
+def _emit(cfg: RunConfig, payload: dict, tables: list[tuple[str, list[str], list]]) -> None:
+    """Write ``payload`` as JSON, or else the CSV tables ``(suffix, header,
+    rows)``.  With ``--out``, the first table goes to that path and each
+    other one next to it, as ``<stem><suffix><ext>`` (``.csv`` if the path
+    has no extension); without it, all go to stdout, a blank line apart."""
     if cfg.output_format == "json":
-        payload = {
-            "tau_us": cfg.tau_us,
-            "noise_mix": cfg.process_noise_mix,
-            "matrix_real": actual.matrix.real.tolist(),
-            "matrix_imag": actual.matrix.imag.tolist(),
-            "unitality_defect": defect,
-            "trace_distance_to_ideal": delta,
-        }
         _write_text(cfg.output_path, _render_json(payload))
         return
-    entry_rows = [
-        [row, col, actual.matrix[row, col].real, actual.matrix[row, col].imag]
-        for row in range(4)
-        for col in range(4)
-    ]
-    matrix_table = _render_table("csv", ["row", "col", "real", "imag"], entry_rows)
-    summary_table = _render_table(
-        "csv",
-        ["tau_us", "noise_mix", "unitality_defect", "trace_distance_to_ideal"],
-        [[cfg.tau_us, cfg.process_noise_mix, defect, delta]],
-    )
+    texts = [_render_table("csv", header, rows) for _, header, rows in tables]
     if cfg.output_path is None:
-        _write_text(None, matrix_table + "\n" + summary_table)
-    else:
-        _write_text(cfg.output_path, matrix_table)
-        _write_text(_sibling_path(cfg.output_path, "_summary"), summary_table)
+        _write_text(None, "\n".join(texts))
+        return
+    _write_text(cfg.output_path, texts[0])
+    base = Path(cfg.output_path)
+    for (suffix, _, _), text in zip(tables[1:], texts[1:]):
+        _write_text(str(base.with_name(base.stem + suffix + (base.suffix or ".csv"))), text)
 
 
-# name -> (help, description, epilog, takes --tau, takes --mc-samples, handler)
+# name -> (help, description, epilog, extra flags of _FLAGS it takes, handler)
 _COMMANDS = {
     "sweep": (
         "figures of merit across the drive-duration grid",
         "One row per drive duration in the configured tau grid.",
-        _SWEEP_COLUMNS_DOC, False, True,
+        _SWEEP_COLUMNS_DOC, ("--mc-samples",),
         lambda cfg: _emit_report_rows(cfg, cfg.tau_list_us),
     ),
     "cycle": (
         "figures of merit for a single drive duration",
         "Single-row report for one drive duration.",
-        _SWEEP_COLUMNS_DOC, True, True,
+        _SWEEP_COLUMNS_DOC, ("--tau", "--mc-samples"),
         lambda cfg: _emit_report_rows(cfg, (cfg.tau_us,)),
     ),
     "work-dist": (
         "work atom distribution (and broadened curve)",
         "Exact work distribution of the full cycle at one drive duration.",
-        _DIST_COLUMNS_DOC, True, False,
+        _DIST_COLUMNS_DOC, ("--tau",),
         lambda cfg: _emit_distribution(cfg, "work"),
     ),
     "heat-dist": (
         "hot-reservoir heat atom distribution",
         "Exact heat distribution at one drive duration.",
-        _DIST_COLUMNS_DOC, True, False,
+        _DIST_COLUMNS_DOC, ("--tau",),
         lambda cfg: _emit_distribution(cfg, "heat"),
     ),
     "qpt": (
         "process matrix of the expansion drive plus diagnostics",
         "Process matrix of the expansion propagator, optionally mixed "
         "with the fully depolarizing channel by [process] noise_mix.",
-        _QPT_COLUMNS_DOC, True, False, _cmd_qpt,
+        _QPT_COLUMNS_DOC, ("--tau",), _cmd_qpt,
     ),
 }
 
@@ -344,12 +339,7 @@ def _render_table(fmt: str, header: Sequence[str], rows: Sequence[Sequence]) -> 
 
 
 def _render_json(payload: object) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False, default=_jsonable) + "\n"
-
-
-def _sibling_path(path: str, suffix: str) -> str:
-    base = Path(path)
-    return str(base.with_name(base.stem + suffix + (base.suffix or ".csv")))
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -30,6 +30,9 @@ DEFAULT_TAU_GRID_US = (
 class ConfigError(Exception):
     """Configuration problem, carrying the offending line when known."""
 
+    #: the fields of a :class:`RunConfig` check's error, whose line it names
+    fields: tuple[str, ...] = ()
+
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
@@ -40,7 +43,12 @@ class ConfigError(Exception):
 class RunConfig:
     """Everything a command-line run needs, with defaults matching the
     reference engine (2.0 -> 3.6 kHz ramp, 6.6 peV cold reservoir, hot
-    option B, 7 ms thermalization)."""
+    option B, 7 ms thermalization).
+
+    Every instance is checked when it is built, from a file, by
+    :func:`apply_overrides` or directly: the first value out of range in
+    field order, else an unordered curve window, else a hot option that does
+    not pair with ``kt_hot_pev``, raises :class:`ConfigError`."""
 
     nu_initial_khz: float = 2.0
     nu_final_khz: float = 3.6
@@ -63,11 +71,30 @@ class RunConfig:
     curve_points: int = 1201
     process_noise_mix: float = 0.0
 
+    def __post_init__(self) -> None:
+        for field_name, (_, _, _, predicate, requirement) in _KEYS.items():
+            value = getattr(self, field_name)
+            if not predicate(value):
+                raise _fault(f"{field_name} {requirement}, got {value}", field_name)
+        if self.curve_min_pev >= self.curve_max_pev:
+            raise _fault("curve_min_pev must be below curve_max_pev",
+                         "curve_max_pev", "curve_min_pev")
+        if self.hot_option == "custom" and self.kt_hot_pev is None:
+            raise _fault("hot_option custom requires kt_hot_pev")
+        if self.hot_option != "custom" and self.kt_hot_pev is not None:
+            raise _fault("kt_hot_pev is only honored with hot_option = custom", "kt_hot_pev")
+
     def resolved_kt_hot_pev(self) -> float:
         if self.hot_option in HOT_PRESETS_PEV:
             return HOT_PRESETS_PEV[self.hot_option]
-        assert self.kt_hot_pev is not None  # guaranteed by validation
+        assert self.kt_hot_pev is not None  # guaranteed by __post_init__
         return self.kt_hot_pev
+
+
+def _fault(message: str, *fields: str) -> ConfigError:
+    error = ConfigError(message)
+    error.fields = fields
+    return error
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -180,31 +207,12 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
         value_lines[field_name] = lineno
-    return _checked(RunConfig(), values, value_lines)
-
-
-def _checked(base: RunConfig, values: dict, value_lines: dict[str, int]) -> RunConfig:
-    """``base`` with ``values`` in place, once each value is in range, the
-    curve window is ordered and the hot option pairs with its temperature;
-    an error names the line a value came from, where there is one."""
-    for field_name, value in values.items():
-        predicate, requirement = _KEYS[field_name][3:]
-        if not predicate(value):
-            raise ConfigError(
-                f"{field_name} {requirement}, got {value}", value_lines.get(field_name)
-            )
-    cfg = replace(base, **values)
-    if cfg.curve_min_pev >= cfg.curve_max_pev:
-        line = value_lines.get("curve_max_pev", value_lines.get("curve_min_pev"))
-        raise ConfigError("curve_min_pev must be below curve_max_pev", line)
-    if cfg.hot_option == "custom" and cfg.kt_hot_pev is None:
-        raise ConfigError("hot_option custom requires kt_hot_pev")
-    if cfg.hot_option != "custom" and cfg.kt_hot_pev is not None:
-        raise ConfigError(
-            "kt_hot_pev is only honored with hot_option = custom",
-            value_lines.get("kt_hot_pev"),
-        )
-    return cfg
+    try:
+        return RunConfig(**values)
+    except ConfigError as exc:
+        # name the line of the first of the error's fields the text set
+        line = next((value_lines[f] for f in exc.fields if f in value_lines), None)
+        raise ConfigError(str(exc), line) from None
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -260,4 +268,4 @@ def apply_overrides(cfg: RunConfig, **overrides: object) -> RunConfig:
         return cfg
     if filtered.get("hot_option", "custom") != "custom":
         filtered.setdefault("kt_hot_pev", None)
-    return _checked(cfg, filtered, {})
+    return replace(cfg, **filtered)

@@ -77,6 +77,9 @@ def cayley_klein_product(
     O(log n) times.  Returns the products' ``(a, b)`` stacked as an array of
     shape ``(2, n_tau)``.
     """
+    # np.arange gives an empty array, not an error, at 2**63 - 1 and above
+    if n_steps >= 2**63 - 1:
+        raise ValueError(f"n_steps {n_steps} is too large for an array")
     # the drive at each Gauss node depends on tau only through the node's
     # fraction of the window; rows: the earlier and the later node of a step
     frac = (np.arange(n_steps) + _NODE_CENTRES) / n_steps

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process through ``main``, and
 through the process entry in a fresh interpreter."""
 
+import contextlib
 import csv
 import gc
 import io
@@ -10,12 +11,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ottospin import cli, parse_config, propagator, run_cycle, to_cycle_config
+from ottospin import cli, config, parse_config, propagator, run_cycle, to_cycle_config
 from ottospin.cli import main
 
 H = 4.135667696
@@ -435,6 +439,61 @@ def test_an_engine_whose_gaps_are_within_the_merge_tolerance_gives_a_report(
     assert float(row["energy_pev"]) == pytest.approx(mean_work, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "config_text, argv, message",
+    [
+        (f"[drive]\nn_steps = {2**63}\n", ["qpt", "--tau", "300"],
+         f"error: n_steps {2**63} is too large for an array\n"),
+        (f"[drive]\nn_steps = {2**63 - 1}\n", ["cycle", "--mc-samples", "5"],
+         f"error: n_steps {2**63 - 1} is too large for an array\n"),
+        (f"[output]\ncurve_points = {2**63}\n", ["work-dist"],
+         f"error: curve_points {2**63} is too large for an array\n"),
+        (f"[output]\ncurve_points = {2**63 - 1}\n", ["heat-dist", "--format", "json"],
+         f"error: curve_points {2**63 - 1} is too large for an array\n"),
+    ],
+    ids=["steps-qpt", "steps-cycle", "curve-work", "curve-heat-json"],
+)
+def test_a_count_numpy_cannot_hold_is_a_one_line_error(tmp_path, capsys, config_text, argv,
+                                                      message):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(config_text)
+    assert _run(capsys, [*argv, "--config", str(cfg)]) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["work-dist"], {"t.csv", "t_curve.csv"}),
+        (["heat-dist"], {"t.csv", "t_curve.csv"}),
+        (["qpt"], {"t.csv", "t_summary.csv"}),
+        (["sweep", "--mc-samples", "5"], {"t.csv"}),
+        (["cycle", "--mc-samples", "5"], {"t.csv"}),
+        *[([command, "--format", "json", *(["--mc-samples", "5"] if mc else [])], {"t.csv"})
+          for command, mc in (("sweep", True), ("cycle", True), ("work-dist", False),
+                              ("heat-dist", False), ("qpt", False))],
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "files",
+)
+def test_each_command_writes_exactly_its_files(tmp_path, capsys, argv, written):
+    rc, out, err = _run(capsys, [*argv, "--out", str(tmp_path / "t.csv")])
+    assert (rc, out, err) == (0, "", "")
+    assert {p.name for p in tmp_path.iterdir()} == written
+    if "json" in argv:
+        json.loads((tmp_path / "t.csv").read_text())
+    else:
+        header = (tmp_path / "t.csv").read_text().split("\n", 1)[0]
+        assert header.startswith(("energy_pev,probability", "row,col", "tau_us,"))
+
+
+@pytest.mark.parametrize("command", ["work-dist", "heat-dist"])
+def test_a_distribution_on_stdout_carries_no_curve(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = _run(capsys, [command])
+    assert (rc, err) == (0, "") and out.count("\n\n") == 0
+    assert out.split("\n", 1)[0] == "energy_pev,probability"
+    assert "density" not in out and not list(tmp_path.iterdir())
+
+
 def test_unwritable_output_path_is_an_io_error(capsys):
     rc, _, _ = _run(capsys, ["cycle", "--tau", "300", "--mc-samples", "2",
                              "--out", "/no/such/dir/out.csv"])
@@ -497,6 +556,86 @@ def test_a_curve_window_far_beyond_every_atom_draws_zeros_without_a_warning(
     assert rc == 0 and err == ""
     assert json.loads(out)["curve"]["density"][::2] == [0.0, 0.0]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# --- the CLI contract over drawn configs ----------------------------------------
+
+COMMANDS = tuple(cli._COMMANDS)
+EDGE_FLOATS = (5e-324, 1e-12, 1e300, 1.7e308, math.inf)
+# counts at the edges only: a mid-size count such as 2**31 steps, curve points
+# or samples really allocates gigabytes, while each of these fails at once
+EDGE_INTS = (0, 1, 2, 2**62, 2**63 - 1, 2**63, 2**64)
+EDGE_STRINGS = {"hot_option": ("A", "B", "custom"), "output_format": ("csv", "json"),
+                "output_path": (None, "out.csv")}
+NON_FINITE_CELL = re.compile(r"\b(nan|inf|infinity|null)\b", re.IGNORECASE)
+
+
+def _edge_values(field_name):
+    """The edge values of one ``config._KEYS`` entry that its predicate accepts."""
+    parser, predicate = config._KEYS[field_name][2:4]
+    if parser is float:
+        candidates = (*EDGE_FLOATS, *(-v for v in EDGE_FLOATS), 0.0)
+    elif parser is config._parse_float_list:
+        candidates = [(v,) for v in EDGE_FLOATS] + [(100.0, v) for v in EDGE_FLOATS]
+    elif parser is int:
+        candidates = EDGE_INTS
+    else:
+        candidates = EDGE_STRINGS[field_name]
+    return [v for v in candidates if predicate(v)]
+
+
+@st.composite
+def drawn_configs(draw):
+    """1-4 distinct fields of ``config._KEYS``, each at one of its edge values
+    (drawn from a permutation, which Hypothesis never rejects as a duplicate)."""
+    names = draw(st.permutations(list(config._KEYS)))[: draw(st.integers(1, 4))]
+    return {name: draw(st.sampled_from(_edge_values(name))) for name in names}
+
+
+def _config_text(values, folder):
+    lines = []
+    for field_name, value in values.items():
+        section, key = config._KEYS[field_name][:2]
+        if field_name == "output_path" and value is not None:
+            value = str(folder / value)
+        lines.append(f"[{section}]\n{key} = {config._format_value(value)}\n")
+    return "".join(lines)
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(drawn_configs())
+@example({"kt_cold_pev": 0.2})  # the counted 509-of-1000 Monte Carlo error
+@example({"mc_noise_width": 0.3})
+@example({"tau_us": 1e300})
+@example({"n_steps": 2**63})  # np.arange gives an empty array at this size
+@example({"curve_points": 2**63})  # np.linspace fails on an empty array
+def test_every_drawn_config_gives_a_report_or_one_error_line(values):
+    with tempfile.TemporaryDirectory() as name:
+        folder = Path(name)
+        (folder / "run.cfg").write_text(_config_text(values, folder), encoding="utf-8")
+        for command in COMMANDS:
+            for written in folder.glob("out*"):
+                written.unlink()
+            rc, out, err, caught = _run_captured([command, "--config", str(folder / "run.cfg")])
+            context = (command, values, rc, err, caught)
+            assert not caught, context
+            if rc == 0:
+                assert err == "", context
+                texts = [out, *(p.read_text() for p in folder.glob("out*"))]
+                # a distribution drawn with no broadening has no curve, by design
+                texts = [t.replace('"curve": null', "") for t in texts]
+                assert not [t for t in texts if NON_FINITE_CELL.search(t)], context
+            else:
+                assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, context
 
 
 # --- the process entry ----------------------------------------------------------

@@ -273,6 +273,41 @@ def test_a_file_and_an_override_give_one_verdict(field_name, section, key, text,
         assert o.parse_config(o.serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_steps": 0}, "n_steps must be at least 1, got 0"),
+        ({"curve_min_pev": 40.0}, "curve_min_pev must be below curve_max_pev"),
+        ({"hot_option": "custom"}, "hot_option custom requires kt_hot_pev"),
+        ({"kt_hot_pev": 30.0}, "kt_hot_pev is only honored with hot_option = custom"),
+    ],
+)
+def test_a_run_config_is_checked_when_it_is_built(fields, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        o.RunConfig(**fields)
+    # so an override cannot carry a bad config past the checks
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        o.apply_overrides(o.RunConfig(), seed=1, **fields)
+
+
+def test_of_several_bad_values_the_error_names_the_first_in_field_order():
+    text = "[monte_carlo]\nseed = -1\n[drive]\nn_steps = 0\n"
+    with pytest.raises(ConfigError, match="^line 4: n_steps must be at least 1, got 0$"):
+        o.parse_config(text)
+    with pytest.raises(ConfigError, match="^n_steps must be at least 1, got 0$"):
+        o.apply_overrides(o.RunConfig(), seed=-1, n_steps=0)
+
+
+def test_a_window_error_names_the_line_of_the_value_the_file_set():
+    for text, line in (
+        ("[output]\ncurve_min_pev = 40\n", 2),
+        ("[output]\ncurve_min_pev = 10\ncurve_max_pev = -10\n", 3),
+        ("[output]\n\ncurve_max_pev = -40\n", 3),
+    ):
+        with pytest.raises(ConfigError, match=f"^line {line}: curve_min_pev must be below"):
+            o.parse_config(text)
+
+
 def test_the_readme_config_example_is_the_defaults_and_names_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -382,6 +382,13 @@ def test_evolve_rejects_bad_step_counts():
         o.evolve_unitary(DEFAULT, n_steps=0)
 
 
+@pytest.mark.parametrize("n_steps", [2**63 - 1, 2**63, 2**64 - 2])
+def test_a_step_count_numpy_cannot_hold_is_a_value_error(n_steps):
+    # np.arange gives an empty array at these sizes, not an error
+    with pytest.raises(ValueError, match=f"^n_steps {n_steps} is too large for an array$"):
+        evolve_unitaries(DEFAULT, [100.0], n_steps)
+
+
 def test_unitary_map_rejects_non_unitary_matrices():
     with pytest.raises(ValueError):
         o.UnitaryMap(np.array([[1.0, 0.0], [0.0, 0.5]], complex), DEFAULT, 1)

@@ -207,6 +207,14 @@ def test_thermal_populations_match_gibbs_diagonal():
     assert p0 == pytest.approx(q0, abs=1e-15)
     assert p1 == pytest.approx(q1, abs=1e-15)
     assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
+    # the TPM routes take these pairs unchecked: at every edge of a splitting
+    # and a temperature, each is nonnegative and sums to 1
+    edges = (5e-324, 1e-300, 1e-12, 0.2, 6.6, 1e12, 1e300, 1.7e308)
+    for nu in edges:
+        for kt in (*edges, math.inf):
+            ground, excited = o.thermal_populations(nu, kt)
+            assert ground >= 0.0 and excited >= 0.0, (nu, kt)
+            assert abs(ground + excited - 1.0) <= 1e-15, (nu, kt)
 
 
 def test_polarization_is_half_argument_tanh():
