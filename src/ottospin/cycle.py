@@ -31,15 +31,17 @@ from .propagator import (
     transition_probability,  # noqa: F401
 )
 from .spin import (
+    IDENTITY,
     US_PER_MS,
     DriveProtocol,
     Phase,
     ThermalParams,
     _bloch,
     _endpoint_polarizations,
-    _gibbs_log_populations,
+    _gap_over_kt,
     drive_hamiltonian,
     gibbs_state,
+    polarization,
 )
 
 
@@ -188,7 +190,7 @@ def efficiency_closed_form(
     """
     nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
     p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
-    if math.isclose(p_cold, p_hot, rel_tol=0.0, abs_tol=1e-15):
+    if math.isclose(p_cold, p_hot, rel_tol=1e-15):
         raise ValueError("efficiency undefined for equal cold and hot polarizations")
     f = p_hot / (p_hot - p_cold)
     g = p_cold / (p_hot - p_cold)
@@ -249,7 +251,11 @@ def sweep_with_uncertainty(
     adjoint U^dagger of the expansion propagator U, so the compression
     stroke maps the hot equilibrium to U^dagger rho_hot U.  Every state is
     carried as its real Bloch vector r, rho = (I + r . sigma)/2, and the
-    point reports of all durations come from one batched pass over them.
+    point reports of all durations come from one batched pass over them;
+    their lag's relative-entropy sum is a closed form (see
+    ``_drive_relative_entropy``), the samples' the Bloch-pair
+    ``_relative_entropy_batch``, which loses digits only where the
+    polarizations are far below any noise width.
     Every stack of Bloch vectors is component-major, ``(3, n)``, so the
     Monte Carlo math is elementwise on contiguous rows of n samples.
 
@@ -353,26 +359,30 @@ def _sweep_points(
     # positive and finite, before anything is propagated, drawn or planned
     taus = [float(tau) for tau in tau_list_us]
     forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
-    vectors, (cold_eq, hot_eq), log_populations, fields, equilibria = _cycle_plan(
+    vectors, (cold_part, hot_part), baths, fields, equilibria = _cycle_plan(
         expansion.nu_initial_khz, expansion.nu_final_khz,
         cfg.thermal.kt_cold_pev, cfg.thermal.kt_hot_pev,
     )
     backward = forward.conj().transpose(0, 2, 1)
     swap_probs = propagator._flip_probabilities(forward, *vectors)
-    states = [*equilibria, *(_bloch(rho)[1] for rho in (
-        forward @ cold_eq @ backward, backward @ hot_eq @ forward
+    # the drives map the traceless parts r . sigma/2 alone: with the I/2,
+    # a hot bath's Bloch components would be differences of numbers near 1/2
+    states = [*equilibria, *(_bloch(part)[1] for part in (
+        forward @ cold_part @ backward, backward @ hot_part @ forward
     ))]
-    points = _report_from_states(cfg, taus, fields, log_populations, swap_probs, states)
+    points = _report_from_states(cfg, taus, fields, baths, swap_probs, states)
     return points, fields, states
 
 
 # pays on mc_cycle: 48 hits / 2 misses over seed 1's 27 s request list,
 # where requests repeat an engine (tau_scan: 0 hits / 10 misses).
 # What an engine fixes at every drive duration, as read-only (cold, hot)
-# pairs: the endpoint eigenvectors (from the propagator's eigensystem), Gibbs
-# states and log-populations, and the Bloch vectors of the Hamiltonians and
-# equilibria.  s/tau is exactly 1 at the ramp's end, so a protocol of tau = 1
-# builds them with the bits of every tau.  About 2.7 kB an entry
+# pairs: the endpoint eigenvectors (from the propagator's eigensystem), the
+# traceless parts rho - I/2 of the Gibbs states, and the Bloch vectors of
+# the Hamiltonians and equilibria; and the baths' gap/kT and polarizations
+# as two (cold, hot) arrays.  s/tau is exactly 1 at the ramp's end, so a
+# protocol of tau = 1 builds them with the bits of every tau.  About 2.7 kB
+# an entry
 @functools.lru_cache(maxsize=32)
 def _cycle_plan(
     nu_initial_khz: float, nu_final_khz: float, kt_cold_pev: float, kt_hot_pev: float
@@ -380,9 +390,11 @@ def _cycle_plan(
     expansion = DriveProtocol(nu_initial_khz, nu_final_khz, 1.0)
     hamiltonians = endpoint_hamiltonians(expansion)
     gibbs = tuple(map(gibbs_state, hamiltonians, (kt_cold_pev, kt_hot_pev)))
+    ends = ((nu_initial_khz, kt_cold_pev), (nu_final_khz, kt_hot_pev))
     plan = (
-        tuple(propagator.eigensystem(h)[1] for h in hamiltonians), gibbs,
-        _gibbs_log_populations(expansion, ThermalParams(kt_cold_pev, kt_hot_pev)),
+        tuple(propagator.eigensystem(h)[1] for h in hamiltonians),
+        tuple(rho - IDENTITY / 2.0 for rho in gibbs),
+        tuple(np.array([f(*end) for end in ends]) for f in (_gap_over_kt, polarization)),
         tuple(_bloch(h)[1] for h in hamiltonians),
         tuple(_bloch(rho[None])[1] for rho in gibbs),
     )
@@ -396,7 +408,7 @@ def _report_from_states(
     cfg: CycleConfig,
     tau_list_us: Sequence[float],
     fields: tuple[np.ndarray, np.ndarray],
-    log_populations: tuple[np.ndarray, np.ndarray],
+    baths: tuple[np.ndarray, np.ndarray],
     swap_probs: np.ndarray,
     states: Sequence[np.ndarray],
 ) -> list[CycleReport]:
@@ -404,7 +416,7 @@ def _report_from_states(
     n_tau swap probabilities and the Bloch vectors of the four cycle states:
     the equilibria as ``(3, 1)``, the drive outputs as ``(3, n_tau)``.  One
     :func:`_figures_of_merit` call gives every field's row."""
-    relent_sum = _drive_relative_entropy(log_populations, swap_probs)
+    relent_sum = _drive_relative_entropy(baths, swap_probs)
     figures = _figures_of_merit(cfg, np.asarray(tau_list_us), fields, states, relent_sum)
     efficiency_otto = 1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz
     efficiency_carnot = 1.0 - cfg.thermal.kt_cold_pev / cfg.thermal.kt_hot_pev
@@ -458,27 +470,29 @@ def _estimates(figures: np.ndarray) -> dict[str, UncertaintyEstimate]:
 
 
 def _drive_relative_entropy(
-    log_populations: tuple[np.ndarray, np.ndarray], swap_probs: np.ndarray
+    baths: tuple[np.ndarray, np.ndarray], swap_probs: np.ndarray
 ) -> np.ndarray:
     """S(rho_exp || rho_hot) + S(rho_comp || rho_cold) for an array of swap
-    probabilities xi, from the cold and hot Gibbs log-populations log p,
-    log q.
+    probabilities xi, from the baths' gap/kT x = (x_c, x_h) and
+    polarizations a = tanh(x/2), the cold bath's at the initial gap and the
+    hot bath's at the final one.
 
-    Unitarity gives S(rho_exp) = S(rho_cold), and rho_hot is diagonal in the
-    eigenbasis of H_f, where rho_exp has the populations T(xi) p; so
-    S(rho_exp || rho_hot) = sum p log p - sum (T(xi) p)_m log q_m, and the
-    compression term swaps p and q.  The transfer matrices T(xi) (see
-    :func:`~ottospin.tpm.transition_matrix`) form one stack, and each
-    population pair T(xi) p meets log q in a stacked (1, 2) @ (2,) product,
-    which rounds as the 1-d product of one pair does (a plain (n, 2) @ (2,)
-    product does not).
+    rho_hot is diagonal in the eigenbasis of H_f, where rho_exp has the
+    excited population (1 - a_c)/2 + xi a_c, and S(rho_exp) = S(rho_cold);
+    the compression term swaps the baths.  The log-partition functions
+    cancel between the two strokes, which leaves
+
+        (a_h - a_c)(x_h - x_c)/2 + xi (a_c x_h + a_h x_c),
+
+    two nonnegative terms.  For lo <= hi the two x's, a(hi) - a(lo) is
+    -2 e^-lo expm1(lo - hi) / ((1 + e^-lo)(1 + e^-hi)): no exp overflows,
+    and no digit is lost where both polarizations round to 1.
     """
-    log_p, log_q = log_populations
-    p, q = np.exp(log_p), np.exp(log_q)
-    stay = 1.0 - swap_probs
-    transfer = np.stack([stay, swap_probs, swap_probs, stay], axis=-1).reshape(-1, 2, 2)
-    to_hot, to_cold = (transfer @ p)[:, None], (transfer @ q)[:, None]
-    return p @ log_p - (to_hot @ log_q)[:, 0] + q @ log_q - (to_cold @ log_p)[:, 0]
+    (x_c, x_h), (a_c, a_h) = baths
+    lo, hi = sorted((x_c, x_h))
+    e_lo, e_hi = np.exp(-lo), np.exp(-hi)
+    spread = -2.0 * e_lo * np.expm1(lo - hi) / ((1.0 + e_lo) * (1.0 + e_hi))
+    return 0.5 * spread * (hi - lo) + swap_probs * (a_c * x_h + a_h * x_c)
 
 
 def _trace_pairing(h: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -191,13 +191,7 @@ def gibbs_state(hamiltonian: np.ndarray, kt_pev: float) -> np.ndarray:
 
 def thermal_populations(nu_khz: float, kt_pev: float) -> tuple[float, float]:
     """(ground, excited) Gibbs populations for a splitting of ``nu_khz``."""
-    if nu_khz <= 0.0:
-        raise ValueError(f"splitting frequency must be positive, got {nu_khz} kHz")
-    if not kt_pev > 0.0:
-        raise ValueError(f"kT must be positive, got {kt_pev} peV")
-    if math.isinf(kt_pev):
-        return 0.5, 0.5
-    ratio = PLANCK_PEV_PER_KHZ * nu_khz / kt_pev
+    ratio = _gap_over_kt(nu_khz, kt_pev)
     try:
         excited = 1.0 / (1.0 + math.exp(ratio))
     except OverflowError:
@@ -207,9 +201,21 @@ def thermal_populations(nu_khz: float, kt_pev: float) -> tuple[float, float]:
 
 
 def polarization(nu_khz: float, kt_pev: float) -> float:
-    """Population difference p_ground - p_excited = tanh(gap / 2 kT)."""
-    ground, excited = thermal_populations(nu_khz, kt_pev)
-    return ground - excited
+    """Population difference p_ground - p_excited = tanh(gap / 2 kT), taken
+    as the tanh itself: 1 - 2 p_excited loses the digits of a small gap/kT."""
+    return math.tanh(0.5 * _gap_over_kt(nu_khz, kt_pev))
+
+
+def _gap_over_kt(nu_khz: float, kt_pev: float) -> float:
+    """gap/kT of a splitting of ``nu_khz`` in a bath of ``kt_pev``; 0 for an
+    infinite bath."""
+    if nu_khz <= 0.0:
+        raise ValueError(f"splitting frequency must be positive, got {nu_khz} kHz")
+    if not kt_pev > 0.0:
+        raise ValueError(f"kT must be positive, got {kt_pev} peV")
+    if math.isinf(kt_pev):
+        return 0.0
+    return PLANCK_PEV_PER_KHZ * nu_khz / kt_pev
 
 
 def _endpoint_polarizations(
@@ -219,19 +225,6 @@ def _endpoint_polarizations(
     the hot bath's at the final gap."""
     return (polarization(protocol.nu_initial_khz, thermal.kt_cold_pev),
             polarization(protocol.nu_final_khz, thermal.kt_hot_pev))
-
-
-def _gibbs_log_populations(
-    protocol: DriveProtocol, thermal: ThermalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-populations (ground, excited) of the cold Gibbs state in H_i and
-    of the hot one in H_f: -E/kT - log Z, with log Z = gap/2kT +
-    log1p(exp(-gap/kT)), which never logs a small population."""
-    x = PLANCK_PEV_PER_KHZ * np.array(
-        [protocol.nu_initial_khz, protocol.nu_final_khz]
-    ) / np.array([thermal.kt_cold_pev, thermal.kt_hot_pev])
-    log_p, log_q = np.stack([np.zeros(2), -x], axis=1) - np.log1p(np.exp(-x))[:, None]
-    return log_p, log_q
 
 
 def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:

@@ -27,7 +27,6 @@ from .spin import (
     DriveProtocol,
     ThermalParams,
     _endpoint_polarizations,
-    _gibbs_log_populations,
     thermal_populations,
 )
 
@@ -321,39 +320,6 @@ def engine_heat_distribution(
     s = (transition_matrix(transition_prob) @ plan.p_array).tolist()
     probs = [s_m * q_k for s_m in s for q_k in plan.q]
     return EnergyDistribution(*_merge(plan.heat, [probs[i] for i in plan.heat.order]), "heat")
-
-
-def _history_entropy_production(
-    protocol: DriveProtocol, thermal: ThermalParams, transition_prob: float
-) -> tuple[float, float]:
-    """<sigma> and <e^-sigma> over the sixteen histories [n, m, k, j] of
-    ``engine_work_distribution``.  History [n, m, k, j] takes the hot heat
-    Q_h = e_f[k] - e_f[m] and the cold heat Q_c = e_i[n] - e_i[j], and
-    produces the entropy sigma = -Q_h/kT_hot - Q_c/kT_cold.
-
-    <sigma> is a third route to the mean entropy production, and
-    <e^-sigma> = 1 at every transition probability: the transfer matrix is
-    doubly stochastic and each bath starts its stroke in its Gibbs state
-    (the exchange fluctuation theorem of the Otto cycle).  The weights are
-    taken as log p[n] + log T[m, n] + log q[k] + log T[j, k] from the Gibbs
-    log-populations, and <e^-sigma> is summed over log p - sigma, so a
-    history whose weight underflows still counts where e^-sigma overflows.
-    """
-    e_initial, e_final = _endpoint_spectra(protocol.nu_initial_khz, protocol.nu_final_khz)
-    log_p, log_q = _gibbs_log_populations(protocol, thermal)
-    with np.errstate(divide="ignore"):
-        # transition_matrix is symmetric: log_t[n, m] = log T[m, n]
-        log_t = np.log(transition_matrix(transition_prob))
-    log_weight = log_p[:, None, None, None] + log_t[:, :, None, None] + log_q[:, None] + log_t
-    heat_hot = (e_final - e_final[:, None])[None, :, :, None]
-    heat_cold = (e_initial[:, None] - e_initial)[:, None, None, :]
-    sigma = -heat_hot / thermal.kt_hot_pev - heat_cold / thermal.kt_cold_pev
-    log_terms = (log_weight - sigma).ravel()
-    peak = log_terms.max()
-    return (
-        float(np.sum(np.exp(log_weight) * sigma)),
-        math.exp(peak + math.log(np.sum(np.exp(log_terms - peak)))),
-    )
 
 
 # --- plans: what does not change between calls -----------------------------

@@ -12,7 +12,10 @@ post-expansion populations (the table routes, which the package no longer
 carries), the conjugate symmetry of chi is checked by a full sorted pairing
 pass, recovered lattice atoms go through ``from_atoms``, process
 matrices are Kraus sums written term by term, relative entropy goes through a
-matrix logarithm, Gibbs states and state repair go through an
+matrix logarithm, the drive strokes' relative-entropy sum goes through
+Gibbs populations and logarithms at 50 decimal digits, the mean entropy
+production and the fluctuation theorem go through the sixteen cycle
+histories, Gibbs states and state repair go through an
 eigendecomposition, the Bloch-form Monte Carlo repair and relative entropy
 are also written row-major, on (n, 3) stacks reduced over their component
 axis, and trace norms go through singular values.  Tests
@@ -23,6 +26,9 @@ regressions show up as honest failures.
 
 from __future__ import annotations
 
+import decimal
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -365,14 +371,69 @@ def process_from_kraus(kraus_ops):
     return matrix
 
 
-def drive_relative_entropy_pairwise(log_p, log_q, swap_prob):
+def drive_relative_entropy_decimal(x_cold, x_hot, swap_prob, digits=50):
     """S(rho_exp || rho_hot) + S(rho_comp || rho_cold) for one swap
-    probability, from the Gibbs log-populations, with the 1-d products of one
-    transfer matrix: the rounding of the per-duration report, which the
-    batched report must keep so that its printed bytes do not move."""
-    p, q = np.exp(log_p), np.exp(log_q)
-    transfer = np.array([[1.0 - swap_prob, swap_prob], [swap_prob, 1.0 - swap_prob]])
-    return float(p @ log_p - transfer @ p @ log_q + q @ log_q - transfer @ q @ log_p)
+    probability, from the baths' gap/kT (the cold bath's at the initial gap,
+    the hot bath's at the final one): the Gibbs populations p, q and their
+    logarithms at ``digits`` decimal digits, summed as
+    sum p ln p - sum (T p) ln q + sum q ln q - sum (T q) ln p for the
+    transfer matrix T of the swap probability."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        swap = Decimal(swap_prob)
+
+        def gibbs(x):
+            x = Decimal(x)
+            z = 1 + (-x).exp()
+            return (1 / z, (-x).exp() / z), (-z.ln(), -x - z.ln())
+
+        def transfer(pops):
+            return (pops[0] * (1 - swap) + pops[1] * swap, pops[0] * swap + pops[1] * (1 - swap))
+
+        def dot(u, v):
+            return u[0] * v[0] + u[1] * v[1]
+
+        (p, log_p), (q, log_q) = gibbs(x_cold), gibbs(x_hot)
+        return float(dot(p, log_p) - dot(transfer(p), log_q)
+                     + dot(q, log_q) - dot(transfer(q), log_p))
+
+
+def history_entropy_production(protocol, thermal, transition_prob):
+    """<sigma> and <e^-sigma> over the sixteen histories [n, m, k, j] of the
+    engine's work distribution.  History [n, m, k, j] finds level n before
+    and m after the expansion stroke, k before and j after the compression
+    stroke; it takes the hot heat Q_h = e_f[k] - e_f[m] and the cold heat
+    Q_c = e_i[n] - e_i[j], and produces the entropy
+    sigma = -Q_h/kT_hot - Q_c/kT_cold.
+
+    <sigma> is a third route to the mean entropy production, and
+    <e^-sigma> = 1 at every transition probability: the transfer matrix is
+    doubly stochastic and each bath starts its stroke in its Gibbs state
+    (the exchange fluctuation theorem of the Otto cycle).  The weights are
+    taken as log p[n] + log T[m, n] + log q[k] + log T[j, k] from the Gibbs
+    log-populations -E/kT - log Z, with log Z = gap/2kT +
+    log1p(exp(-gap/kT)), which never logs a small population; <e^-sigma> is
+    summed over log p - sigma, so a history whose weight underflows still
+    counts where e^-sigma overflows.
+    """
+    gaps = H_PEV_PER_KHZ * np.array([protocol.nu_initial_khz, protocol.nu_final_khz])
+    e_initial, e_final = (np.array([-0.5 * gap, 0.5 * gap]) for gap in gaps)
+    x = gaps / np.array([thermal.kt_cold_pev, thermal.kt_hot_pev])
+    log_p, log_q = np.stack([np.zeros(2), -x], axis=1) - np.log1p(np.exp(-x))[:, None]
+    stay = 1.0 - transition_prob
+    with np.errstate(divide="ignore"):
+        # the transfer matrix is symmetric: log_t[n, m] = log T[m, n]
+        log_t = np.log(np.array([[stay, transition_prob], [transition_prob, stay]]))
+    log_weight = log_p[:, None, None, None] + log_t[:, :, None, None] + log_q[:, None] + log_t
+    heat_hot = (e_final - e_final[:, None])[None, :, :, None]
+    heat_cold = (e_initial[:, None] - e_initial)[:, None, None, :]
+    sigma = -heat_hot / thermal.kt_hot_pev - heat_cold / thermal.kt_cold_pev
+    log_terms = (log_weight - sigma).ravel()
+    peak = log_terms.max()
+    return (
+        float(np.sum(np.exp(log_weight) * sigma)),
+        math.exp(peak + math.log(np.sum(np.exp(log_terms - peak)))),
+    )
 
 
 def relative_entropy_logm(a, b):

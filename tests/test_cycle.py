@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ottospin as o
 from ottospin import cycle, propagator
@@ -137,6 +137,46 @@ def test_entropy_production_two_routes_agree():
             assert r.entropy_production == pytest.approx(lag_route, abs=1e-10)
 
 
+# the hot-bath engine whose lag lost five digits to the log-population route
+HOT_BATH_ENGINE = (2.0, 3.6, 1e6, 6136363.6, 100.0)
+# cold gap/kT = 1e-15, where the full-state drive outputs gave eta = 0.3158
+TINY_GAP_ENGINE = (2.0, 3.6, 8.271335392e15, 4.135667696e16, 300.0)
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+@st.composite
+def engines(draw):
+    """(nu_i, nu_f, kT_cold, kT_hot, tau) with cold gap/kT from 1e-12 to 700
+    and a drive of at most 20 cycles of the final gap."""
+    nu_i = draw(_log_uniform(1e-3, 1e2))
+    nu_f = nu_i * draw(st.floats(min_value=1.01, max_value=30.0))
+    kt_cold = o.PLANCK_PEV_PER_KHZ * nu_i / draw(_log_uniform(1e-12, 700.0))
+    kt_hot = kt_cold * draw(st.floats(min_value=1.01, max_value=100.0))
+    tau = draw(_log_uniform(1.0, min(3000.0, 20.0 / (nu_f * 1e-3))))
+    return nu_i, nu_f, kt_cold, kt_hot, tau
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(engines())
+@example(HOT_BATH_ENGINE)
+@example(TINY_GAP_ENGINE)
+def test_lag_and_entropy_production_keep_their_digits_at_every_gap_over_kt(engine):
+    nu_i, nu_f, kt_cold, kt_hot, tau = engine
+    r = o.run_cycle(o.CycleConfig(o.DriveProtocol(nu_i, nu_f, tau),
+                                  o.ThermalParams(kt_cold, kt_hot)))
+    eta, lag, sigma = r.efficiency, r.efficiency_lag, r.entropy_production
+    # criterion 07's bound, relative to the terms rather than to 1 + them
+    assert abs(eta - (r.efficiency_carnot - lag)) <= 1e-9 * (abs(eta) + abs(lag))
+    assert abs(sigma - r.mean_heat_hot_pev * lag / kt_cold) <= 1e-9 * abs(sigma)
+    baths = cycle._cycle_plan(nu_i, nu_f, kt_cold, kt_hot)[2]
+    relent = cycle._drive_relative_entropy(baths, np.array([r.transition_prob]))[0]
+    expected = oracles.drive_relative_entropy_decimal(*baths[0].tolist(), r.transition_prob)
+    assert relent == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_entropy_production_is_nonnegative_on_the_grid():
     for thermal in (THERMAL_A, THERMAL_B):
         for tau in TAU_GRID:
@@ -192,17 +232,17 @@ def test_batched_sweep_report_equals_the_one_duration_report(thermal, taus):
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0, nan_ok=True), name
 
 
-def test_stacked_relative_entropy_rounds_as_one_pair_at_a_time():
+def test_drive_relative_entropy_is_the_decimal_sum_over_populations():
+    # the closed form in the baths' gap/kT and polarizations against the
+    # Gibbs populations and their logs at 50 digits, to 1e-14 relative
     rng = np.random.default_rng(1308)
     swap_probs = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 200) ** 3])
     for thermal in (THERMAL_A, THERMAL_B, *COLD_CORNER):
-        log_p, log_q = cycle._gibbs_log_populations(PROTOCOL, thermal)
-        stacked = cycle._drive_relative_entropy((log_p, log_q), swap_probs)
-        expected = [
-            oracles.drive_relative_entropy_pairwise(log_p, log_q, xi)
-            for xi in swap_probs.tolist()
-        ]
-        assert stacked.tolist() == expected
+        baths = cycle._cycle_plan(2.0, 3.6, thermal.kt_cold_pev, thermal.kt_hot_pev)[2]
+        got = cycle._drive_relative_entropy(baths, swap_probs)
+        for value, xi in zip(got.tolist(), swap_probs.tolist()):
+            expected = oracles.drive_relative_entropy_decimal(*baths[0].tolist(), xi)
+            assert value == pytest.approx(expected, rel=1e-14, abs=0.0), (thermal, xi)
 
 
 def test_sweep_preserves_order_and_matches_single_runs():
@@ -243,7 +283,7 @@ def test_run_cycle_at_a_swept_duration_is_that_sweeps_report():
 
 def test_cycle_plan_is_read_only_and_the_same_at_every_duration():
     plan = cycle._cycle_plan(2.0, 3.6, 6.6, 40.5)
-    vectors, gibbs, _, _, equilibria = plan
+    vectors, parts, (gaps, polarizations), _, equilibria = plan
     assert [len(pair) for pair in plan] == [2] * 5
     for array in (array for pair in plan for array in pair):
         assert not array.flags.writeable
@@ -256,9 +296,12 @@ def test_cycle_plan_is_read_only_and_the_same_at_every_duration():
     for tau in (1e-3, 0.37, 100.0, 7e5):
         ends = o.endpoint_hamiltonians(o.DriveProtocol(2.0, 3.6, tau))
         assert [h.tobytes() for h in ends] == [h.tobytes() for h in hamiltonians]
-    for h, kt, vec, rho in zip(hamiltonians, (6.6, 40.5), vectors, gibbs):
+    for h, kt, vec, part in zip(hamiltonians, (6.6, 40.5), vectors, parts):
         assert o.eigensystem(h)[1].tobytes() == vec.tobytes()
-        assert o.gibbs_state(h, kt).tobytes() == rho.tobytes()
+        assert (o.gibbs_state(h, kt) - 0.5 * np.eye(2)).tobytes() == part.tobytes()
+    # the one polarization, tanh(x/2) of the plan's gap/kT
+    assert polarizations.tolist() == [o.polarization(2.0, 6.6), o.polarization(3.6, 40.5)]
+    assert gaps.tolist() == [o.PLANCK_PEV_PER_KHZ * 2.0 / 6.6, o.PLANCK_PEV_PER_KHZ * 3.6 / 40.5]
 
 
 def test_work_sign_flips_once_on_the_hot_grid():
@@ -303,6 +346,16 @@ def test_efficiency_closed_form_decreases_with_swap_probability():
         for s in (0.0, 0.03, 0.06, 0.09, 0.12)
     ]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("engine", [(2.0, 3.6, 6.6, 40.5, 300.0), TINY_GAP_ENGINE])
+def test_efficiency_closed_form_is_the_reports_efficiency(engine):
+    nu_i, nu_f, kt_cold, kt_hot, tau = engine
+    cfg = o.CycleConfig(o.DriveProtocol(nu_i, nu_f, tau), o.ThermalParams(kt_cold, kt_hot))
+    r = o.run_cycle(cfg)
+    eta = o.efficiency_closed_form(cfg.protocol, cfg.thermal, r.transition_prob)
+    assert eta == pytest.approx(r.efficiency, rel=1e-9, abs=0.0)
+    assert r.efficiency + r.efficiency_lag == pytest.approx(r.efficiency_carnot, rel=1e-9)
 
 
 def test_efficiency_closed_form_rejects_equal_polarizations():

@@ -222,6 +222,10 @@ def test_polarization_is_half_argument_tanh():
         math.tanh(o.PLANCK_PEV_PER_KHZ * 2.0 / (2 * 6.6)), abs=1e-15
     )
     assert o.polarization(2.0, math.inf) == 0.0
+    # small gap/kT: 1 - 2 p_excited kept only ~4 digits at 1e-12
+    for x in (1e-12, 1e-9, 1e-6):
+        kt = o.PLANCK_PEV_PER_KHZ * 2.0 / x
+        assert o.polarization(2.0, kt) == pytest.approx(math.tanh(x / 2), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("kt", [1.0, math.inf])

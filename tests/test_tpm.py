@@ -875,7 +875,7 @@ def test_history_route_gives_the_mean_entropy_production_and_the_fluctuation_the
     # tolerances: <sigma> against the heat route to rel 1e-12 (abs 1e-14),
     # <e^-sigma> against 1 to 1e-12
     for protocol, thermal, swap in _acceptance_engines():
-        mean_sigma, mean_exp = tpm._history_entropy_production(protocol, thermal, swap)
+        mean_sigma, mean_exp = oracles.history_entropy_production(protocol, thermal, swap)
         expected = o.entropy_production_drive(
             o.mean_heat_cold_closed_form(protocol, thermal, swap),
             o.mean_heat_hot_closed_form(protocol, thermal, swap),
@@ -900,7 +900,7 @@ def test_history_route_matches_the_cycle_report(nu, kt, tau):
     # same tolerances as over the random engines
     cfg = o.CycleConfig(o.DriveProtocol(*nu, tau), o.ThermalParams(*kt))
     report = o.run_cycle(cfg)
-    mean_sigma, mean_exp = tpm._history_entropy_production(
+    mean_sigma, mean_exp = oracles.history_entropy_production(
         cfg.protocol, cfg.thermal, report.transition_prob
     )
     assert mean_sigma == pytest.approx(report.entropy_production, rel=1e-12, abs=1e-14)
