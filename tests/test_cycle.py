@@ -137,9 +137,9 @@ def test_entropy_production_two_routes_agree():
             assert r.entropy_production == pytest.approx(lag_route, abs=1e-10)
 
 
-# the hot-bath engine whose lag lost five digits to the log-population route
+# a hot bath: cold gap/kT ~ 8e-6, where a difference of O(1) terms kept ~5 digits of L
 HOT_BATH_ENGINE = (2.0, 3.6, 1e6, 6136363.6, 100.0)
-# cold gap/kT = 1e-15, where the full-state drive outputs gave eta = 0.3158
+# cold gap/kT = 1e-15: with the I/2 in the drive outputs, eta read 0.3158 for 0.4073
 TINY_GAP_ENGINE = (2.0, 3.6, 8.271335392e15, 4.135667696e16, 300.0)
 
 
