@@ -30,7 +30,7 @@ from .config import (
     parse_config,
     to_cycle_config,
 )
-from .cycle import MONTE_CARLO_FIELDS, CycleReport, run_cycle, sweep_with_uncertainty
+from .cycle import MONTE_CARLO_FIELDS, CycleReport, endpoint_hamiltonians, sweep_with_uncertainty
 from .process import (
     choi_from_unitary,
     depolarizing_process,
@@ -38,7 +38,7 @@ from .process import (
     process_trace_distance,
     unitality_defect,
 )
-from .propagator import evolve_unitary
+from .propagator import evolve_unitary, transition_probability
 from .tpm import (
     engine_heat_distribution,
     engine_work_distribution,
@@ -201,7 +201,8 @@ def _emit_report_rows(cfg: RunConfig, taus: Sequence[float]) -> None:
 
 def _emit_distribution(cfg: RunConfig, kind: str) -> None:
     cycle_cfg = to_cycle_config(cfg)
-    swap_prob = run_cycle(cycle_cfg).transition_prob
+    unitary = evolve_unitary(cycle_cfg.protocol, cycle_cfg.n_steps)
+    swap_prob = transition_probability(unitary, *endpoint_hamiltonians(cycle_cfg.protocol))
     route = engine_work_distribution if kind == "work" else engine_heat_distribution
     dist = route(cycle_cfg.protocol, cycle_cfg.thermal, swap_prob)
     atoms = list(zip(dist.energies_pev, dist.probabilities))

@@ -71,11 +71,6 @@ class DriveProtocol:
             )
         _check_duration(self.tau_us)
 
-    @property
-    def compression_factor(self) -> float:
-        """Ratio of final to initial gap frequency."""
-        return self.nu_final_khz / self.nu_initial_khz
-
 
 def _check_duration(tau_us: float) -> None:
     # NaN fails this chained comparison as inf and nonpositive values do

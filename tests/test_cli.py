@@ -22,6 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from ottospin import cli, config, parse_config, propagator, run_cycle, to_cycle_config
 from ottospin.cli import main
 
+from conftest import _package_caches
+
 H = 4.135667696
 
 
@@ -411,6 +413,54 @@ def test_distribution_on_a_cold_bath_past_exp_overflow(tmp_path, capsys, command
     assert sum(float(r["probability"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tau", ["100", "300", "700"])
+@pytest.mark.parametrize("kt_hot", ["1e300", "1.7e308", "inf"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["work-dist", "heat-dist"])
+def test_a_distribution_on_baths_where_the_cycle_report_underflows(
+    tmp_path, capsys, command, fmt, kt_hot, tau
+):
+    # gap/kT below ~1e-154 on both baths: the report's relative-entropy sum
+    # and hot heat underflow, but the atoms need only the drive's swap
+    # probability, which no bath enters
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(f"[thermal]\nkt_cold_pev = 1e300\nhot_option = custom\nkt_hot_pev = {kt_hot}\n")
+    rc, out, err = _run(capsys, [command, "--tau", tau, "--format", fmt, "--config", str(cfg)])
+    assert rc == 0 and err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        default = run_cycle(to_cycle_config(config.RunConfig(), float(tau)))
+        assert payload["transition_prob"] == default.transition_prob
+        atoms = [(atom["energy_pev"], atom["probability"]) for atom in payload["atoms"]]
+    else:
+        atoms = [(float(row["energy_pev"]), float(row["probability"])) for row in _rows(out)]
+    assert atoms and all(math.isfinite(value) for atom in atoms for value in atom)
+    assert abs(sum(p for _, p in atoms) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    ["[thermal]\nhot_option = A\n", "[thermal]\nhot_option = B\n", "[drive]\nn_steps = 7\n"],
+    ids=["hot-A", "hot-B", "steps-7"],
+)
+def test_the_printed_swap_probability_is_the_cycle_reports(tmp_path, capsys, config_text):
+    # the distributions take xi from the drive alone, the report from its
+    # swept stack: both routes must give the same bits
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    run_cfg = parse_config(config_text)
+    expected = [run_cycle(to_cycle_config(run_cfg, tau)).transition_prob
+                for tau in run_cfg.tau_list_us]
+    # no propagator kept by the reports may answer the command's drive
+    for cache in _package_caches():
+        cache.cache_clear()
+    for tau, swap_prob in zip(run_cfg.tau_list_us, expected):
+        rc, out, err = _run(capsys, ["work-dist", "--format", "json", "--tau", repr(tau),
+                                     "--config", str(cfg)])
+        assert rc == 0 and err == ""
+        assert json.loads(out)["transition_prob"] == swap_prob, tau
+
+
 def test_work_atoms_with_subnormal_weights_keep_their_lattice_energies(tmp_path, capsys):
     # cold excited population 1.3e-318: three work atoms weigh below 1e-300
     cfg = tmp_path / "cold.cfg"
@@ -618,6 +668,10 @@ def _run_captured(argv):
 @example({"tau_us": 1e300})
 @example({"n_steps": 2**63})  # np.arange gives an empty array at this size
 @example({"curve_points": 2**63})  # np.linspace fails on an empty array
+# the cycle report underflows on these baths, while the distributions report
+@example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1e300})
+@example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1.7e308})
+@example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": math.inf})
 def test_every_drawn_config_gives_a_report_or_one_error_line(values):
     with tempfile.TemporaryDirectory() as name:
         folder = Path(name)

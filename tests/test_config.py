@@ -126,6 +126,18 @@ def test_line_without_equals_is_rejected():
         o.parse_config("[drive]\nnu_initial_khz\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[cycle]\ntau_list_us = , ,\n", "line 2: bad value for 'tau_list_us': empty list"),
+     ("[drive\n", "line 1: malformed section header '[drive'")],
+    ids=["list-of-blanks", "unclosed-header"],
+)
+def test_a_malformed_line_is_named_with_its_fault(text, message):
+    with pytest.raises(ConfigError) as exc:
+        o.parse_config(text)
+    assert str(exc.value) == message
+
+
 def test_custom_hot_option_requires_a_temperature():
     with pytest.raises(ConfigError, match="kt_hot_pev"):
         o.parse_config("[thermal]\nhot_option = custom\n")

@@ -845,3 +845,24 @@ def test_cycle_config_validation():
         o.CycleConfig(PROTOCOL, THERMAL_B, n_steps=0)
     with pytest.raises(ValueError):
         o.CycleConfig(PROTOCOL, THERMAL_B, t_thermalization_us=-1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: o.CycleConfig(PROTOCOL, THERMAL_B, t_cooling_us=-1.0),
+      "cooling time must be nonnegative"),
+     (lambda: o.sweep_with_uncertainty(o.CycleConfig(PROTOCOL, THERMAL_B), []),
+      "tau list must be nonempty")],
+    ids=["negative-cooling", "empty-tau-list"],
+)
+def test_a_rejected_cycle_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_extraction_bound_is_zero_where_both_polarizations_underflow():
+    # gaps of ~1e-323 peV against kT = 100: both polarizations round to 0,
+    # so the closed form's denominator is 0 although the ratio is in range
+    assert o.extraction_bound(o.DriveProtocol(5e-324, 1e-323, 1.0),
+                              o.ThermalParams(100.0, 200.0)) == 0.0

@@ -42,6 +42,55 @@ def test_an_unused_import_is_found():
     assert _unused_imports(source) == ["line 1: math", "line 3: List"]
 
 
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (functions, classes, constants; not
+    dunders) of each ``{module: source}`` entry that no source reads outside
+    the name's own definition.  A read is a loaded ``Name`` or
+    ``Attribute``, matched by identifier alone, as in ``_unused_imports``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def reads(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child.id
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                yield child.attr
+
+    everywhere = [name for tree in trees.values() for name in reads(tree)]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = list(reads(node))
+            unread += [f"{module}.{name}" for name in bound
+                       if name.startswith("_") and not name.startswith("__")
+                       and everywhere.count(name) == own.count(name)]
+    return unread
+
+
+def test_every_private_name_of_the_package_has_a_reader():
+    # a private name nothing in the package reads is dead code
+    paths = (Path(__file__).resolve().parents[1] / "src" / "ottospin").glob("*.py")
+    assert _unread_private_names({p.stem: p.read_text(encoding="utf-8") for p in paths}) == []
+
+
+def test_an_unread_private_name_is_found():
+    source = (
+        "_USED = 1\n_UNUSED = 2\n_A, _B = 3, 4\n__version__ = '1'\n"
+        "def _helper():\n    return _USED + _A\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Kept:\n    pass\n"
+    )
+    other = "import m\ndef public():\n    return m._helper(), m._Kept\n"
+    assert _unread_private_names({"m": source, "n": other}) == ["m._UNUSED", "m._B", "m._recursive"]
+
+
 def test_every_package_cache_is_cleared_between_tests():
     # the autouse fixture in conftest.py clears what _package_caches finds;
     # a cache it missed could answer a later test from an earlier one

@@ -306,8 +306,16 @@ def test_drive_protocol_validation():
         o.DriveProtocol(2.0, 3.6, 0.0)
 
 
-def test_drive_protocol_compression_factor():
-    assert o.DriveProtocol(2.0, 3.6, 100.0).compression_factor == pytest.approx(1.8)
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: o.gibbs_state(np.eye(3), 1.0), "expected a 2x2 matrix, got shape (3, 3)"),
+     (lambda: o.spin_temperature(1.0, 0.0, 2.0), "excited population must be positive, got 0.0")],
+    ids=["gibbs-3x3", "empty-excited-level"],
+)
+def test_a_rejected_spin_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_thermal_params_validation():

@@ -496,6 +496,28 @@ def test_distribution_rejects_non_finite_atoms(energies, probabilities):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [(lambda: o.EnergyDistribution((0.0, 1.0), (1.0,), "work"),
+      "energies and probabilities must have equal length"),
+     (lambda: o.EnergyDistribution((), (), "work"), "distribution needs at least one atom"),
+     (lambda: o.EnergyDistribution.from_atoms([[0.0, 1.0]], [[0.5, 0.5]], "work"),
+      "energies and probabilities must be 1d and equal length"),
+     (lambda: o.CharacteristicSamples([0.0, 1.0], [1.0]),
+      "u grid and samples must be 1d and equal length"),
+     (lambda: o.invert_characteristic(o.CharacteristicSamples(np.arange(1.0, 9.0), np.zeros(8))),
+      "inversion recovered no atoms above threshold"),
+     (lambda: o.invert_characteristic(o.CharacteristicSamples([0.0], [1.0])),
+      "need at least two samples to invert")],
+    ids=["unequal-lengths", "no-atoms", "2d-atoms", "unequal-samples", "zero-chi",
+         "one-sample"],
+)
+def test_a_rejected_tpm_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "spacing, n_points, message",
     [
         (math.nan, 8, "energy spacing must be positive and finite, got nan"),
