@@ -23,6 +23,7 @@ import numpy as np
 from . import propagator
 from .propagator import (
     DEFAULT_N_STEPS,
+    _check_step_count,
     evolve_unitaries,
     # not called here: perfbench/tracing.py wraps these one-tau layer
     # boundaries under ottospin.cycle
@@ -56,11 +57,10 @@ class CycleConfig:
     t_cooling_us: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.t_thermalization_us <= 0.0:
+        _check_step_count(self.n_steps)
+        if not self.t_thermalization_us > 0.0:
             raise ValueError("thermalization time must be positive")
-        if self.t_cooling_us < 0.0:
+        if not self.t_cooling_us >= 0.0:
             raise ValueError("cooling time must be nonnegative")
 
 

@@ -43,7 +43,7 @@ class ProcessMatrix:
         if m.shape != (4, 4):
             raise ValueError(f"process matrix must be 4x4, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
             raise ValueError("process matrix must be Hermitian")
         if np.linalg.eigvalsh(m).min() < -1e-10:
             raise ValueError("process matrix must be positive semidefinite")
@@ -61,7 +61,7 @@ def choi_from_unitary(unitary: UnitaryMap | np.ndarray) -> ProcessMatrix:
     """
     u = unitary.matrix if isinstance(unitary, UnitaryMap) else np.asarray(unitary)
     u = u.astype(np.complex128)
-    if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+    if u.shape != (2, 2) or not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
         raise ValueError("input must be a 2x2 unitary")
     coeffs = np.einsum("kab,ba->k", _BASIS_DAG, u) / 2.0
     return ProcessMatrix(np.outer(coeffs, coeffs.conj()))

@@ -1,12 +1,15 @@
 """Time-ordered unitary evolution under the gap drive and the eigenstate
 transition probability.
 
-One Magnus kernel, :func:`cayley_klein_product`, builds the propagators of a
-whole array of drive durations at one step count; :func:`evolve_unitaries`
-doubles the step count of each duration in lockstep until it converges, and
-``_flip_probabilities`` takes every propagator's eigenstate flip probability
-from the endpoint eigenvectors.  :func:`slice_product`, :func:`evolve_unitary`
-and :func:`transition_probability` are their one-duration cases.
+One Magnus kernel, :func:`cayley_klein_product`, builds the expansion
+propagators of a whole array of drive durations at one step count;
+:func:`evolve_unitaries` doubles the step count of each duration in lockstep
+until it converges, and ``_flip_probabilities`` takes every propagator's
+eigenstate flip probability from the endpoint eigenvectors.
+:func:`slice_product`, :func:`evolve_unitary` and
+:func:`transition_probability` are their one-duration cases.  The compression
+drive H_c(t) = -H_e(tau - t) maps each step's exponent c to -c in reverse
+order, so its propagator is served as the expansion one's adjoint.
 
 The converged propagators of a call are kept, bounded, so a repeated call
 skips the escalation; every result keeps its bits.
@@ -15,6 +18,7 @@ skips the escalation; every result keeps its bits.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,23 +42,19 @@ _NODE_CENTRES = np.array([[0.5 - _GAUSS_OFFSET], [0.5 + _GAUSS_OFFSET]])
 
 
 def cayley_klein_product(
-    nu_start_khz: float,
-    nu_end_khz: float,
-    tau_list_us: Sequence[float],
-    n_steps: int,
-    compression: bool,
+    nu_start_khz: float, nu_end_khz: float, tau_list_us: Sequence[float], n_steps: int
 ) -> np.ndarray:
-    """Time-ordered products of fourth-order Magnus steps for the gap drive,
-    one per drive duration, as Cayley-Klein pairs.
+    """Time-ordered products of fourth-order Magnus steps for the expansion
+    drive, one per drive duration, as Cayley-Klein pairs.
 
     The drive generator is a real vector on the Pauli basis,
     ``-i H(t) / hbar = i a(t) . sigma`` with
 
-        a(t) = s * pi * nu(t) * KHZ_US * (cos phi(t), sin phi(t), 0)   [rad/us]
+        a(t) = pi * nu(t) * KHZ_US * (cos phi(t), sin phi(t), 0)   [rad/us]
 
-    (``KHZ_US`` converts kHz*us to cycles), ``phi`` the instantaneous rotation
-    angle of the field axis, and ``s = +1`` for the forward (expansion) ramp,
-    ``-1`` for the reversed (compression) ramp.  Each step of width ``dt``
+    (``KHZ_US`` converts kHz*us to cycles) and ``phi(t) = pi t / 2 tau`` the
+    rotation angle of the field axis; the compression product is the adjoint
+    of this one (see the module docstring).  Each step of width ``dt``
     samples ``a`` at the two Gauss-Legendre nodes
     ``t_k + (1/2 -+ sqrt(3)/6) dt`` and takes the two-term Magnus exponent
 
@@ -83,12 +83,9 @@ def cayley_klein_product(
     # the drive at each Gauss node depends on tau only through the node's
     # fraction of the window; rows: the earlier and the later node of a step
     frac = (np.arange(n_steps) + _NODE_CENTRES) / n_steps
-    # the compression drive replays the forward ramp backwards and negated
-    if compression:
-        frac = 1.0 - frac
     nu = nu_start_khz + (nu_end_khz - nu_start_khz) * frac
     phi = 0.5 * np.pi * frac
-    amp = (-np.pi if compression else np.pi) * KHZ_US * nu
+    amp = np.pi * KHZ_US * nu
     ax = amp * np.cos(phi)
     ay = amp * np.sin(phi)
     # c = dt/2 * node_sum + sqrt(3)/6 dt^2 * node_cross, and its squared norm
@@ -125,21 +122,20 @@ def cayley_klein_product(
 
 
 def slice_product(
-    nu_start_khz: float,
-    nu_end_khz: float,
-    tau_us: float,
-    n_steps: int,
-    compression: bool,
+    nu_start_khz: float, nu_end_khz: float, tau_us: float, n_steps: int
 ) -> np.ndarray:
     """Time-ordered product of ``n_steps`` fourth-order Magnus steps for the
-    gap drive of one duration, as a 2x2 matrix (see
-    :func:`cayley_klein_product`)."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if tau_us <= 0.0:
-        raise ValueError(f"tau_us must be positive, got {tau_us}")
-    pairs = cayley_klein_product(nu_start_khz, nu_end_khz, [tau_us], n_steps, compression)
-    return _matrices(pairs)[0]
+    expansion drive of one duration, as a 2x2 matrix (see
+    :func:`cayley_klein_product`); the compression drive's is its conjugate
+    transpose."""
+    _check_step_count(n_steps)
+    _check_duration(tau_us)
+    return _matrices(cayley_klein_product(nu_start_khz, nu_end_khz, [tau_us], n_steps))[0]
+
+
+def _check_step_count(n_steps: int) -> None:
+    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps}")
 
 
 class ConvergenceError(RuntimeError):
@@ -157,7 +153,7 @@ class UnitaryMap:
 
     def __post_init__(self) -> None:
         defect = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(2)))
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
 
@@ -167,7 +163,9 @@ def evolve_unitaries(
     n_steps: int = DEFAULT_N_STEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagators of the protocol's ramp and phase at each drive duration in
-    ``tau_list_us`` (``protocol.tau_us`` itself is not used).
+    ``tau_list_us`` (``protocol.tau_us`` itself is not used).  Only the
+    expansion ramp is integrated: a COMPRESSION protocol gets the conjugate
+    transpose of each expansion propagator, with the same step counts.
 
     Each propagator is a time-ordered product of Magnus steps (see
     :func:`cayley_klein_product`), so the global error is fourth order in
@@ -179,45 +177,44 @@ def evolve_unitaries(
     unconverged after six doublings, and ``ValueError`` if a product is off
     unitarity by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
     A bad list (empty, or a duration not positive and finite) is rejected
-    first.  The result of each call is kept (see ``_converged``); a call that
-    raises keeps nothing.
+    first.  The result of each call is kept for both phases (see
+    ``_converged``); a call that raises keeps nothing.
 
     Returns the ``(n_tau, 2, 2)`` stack of propagators and the step count
     each used, in input order.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_step_count(n_steps)
     taus = np.asarray(tau_list_us, dtype=np.float64)
     if len(taus) == 0:
         raise ValueError("tau list must be nonempty")
     for tau in taus.tolist():
         _check_duration(tau)
-    matrices, steps = _converged(
-        protocol.nu_initial_khz, protocol.nu_final_khz,
-        protocol.phase is Phase.COMPRESSION, n_steps, taus.tobytes(),
-    )
+    ramp = (protocol.nu_initial_khz, protocol.nu_final_khz)
+    matrices, steps = _converged(*ramp, n_steps, taus.tobytes())
+    if protocol.phase is Phase.COMPRESSION:
+        return matrices.conj().transpose(0, 2, 1), steps.copy()
     return matrices.copy(), steps.copy()
 
 
 # pays on mc_cycle: 40 hits / 10 misses over seed 1's 27 s request list,
 # where requests repeat a drive (tau_scan: 0 hits / 20 misses).  One call's
-# converged stack and step counts, read-only, keyed on the drive, the
-# starting step count and the bytes of the durations in order; about 0.5 kB
-# plus 80 B per duration an entry
+# converged expansion stack and step counts, read-only, keyed on the ramp,
+# the starting step count and the bytes of the durations in order (both
+# phases share an entry); about 0.5 kB plus 80 B per duration an entry
 @functools.lru_cache(maxsize=32)
 def _converged(
-    nu_initial_khz: float, nu_final_khz: float, compression: bool, n_steps: int, tau_bytes: bytes
+    nu_initial_khz: float, nu_final_khz: float, n_steps: int, tau_bytes: bytes
 ) -> tuple[np.ndarray, np.ndarray]:
     ramp = (nu_initial_khz, nu_final_khz)
     taus = np.frombuffer(tau_bytes, dtype=np.float64)
     pairs = np.empty((2, len(taus)), dtype=np.complex128)
     steps = np.empty(len(taus), dtype=np.int64)
     pending = np.arange(len(taus))
-    current = cayley_klein_product(*ramp, taus, n_steps, compression)
+    current = cayley_klein_product(*ramp, taus, n_steps)
     n = n_steps
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
-        finer = cayley_klein_product(*ramp, taus[pending], n, compression)
+        finer = cayley_klein_product(*ramp, taus[pending], n)
         done = np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE
         pairs[:, pending[done]] = finer[:, done]
         steps[pending[done]] = n
@@ -259,7 +256,7 @@ def _flip_probabilities(
     overlap = vec_f.conj().T @ matrices @ vec_i
     up = np.abs(overlap[:, 1, 0]) ** 2
     down = np.abs(overlap[:, 0, 1]) ** 2
-    asymmetric = np.abs(up - down) >= 1e-9
+    asymmetric = ~(np.abs(up - down) < 1e-9)
     if asymmetric.any():
         k = np.argmax(asymmetric)
         raise RuntimeError(

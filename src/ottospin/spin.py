@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class DriveProtocol:
     ``nu_initial_khz`` and ``nu_final_khz`` always describe the forward
     (expansion) ramp; ``phase`` selects whether the protocol runs that ramp or
     its time-reversed negation.  A COMPRESSION protocol therefore starts at
-    the wide gap: ``gap_frequency(0, p)`` is ``nu_final_khz``.
+    the wide gap: ``gap_frequency(0, p)`` is ``nu_final_khz``, and its
+    propagator is the adjoint of the expansion one.
     """
 
     nu_initial_khz: float
@@ -116,22 +117,20 @@ def drive_hamiltonian(t_us: float, protocol: DriveProtocol) -> np.ndarray:
     """
     nu = gap_frequency(t_us, protocol)
     if protocol.phase is Phase.COMPRESSION:
-        s = protocol.tau_us - t_us
-        sign = -1.0
-    else:
-        s = t_us
-        sign = 1.0
-    # s/tau is exactly 1 at the ramp's end, so H(tau) has the same bits for
+        return -drive_hamiltonian(protocol.tau_us - t_us, replace(protocol, phase=Phase.EXPANSION))
+    # t/tau is exactly 1 at the ramp's end, so H(tau) has the same bits for
     # every tau and the hot Gibbs state does not depend on it
-    angle = 0.5 * math.pi * (s / protocol.tau_us)
+    angle = 0.5 * math.pi * (t_us / protocol.tau_us)
     gap = PLANCK_PEV_PER_KHZ * nu
-    return sign * (-0.5 * gap) * (math.cos(angle) * PAULI_X + math.sin(angle) * PAULI_Y)
+    return -0.5 * gap * (math.cos(angle) * PAULI_X + math.sin(angle) * PAULI_Y)
 
 
 def _require_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
         raise ValueError("matrix is not Hermitian")
     return matrix
@@ -204,7 +203,7 @@ def polarization(nu_khz: float, kt_pev: float) -> float:
 def _gap_over_kt(nu_khz: float, kt_pev: float) -> float:
     """gap/kT of a splitting of ``nu_khz`` in a bath of ``kt_pev``; 0 for an
     infinite bath."""
-    if nu_khz <= 0.0:
+    if not nu_khz > 0.0:
         raise ValueError(f"splitting frequency must be positive, got {nu_khz} kHz")
     if not kt_pev > 0.0:
         raise ValueError(f"kT must be positive, got {kt_pev} peV")
@@ -229,11 +228,11 @@ def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:
     so inputs that do not quite sum to one are renormalized with a warning
     rather than rejected (measured populations routinely carry that defect).
     """
-    if nu_khz <= 0.0:
+    if not nu_khz > 0.0:
         raise ValueError(f"splitting frequency must be positive, got {nu_khz} kHz")
-    if p_excited <= 0.0:
+    if not p_excited > 0.0:
         raise ValueError(f"excited population must be positive, got {p_excited}")
-    if p_ground <= p_excited:
+    if not p_ground > p_excited:
         raise ValueError(
             "non-positive-temperature populations: "
             f"p_ground={p_ground} <= p_excited={p_excited}"

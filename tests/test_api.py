@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ottospin as o
 
 PUBLIC_API = [
@@ -95,6 +97,18 @@ def test_every_public_name_resolves():
     exec("from ottospin import *", namespace)
     missing = [name for name in PUBLIC_API if name not in namespace]
     assert missing == []
+
+
+def test_the_readme_library_example_runs_and_recovers_its_atoms(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    namespace = {}
+    exec(readme.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    dist, recovered = namespace["dist"], namespace["recovered"]
+    assert len(recovered.energies_pev) == len(dist.energies_pev) == 9
+    for got, want in ((recovered.energies_pev, dist.energies_pev),
+                      (recovered.probabilities, dist.probabilities)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 FFT_PROBE = """

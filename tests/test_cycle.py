@@ -852,8 +852,15 @@ def test_cycle_config_validation():
     [(lambda: o.CycleConfig(PROTOCOL, THERMAL_B, t_cooling_us=-1.0),
       "cooling time must be nonnegative"),
      (lambda: o.sweep_with_uncertainty(o.CycleConfig(PROTOCOL, THERMAL_B), []),
-      "tau list must be nonempty")],
-    ids=["negative-cooling", "empty-tau-list"],
+      "tau list must be nonempty"),
+     (lambda: o.CycleConfig(PROTOCOL, THERMAL_B, t_thermalization_us=math.nan),
+      "thermalization time must be positive"),
+     (lambda: o.CycleConfig(PROTOCOL, THERMAL_B, t_cooling_us=math.nan),
+      "cooling time must be nonnegative"),
+     (lambda: o.CycleConfig(PROTOCOL, THERMAL_B, n_steps=2.5),
+      "n_steps must be an integer >= 1, got 2.5")],
+    ids=["negative-cooling", "empty-tau-list", "nan-thermalization", "nan-cooling",
+         "fractional-step-count"],
 )
 def test_a_rejected_cycle_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as exc:

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and says of each
-cache which benchmark workload it pays on."""
+"""Every module of the package uses each name it imports and reads each
+parameter it takes, and says of each cache which benchmark workload it pays
+on."""
 
 import ast
 import re
@@ -89,6 +90,42 @@ def test_an_unread_private_name_is_found():
     )
     other = "import m\ndef public():\n    return m._helper(), m._Kept\n"
     assert _unread_private_names({"m": source, "n": other}) == ["m._UNUSED", "m._B", "m._recursive"]
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters (``self`` excepted) of every ``def`` that its body never
+    reads, as a loaded ``Name``; a parameter only assigned to is unread."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            child.id for statement in node.body for child in ast.walk(statement)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+        }
+        unread += [f"line {node.lineno}: {node.name}({param.arg})" for param in params
+                   if param is not None and param.arg != "self" and param.arg not in read]
+    return unread
+
+
+def test_every_parameter_of_the_package_is_read():
+    # a parameter no body reads is a dead knob, such as an ignored flag
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "ottospin").glob("*.py"))
+    assert [f"{p.name} {u}" for p in paths for u in _unread_parameters(p.read_text("utf-8"))] == []
+
+
+def test_an_unread_parameter_is_found():
+    source = (
+        "class K:\n    def method(self, used, flag=False):\n        return used\n"
+        "def outer(a, b, *rest, c, **extra):\n"
+        "    def inner(d):\n        return a + d\n"
+        "    b = 1\n    return inner(c), rest\n"
+    )
+    assert sorted(_unread_parameters(source)) == [
+        "line 2: method(flag)", "line 4: outer(b)", "line 4: outer(extra)"
+    ]
 
 
 def test_every_package_cache_is_cleared_between_tests():

@@ -158,6 +158,18 @@ def test_process_matrix_validation():
         o.ProcessMatrix(negative)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: o.choi_from_unitary(np.full((2, 2), np.nan)), "input must be a 2x2 unitary"),
+     (lambda: o.ProcessMatrix(np.full((4, 4), np.nan)), "process matrix must be Hermitian")],
+    ids=["nan-unitary", "nan-process-matrix"],
+)
+def test_a_rejected_process_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_choi_rejects_non_unitary_input():
     with pytest.raises(ValueError):
         o.choi_from_unitary(np.array([[1.0, 0.0], [0.0, 0.5]], complex))

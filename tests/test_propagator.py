@@ -53,7 +53,7 @@ def test_compression_unitary_is_adjoint_of_expansion():
     v = o.evolve_unitary(
         o.DriveProtocol(2.0, 3.6, 100.0, o.Phase.COMPRESSION)
     ).matrix
-    assert np.max(np.abs(v - u.conj().T)) < 1e-8
+    assert v.tobytes() == u.conj().T.tobytes()
 
 
 def test_expansion_then_compression_composes_to_identity():
@@ -85,7 +85,7 @@ def test_single_step_is_the_magnus_exponential():
 
     tau = 80.0
     p = o.DriveProtocol(2.0, 3.6, tau)
-    u = slice_product(2.0, 3.6, tau, 1, False)
+    u = slice_product(2.0, 3.6, tau, 1)
     offset = np.sqrt(3.0) / 6.0
     a_early, a_late = (
         -1j / oracles.HBAR_PEV_US * o.drive_hamiltonian((0.5 + node) * tau, p)
@@ -101,34 +101,37 @@ def test_time_ordering_error_is_fourth_order_in_step_width():
     ref = oracles.ode_unitary(2.0, 3.6, 300.0)
     errs = []
     for n in (50, 100, 200, 400):
-        u = slice_product(2.0, 3.6, 300.0, n, False)
+        u = slice_product(2.0, 3.6, 300.0, n)
         errs.append(np.max(np.abs(u - ref)))
     for coarse, fine in zip(errs, errs[1:]):
         assert coarse / fine == pytest.approx(16.0, abs=0.2)
 
 
 def test_kernel_matches_plain_loop_reference_product():
-    # Guards the multiplication *order* of the pairwise step reduction.
+    # Guards the multiplication *order* of the pairwise step reduction.  The
+    # kernel builds the expansion product only; the plain loop integrates the
+    # compression drive on its own, so its match with the adjoint checks that
+    # identity step for step.
     for n in (1, 2, 7, 17, 64):
-        for compression in (False, True):
-            got = slice_product(2.0, 3.6, 50.0, n, compression)
+        got = slice_product(2.0, 3.6, 50.0, n)
+        for product, compression in ((got, False), (got.conj().T, True)):
             ref = oracles.sequential_magnus_product(2.0, 3.6, 50.0, n, compression)
-            assert np.max(np.abs(got - ref)) < 1e-14
+            assert np.max(np.abs(product - ref)) < 1e-14
 
 
 def test_slice_product_matches_plain_loop_reference():
     for nu1, nu2, tau, n in SLICE_CASES:
-        for compression in (False, True):
-            got = slice_product(nu1, nu2, tau, n, compression)
+        got = slice_product(nu1, nu2, tau, n)
+        for product, compression in ((got, False), (got.conj().T, True)):
             ref = oracles.sequential_magnus_product(nu1, nu2, tau, n, compression)
-            assert np.max(np.abs(got - ref)) < 1e-13
+            assert np.max(np.abs(product - ref)) < 1e-13
 
 
 def test_slice_product_validates_arguments():
     with pytest.raises(ValueError):
-        slice_product(2.0, 3.6, 100.0, 0, False)
+        slice_product(2.0, 3.6, 100.0, 0)
     with pytest.raises(ValueError):
-        slice_product(2.0, 3.6, 0.0, 10, False)
+        slice_product(2.0, 3.6, 0.0, 10)
 
 
 def test_slice_product_reproduces_converged_physics():
@@ -254,12 +257,19 @@ def test_kept_products_are_bit_identical_to_cold_ones(monkeypatch, protocol, n_s
         matrices, steps = evolve_unitaries(protocol, np.array(tau_list), n_steps)
         assert (matrices.tobytes(), steps.tobytes()) == expected
     assert calls == []
-    # another step count, ramp, phase or order is another call
+    # the other phase of the same drive runs no kernel either: its stack is
+    # the conjugate transpose, bit for bit, at the same step counts
     phase = o.Phase.EXPANSION if protocol.phase is o.Phase.COMPRESSION else o.Phase.COMPRESSION
+    for tau_list in lists:
+        u, steps = evolve_unitaries(protocol, tau_list, n_steps)
+        v, other_steps = evolve_unitaries(replace(protocol, phase=phase), tau_list, n_steps)
+        assert v.tobytes() == u.conj().transpose(0, 2, 1).tobytes()
+        assert other_steps.tobytes() == steps.tobytes()
+    assert calls == []
+    # another step count, ramp or order is another call
     for drive, steps_from, tau_list in (
         (protocol, 2 * n_steps, taus),
         (replace(protocol, nu_final_khz=protocol.nu_final_khz + 0.5), n_steps, taus),
-        (replace(protocol, phase=phase), n_steps, taus),
         (protocol, n_steps, taus[::-1]),
     ):
         evolve_unitaries(drive, tau_list, steps_from)
@@ -387,6 +397,33 @@ def test_a_step_count_numpy_cannot_hold_is_a_value_error(n_steps):
     # np.arange gives an empty array at these sizes, not an error
     with pytest.raises(ValueError, match=f"^n_steps {n_steps} is too large for an array$"):
         evolve_unitaries(DEFAULT, [100.0], n_steps)
+
+
+def _endpoint_vectors():
+    return [o.eigensystem(h)[1] for h in o.endpoint_hamiltonians(DEFAULT)]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda: o.UnitaryMap(np.full((2, 2), np.nan), DEFAULT, 1),
+      ValueError, "matrix is not unitary (defect nan)"),
+     (lambda: propagator._flip_probabilities(np.full((1, 2, 2), np.nan), *_endpoint_vectors()),
+      RuntimeError, "transition-probability symmetry violated: nan vs nan"),
+     (lambda: slice_product(2.0, 3.6, np.nan, 4),
+      ValueError, "drive duration must be positive and finite, got nan us"),
+     (lambda: slice_product(2.0, 3.6, np.inf, 4),
+      ValueError, "drive duration must be positive and finite, got inf us"),
+     (lambda: o.evolve_unitary(DEFAULT, 2.5),
+      ValueError, "n_steps must be an integer >= 1, got 2.5"),
+     (lambda: slice_product(2.0, 3.6, 100.0, 0),
+      ValueError, "n_steps must be an integer >= 1, got 0")],
+    ids=["nan-unitary-map", "nan-flip-stack", "nan-slice-duration", "inf-slice-duration",
+         "fractional-step-count", "zero-slice-steps"],
+)
+def test_a_rejected_propagator_input_names_its_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_unitary_map_rejects_non_unitary_matrices():

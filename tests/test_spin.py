@@ -309,8 +309,23 @@ def test_drive_protocol_validation():
 @pytest.mark.parametrize(
     "call, message",
     [(lambda: o.gibbs_state(np.eye(3), 1.0), "expected a 2x2 matrix, got shape (3, 3)"),
-     (lambda: o.spin_temperature(1.0, 0.0, 2.0), "excited population must be positive, got 0.0")],
-    ids=["gibbs-3x3", "empty-excited-level"],
+     (lambda: o.spin_temperature(1.0, 0.0, 2.0), "excited population must be positive, got 0.0"),
+     (lambda: o.eigensystem(np.full((2, 2), np.nan)), "matrix has non-finite entries"),
+     (lambda: o.gibbs_state(np.full((2, 2), np.nan), 1.0), "matrix has non-finite entries"),
+     (lambda: o.eigensystem(np.diag([np.inf, -np.inf])), "matrix has non-finite entries"),
+     (lambda: o.gibbs_state(np.diag([np.inf, -np.inf]), 1.0), "matrix has non-finite entries"),
+     (lambda: o.polarization(math.nan, 1.0), "splitting frequency must be positive, got nan kHz"),
+     (lambda: o.thermal_populations(math.nan, 1.0),
+      "splitting frequency must be positive, got nan kHz"),
+     (lambda: o.spin_temperature(0.7, 0.3, math.nan),
+      "splitting frequency must be positive, got nan kHz"),
+     (lambda: o.spin_temperature(0.7, math.nan, 2.0),
+      "excited population must be positive, got nan"),
+     (lambda: o.spin_temperature(math.nan, 0.3, 2.0),
+      "non-positive-temperature populations: p_ground=nan <= p_excited=0.3")],
+    ids=["gibbs-3x3", "empty-excited-level", "nan-eigensystem", "nan-gibbs", "inf-eigensystem",
+         "inf-gibbs", "nan-polarization", "nan-populations", "nan-spin-temperature-splitting",
+         "nan-excited-population", "nan-ground-population"],
 )
 def test_a_rejected_spin_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as exc:
