@@ -131,9 +131,12 @@ _KEYS: dict[str, tuple[str, str, Callable, Callable, str]] = {
         "must be nonempty, and each entry must be finite and positive",
     ),
     "t_thermalization_us": (
-        "cycle", "t_thermalization_us", float, lambda v: v > 0, "must be positive"
+        "cycle", "t_thermalization_us", float, _finite_positive, _FINITE_POSITIVE
     ),
-    "t_cooling_us": ("cycle", "t_cooling_us", float, lambda v: v >= 0, "must be nonnegative"),
+    "t_cooling_us": (
+        "cycle", "t_cooling_us", float,
+        lambda v: math.isfinite(v) and v >= 0, "must be finite and nonnegative",
+    ),
     "mc_samples": ("monte_carlo", "samples", int, lambda v: v >= 1, "must be at least 1"),
     "mc_noise_width": (
         "monte_carlo", "noise_width", float,

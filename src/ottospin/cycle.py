@@ -60,8 +60,12 @@ class CycleConfig:
         _check_step_count(self.n_steps)
         if not self.t_thermalization_us > 0.0:
             raise ValueError("thermalization time must be positive")
+        if self.t_thermalization_us == math.inf:  # every power would be a false 0
+            raise ValueError("thermalization time must be finite")
         if not self.t_cooling_us >= 0.0:
             raise ValueError("cooling time must be nonnegative")
+        if self.t_cooling_us == math.inf:
+            raise ValueError("cooling time must be finite")
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,13 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     """Quantum relative entropy S(a||b) = tr[a (ln a - ln b)] in nats.
 
     Infinite whenever the support of ``a`` is not inside that of ``b``; a
-    reference with an eigenvalue below 1e-12 is rejected rather than returned.
+    reference with an eigenvalue below 1e-12 is rejected rather than returned,
+    and so is a state with a non-finite entry.
     """
-    result = _relative_entropy_batch(*(_bloch(np.asarray(m)[None]) for m in (a, b)))
+    states = [np.asarray(m) for m in (a, b)]
+    if not all(np.isfinite(m).all() for m in states):
+        raise ValueError("relative entropy needs states with finite entries")
+    result = _relative_entropy_batch(*(_bloch(m[None]) for m in states))
     if np.isinf(result[0]):
         raise ValueError("relative entropy infinite: reference eigenvalue below 1e-12")
     return float(result[0])
@@ -420,16 +428,12 @@ def _report_from_states(
     figures = _figures_of_merit(cfg, np.asarray(tau_list_us), fields, states, relent_sum)
     efficiency_otto = 1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz
     efficiency_carnot = 1.0 - cfg.thermal.kt_cold_pev / cfg.thermal.kt_hot_pev
+    # the rows are the MONTE_CARLO_FIELDS, passed in CycleReport's field order
     return [
-        CycleReport(
-            tau_us=tau,
-            transition_prob=swap_prob,
-            efficiency_otto=efficiency_otto,
-            efficiency_carnot=efficiency_carnot,
-            extraction_ok=row[0] > 0.0,
-            **dict(zip(MONTE_CARLO_FIELDS, row)),
-        )
-        for tau, swap_prob, *row in zip(tau_list_us, swap_probs.tolist(), *figures.tolist())
+        CycleReport(tau, swap_prob, work, heat_hot, heat_cold, efficiency,
+                    efficiency_otto, efficiency_carnot, lag, sigma, power, work > 0.0)
+        for tau, swap_prob, work, heat_hot, heat_cold, efficiency, lag, sigma, power
+        in zip(tau_list_us, swap_probs.tolist(), *figures.tolist())
     ]
 
 

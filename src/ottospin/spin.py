@@ -227,9 +227,13 @@ def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:
     kT = gap / ln(p_ground / p_excited).  Only the population ratio matters,
     so inputs that do not quite sum to one are renormalized with a warning
     rather than rejected (measured populations routinely carry that defect).
+    An infinite splitting or population is rejected: it would give a kT of
+    0 or inf.
     """
     if not nu_khz > 0.0:
         raise ValueError(f"splitting frequency must be positive, got {nu_khz} kHz")
+    if nu_khz == math.inf:
+        raise ValueError("splitting frequency must be finite, got inf kHz")
     if not p_excited > 0.0:
         raise ValueError(f"excited population must be positive, got {p_excited}")
     if not p_ground > p_excited:
@@ -237,6 +241,8 @@ def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:
             "non-positive-temperature populations: "
             f"p_ground={p_ground} <= p_excited={p_excited}"
         )
+    if p_ground == math.inf:  # p_excited < p_ground is finite here
+        raise ValueError("ground population must be finite, got inf")
     total = p_ground + p_excited
     if abs(total - 1.0) > 1e-6:
         warnings.warn(

@@ -18,6 +18,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -47,19 +48,20 @@ class EnergyDistribution:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if len(self.energies_pev) != len(self.probabilities):
+        values, probs = self.energies_pev, self.probabilities
+        if len(values) != len(probs):
             raise ValueError("energies and probabilities must have equal length")
-        if len(self.energies_pev) == 0:
+        if len(values) == 0:
             raise ValueError("distribution needs at least one atom")
-        if not all(map(math.isfinite, (*self.energies_pev, *self.probabilities))):
+        if not (all(map(math.isfinite, values)) and all(map(math.isfinite, probs))):
             raise ValueError("atoms must be finite")
-        if any(p < 0.0 for p in self.probabilities):
+        # past the finiteness check, min and the gaps see no NaN
+        if min(probs) < 0.0:
             raise ValueError("probabilities must be nonnegative")
-        total = sum(self.probabilities)
+        total = sum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        values = self.energies_pev
-        if any(b - a <= MERGE_TOLERANCE_PEV for a, b in zip(values, values[1:])):
+        if min(map(operator.sub, values[1:], values), default=math.inf) <= MERGE_TOLERANCE_PEV:
             raise ValueError("energies must be ascending with separated atoms")
 
     @classmethod
@@ -183,16 +185,20 @@ def invert_characteristic(
     weights = (phase * spectrum).real / n
     scale = max(float(np.abs(samples.values).sum()) / n, 1.0)
     keep = np.abs(weights) > noise_floor * scale
-    if not keep.any():
+    atoms, kept = energies[keep], weights[keep]
+    if not len(atoms):
         raise ValueError("inversion recovered no atoms above threshold")
     if not spacing > 2.0 * MERGE_TOLERANCE_PEV:
-        return EnergyDistribution.from_atoms(energies[keep], weights[keep], kind)
+        return EnergyDistribution.from_atoms(atoms, kept, kind)
     # the lattice is sorted, and rounding j dE cannot bring two atoms within
-    # the merge tolerance: each atom is a cluster of its own
-    values = energies[keep].tolist()
-    atoms = _SortedAtoms((), all(map(math.isfinite, values)),
-                         tuple((i, i + 1, v, v, ()) for i, v in enumerate(values)))
-    return EnergyDistribution(*_merge(atoms, weights[keep].tolist()), kind)
+    # the merge tolerance: each atom is a cluster of its own, kept where its
+    # clipped weight is positive
+    values = atoms.tolist()
+    clipped = _clipped(all(map(math.isfinite, values)), kept.tolist())
+    if 0.0 in clipped:
+        positive = [c > 0.0 for c in clipped]
+        values, clipped = compress(values, positive), compress(clipped, positive)
+    return EnergyDistribution(tuple(values), tuple(clipped), kind)
 
 
 def lorentzian_broaden(
@@ -294,12 +300,13 @@ def engine_work_distribution(
     plan = _engine_plan(protocol.nu_initial_khz, protocol.nu_final_khz,
                         thermal.kt_cold_pev, thermal.kt_hot_pev)
     stay = _stay_probability(transition_prob)
-    transfer = ((stay, transition_prob), (transition_prob, stay))
-    # p_n T[n][m] q_k T[k][j], multiplied left to right
-    pt = [p_n * t_nm for p_n, row in zip(plan.p, transfer) for t_nm in row]
-    ptq = [x * q_k for x in pt for q_k in plan.q]
-    probs = [x * t_kj for x, row in zip(ptq, transfer * 4) for t_kj in row]
-    return EnergyDistribution(*_merge(plan.work, [probs[i] for i in plan.work.order]), "work")
+    transfer = (stay, transition_prob, transition_prob, stay)  # T[a][b] at 2a + b
+    # p_n T[n][m] q_k T[k][j], multiplied left to right: p_n T[n][m] q_k at
+    # 4n + 2m + k, and history 8n + 4m + 2k + j taken in the atoms' sort order
+    ptq = [p_n * t_nm * q_k for p_n, row in zip(plan.p, (transfer[:2], transfer[2:]))
+           for t_nm in row for q_k in plan.q]
+    probs = [ptq[h >> 1] * transfer[h & 3] for h in plan.work.order]
+    return EnergyDistribution(*_merge(plan.work, probs), "work")
 
 
 def engine_heat_distribution(
@@ -318,8 +325,9 @@ def engine_heat_distribution(
     # s = T p by numpy's 2x2 matmul, whose rounding the heat weights keep and
     # a*b + c*d on Python floats does not always share
     s = (transition_matrix(transition_prob) @ plan.p_array).tolist()
-    probs = [s_m * q_k for s_m in s for q_k in plan.q]
-    return EnergyDistribution(*_merge(plan.heat, [probs[i] for i in plan.heat.order]), "heat")
+    # s_m q_k of heat 2m + k, taken in the atoms' sort order
+    probs = [s[i >> 1] * plan.q[i & 1] for i in plan.heat.order]
+    return EnergyDistribution(*_merge(plan.heat, probs), "heat")
 
 
 # --- plans: what does not change between calls -----------------------------
@@ -359,23 +367,35 @@ def _merge(atoms: _SortedAtoms, probs: list[float]) -> tuple[tuple, tuple]:
     fsum((first - v) r) / fsum(r), r = c / max(c), clamped to its last atom:
     no product underflows, equal atoms keep their bits, and merged atoms stay
     more than the tolerance apart."""
-    if not (atoms.finite and all(map(math.isfinite, probs))):
-        raise ValueError("atoms must be finite")
-    if any(p < -1e-12 for p in probs):
-        raise ValueError("probabilities must be nonnegative")
-    clipped = [p if p > 0.0 else 0.0 for p in probs]
+    clipped = _clipped(atoms.finite, probs)
     merged_values, merged_probs = [], []
     for start, stop, first, last, offsets in atoms.clusters:
-        chunk = clipped[start:stop]
-        weight = math.fsum(chunk)
-        if weight > 0.0:
-            if offsets:  # else first - 0 / fsum(r) is first
+        if stop - start == 1:  # fsum of one weight is that weight; first is last
+            weight = clipped[start]
+        else:
+            chunk = clipped[start:stop]
+            weight = math.fsum(chunk)
+            if weight > 0.0 and offsets:  # else first - 0 / fsum(r) is first <= last
                 peak = max(chunk)
                 ratios = [c / peak for c in chunk]
-                first -= math.fsum(map(operator.mul, offsets, ratios)) / math.fsum(ratios)
-            merged_values.append(min(first, last))
+                offset = math.fsum(map(operator.mul, offsets, ratios)) / math.fsum(ratios)
+                first = min(first - offset, last)
+        if weight > 0.0:
+            merged_values.append(first)
             merged_probs.append(weight)
     return tuple(merged_values), tuple(merged_probs)
+
+
+def _clipped(finite: bool, probs: list[float]) -> list[float]:
+    """``from_atoms``' checks of raw weights, given whether their atoms'
+    energies are all finite, and the weights with those above -1e-12 but
+    not positive clipped to zero."""
+    if not (finite and all(map(math.isfinite, probs))):
+        raise ValueError("atoms must be finite")
+    low = min(probs, default=0.0)  # past the finiteness check, no NaN
+    if low < -1e-12:
+        raise ValueError("probabilities must be nonnegative")
+    return probs if low > 0.0 else [p if p > 0.0 else 0.0 for p in probs]
 
 
 class _EnginePlan(NamedTuple):

@@ -315,6 +315,16 @@ def test_a_floating_point_error_outside_the_stages_names_none(monkeypatch, capsy
     assert (rc, out, err) == (1, "", "error: overflow encountered in multiply\n")
 
 
+@pytest.mark.parametrize("key, requirement", [("t_thermalization_us", "finite and positive"),
+                                              ("t_cooling_us", "finite and nonnegative")])
+def test_an_infinite_stroke_time_is_a_one_line_error(tmp_path, capsys, key, requirement):
+    # it printed power_pev_per_ms 0 and exited 0
+    cfg = tmp_path / "stroke.cfg"
+    cfg.write_text(f"[cycle]\n{key} = inf\n")
+    rc, out, err = _run(capsys, ["cycle", "--tau", "300", "--config", str(cfg)])
+    assert (rc, out, err) == (1, "", f"error: line 2: {key} must be {requirement}, got inf\n")
+
+
 def test_an_infinite_hot_bath_still_reports(tmp_path, capsys):
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("[thermal]\nhot_option = custom\nkt_hot_pev = inf\n")
@@ -672,6 +682,9 @@ def _run_captured(argv):
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1e300})
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1.7e308})
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": math.inf})
+# an infinite stroke time gave a power of 0 where it must give an error line
+@example({"t_thermalization_us": math.inf})
+@example({"t_cooling_us": math.inf})
 def test_every_drawn_config_gives_a_report_or_one_error_line(values):
     with tempfile.TemporaryDirectory() as name:
         folder = Path(name)

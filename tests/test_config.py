@@ -302,6 +302,14 @@ def test_a_run_config_is_checked_when_it_is_built(fields, message):
         o.apply_overrides(o.RunConfig(), seed=1, **fields)
 
 
+@pytest.mark.parametrize("key, requirement", [("t_thermalization_us", "finite and positive"),
+                                              ("t_cooling_us", "finite and nonnegative")])
+def test_an_infinite_stroke_time_is_a_config_error(key, requirement):
+    # both reached the cycle, which reported a power of 0
+    with pytest.raises(ConfigError, match=f"^line 2: {key} must be {requirement}, got inf$"):
+        o.parse_config(f"[cycle]\n{key} = inf\n")
+
+
 def test_of_several_bad_values_the_error_names_the_first_in_field_order():
     text = "[monte_carlo]\nseed = -1\n[drive]\nn_steps = 0\n"
     with pytest.raises(ConfigError, match="^line 4: n_steps must be at least 1, got 0$"):

@@ -545,6 +545,22 @@ def test_lag_rejects_zero_hot_heat():
         o.efficiency_lag(rho, rho, rho, rho, 0.0, 1.0 / 6.6)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(np.full((2, 2), np.nan), np.eye(2) / 2), (np.eye(2) / 2, np.full((2, 2), np.nan)),
+     (np.diag([np.inf, 0.0]), np.eye(2) / 2), (np.eye(2) / 2, np.diag([0.5, -np.inf]))],
+    ids=["nan-state", "nan-reference", "infinite-state", "infinite-reference"],
+)
+def test_relative_entropy_and_lag_reject_non_finite_states(a, b):
+    rho, message = np.eye(2) / 2, "relative entropy needs states with finite entries"
+    for call in (lambda: o.relative_entropy(a, b),
+                 lambda: o.efficiency_lag(a, b, rho, rho, 1.0, 1.0 / 6.6),
+                 lambda: o.efficiency_lag(rho, rho, a, b, 1.0, 1.0 / 6.6)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo uncertainty
 # ---------------------------------------------------------------------------
@@ -866,6 +882,15 @@ def test_a_rejected_cycle_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field_name, stroke", [("t_thermalization_us", "thermalization"),
+                                                ("t_cooling_us", "cooling")])
+def test_an_infinite_stroke_time_is_rejected(field_name, stroke):
+    # the cycle period would be infinite and every power a false 0
+    with pytest.raises(ValueError) as exc:
+        o.CycleConfig(PROTOCOL, THERMAL_B, **{field_name: math.inf})
+    assert str(exc.value) == f"{stroke} time must be finite"
 
 
 def test_extraction_bound_is_zero_where_both_polarizations_underflow():

@@ -1,6 +1,6 @@
-"""Every module of the package uses each name it imports and reads each
-parameter it takes, and says of each cache which benchmark workload it pays
-on."""
+"""Every module of the package parses under the oldest Python it declares,
+uses each name it imports and reads each parameter it takes, and says of
+each cache which benchmark workload it pays on."""
 
 import ast
 import re
@@ -10,10 +10,30 @@ import pytest
 
 from conftest import _package_caches
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parents[1] / "src" / "ottospin").glob("*.py")
-    if path.name != "__init__.py"
+    path for path in (ROOT / "src" / "ottospin").glob("*.py") if path.name != "__init__.py"
 )
+#: (major, minor) of pyproject.toml's requires-python = ">=X.Y"
+OLDEST_PYTHON = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8")).groups()))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "ottospin").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_parses_under_the_oldest_declared_python(path):
+    # the suite runs on a newer Python only; ast checks the grammar of the
+    # oldest one (best effort: syntax only, not the standard library)
+    ast.parse(path.read_text(encoding="utf-8"), filename=path.name,
+              feature_version=OLDEST_PYTHON)
+
+
+def test_syntax_newer_than_the_oldest_declared_python_is_found():
+    assert OLDEST_PYTHON == (3, 10)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=OLDEST_PYTHON)
 
 
 def _unused_imports(source: str) -> list[str]:

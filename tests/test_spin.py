@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,24 @@ def test_drive_protocol_validation():
 def test_a_rejected_spin_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as exc:
         call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((math.inf, 0.3, 2.0), "ground population must be finite, got inf"),
+     ((0.7, 0.3, math.inf), "splitting frequency must be finite, got inf kHz"),
+     ((0.7, math.inf, 2.0), "non-positive-temperature populations: p_ground=0.7 <= p_excited=inf"),
+     ((math.inf, math.inf, 2.0),
+      "non-positive-temperature populations: p_ground=inf <= p_excited=inf")],
+    ids=["infinite-ground", "infinite-splitting", "infinite-excited", "both-infinite"],
+)
+def test_spin_temperature_rejects_infinite_inputs(args, message):
+    # an infinite ground population gave kT = 0, an infinite splitting kT = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no renormalizing warning either
+        with pytest.raises(ValueError) as exc:
+            o.spin_temperature(*args)
     assert str(exc.value) == message
 
 

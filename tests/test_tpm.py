@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ottospin as o
 from ottospin import tpm
@@ -928,3 +928,87 @@ def test_history_route_matches_the_cycle_report(nu, kt, tau):
     assert mean_sigma == pytest.approx(report.entropy_production, rel=1e-12, abs=1e-14)
     assert mean_exp == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
+
+
+# --- the per-point path of a duration scan ---------------------------------------
+
+NU_STEP = 0.1  # kHz: the frequency lattice of the benchmark's tau_scan engines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(math.log(0.1), math.log(60.0)),
+       st.floats(1.5, 6.0), st.floats(0.0, 1.0))
+def test_the_per_point_path_equals_from_atoms_of_its_raw_atoms(u_nu, u_ratio, log_x, hotter,
+                                                                 swap):
+    # engines over tau_scan's ranges: nu_i 1-3 kHz and nu_f/nu_i 1.2-2.4 on
+    # its 0.1 kHz lattice, cold gap/kT 0.1-60, a hot bath 1.5-6 times hotter
+    nu_i = round(1.0 + 2.0 * u_nu, 1)
+    nu_f = round(nu_i * (1.2 + 1.2 * u_ratio), 1)
+    kt_cold = H * nu_i / math.exp(log_x)
+    protocol = o.DriveProtocol(nu_i, nu_f, 100.0)
+    thermal = o.ThermalParams(kt_cold, kt_cold * hotter)
+    for got, expected in [
+        (_outcome(o.engine_work_distribution, protocol, thermal, swap),
+         _outcome(oracles.engine_work_distribution_by_table, protocol, thermal, swap)),
+        (_outcome(o.engine_heat_distribution, protocol, thermal, swap),
+         _outcome(oracles.engine_heat_distribution_by_populations, protocol, thermal, swap)),
+    ]:
+        assert got == expected and not isinstance(got, str)
+    # a lattice of h * 0.1 kHz, far above the merge tolerance: every kept
+    # lattice atom is its own cluster
+    u = o.conjugate_u_grid(H * NU_STEP, 2 * round((nu_i + nu_f) / NU_STEP) + 2)
+    samples = o.characteristic_function(o.engine_work_distribution(protocol, thermal, swap), u)
+    assert (_outcome(o.invert_characteristic, samples)
+            == _outcome(oracles.inversion_by_from_atoms, samples))
+
+
+def _chi(energies, weights, u):
+    """CharacteristicSamples of raw atoms, which may be negative or not sum
+    to 1, on the grid u."""
+    u = np.asarray(u, dtype=float)
+    return o.CharacteristicSamples(u, np.exp(1j * np.outer(u, energies)) @ np.asarray(weights))
+
+
+# the u grids of a coarse (1 peV) and a fine (1e-9 peV) energy lattice, and
+# of a coarse one that starts past u = 0, where chi(0) is not checked
+COARSE, FINE = o.conjugate_u_grid(1.0, 8), o.conjugate_u_grid(1e-9, 8)
+PAST_ZERO = 0.37 + o.conjugate_u_grid(1.0, 8)
+KIND = "kind must be one of ('work', 'heat'), got 'foo'"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: o.EnergyDistribution((0.0, 1.0), (math.nan, 1.0), "work"), "atoms must be finite"),
+     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [1.0, math.nan], "work"),
+      "atoms must be finite"),
+     (lambda: o.EnergyDistribution((0.0, 1.0), (-2e-12, 1.0 + 2e-12), "work"),
+      "probabilities must be nonnegative"),
+     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [-2e-12, 1.0 + 2e-12], "work"),
+      "probabilities must be nonnegative"),
+     (lambda: o.invert_characteristic(_chi([0.0, 1.0], [1.0 + 2e-12, -2e-12], COARSE)),
+      "probabilities must be nonnegative"),
+     (lambda: o.invert_characteristic(_chi([0.0, 1e-9], [1.0 + 2e-12, -2e-12], FINE)),
+      "probabilities must be nonnegative"),
+     (lambda: o.EnergyDistribution((0.0,), (1.0,), "foo"), KIND),
+     (lambda: o.EnergyDistribution.from_atoms([0.0], [1.0], "foo"), KIND),
+     (lambda: o.invert_characteristic(_chi([0.0], [1.0], COARSE), "foo"), KIND),
+     (lambda: o.invert_characteristic(_chi([0.0], [1.0], FINE), "foo"), KIND),
+     (lambda: o.EnergyDistribution((0.0, 1.0), (0.5, 0.5 + 2e-12), "work"),
+      "probabilities sum to 1.000000000002, expected 1"),
+     (lambda: o.EnergyDistribution.from_atoms([1.0, 0.0], [0.5 + 2e-12, 0.5], "work"),
+      "probabilities sum to 1.000000000002, expected 1"),
+     (lambda: o.invert_characteristic(_chi([0.0, 1.0], [0.5, 0.5 + 2e-12], PAST_ZERO)),
+      "probabilities sum to 1.000000000002, expected 1"),
+     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [0.0, -0.0], "work"),
+      "distribution needs at least one atom"),
+     (lambda: o.invert_characteristic(_chi([0.0], [1e-15], PAST_ZERO)),
+      "inversion recovered no atoms above threshold")],
+    ids=["nan-weight", "nan-raw-weight", "negative-weight", "negative-raw-weight",
+         "negative-coarse-inversion", "negative-fine-inversion", "kind", "raw-kind",
+         "coarse-inversion-kind", "fine-inversion-kind", "sum", "raw-sum", "inversion-sum",
+         "no-raw-weight", "no-inverted-weight"],
+)
+def test_each_check_of_the_per_point_path_raises_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
