@@ -47,8 +47,9 @@ class RunConfig:
 
     Every instance is checked when it is built, from a file, by
     :func:`apply_overrides` or directly: the first value out of range in
-    field order, else an unordered curve window, else a hot option that does
-    not pair with ``kt_hot_pev``, raises :class:`ConfigError`."""
+    field order, else stroke times whose sum overflows, else an unordered
+    curve window, else a hot option that does not pair with ``kt_hot_pev``,
+    raises :class:`ConfigError`."""
 
     nu_initial_khz: float = 2.0
     nu_final_khz: float = 3.6
@@ -76,6 +77,10 @@ class RunConfig:
             value = getattr(self, field_name)
             if not predicate(value):
                 raise _fault(f"{field_name} {requirement}, got {value}", field_name)
+        if self.t_thermalization_us + self.t_cooling_us == math.inf:
+            raise _fault("t_thermalization_us + t_cooling_us must be finite, got "
+                         f"{self.t_thermalization_us} + {self.t_cooling_us}",
+                         "t_thermalization_us", "t_cooling_us")
         if self.curve_min_pev >= self.curve_max_pev:
             raise _fault("curve_min_pev must be below curve_max_pev",
                          "curve_max_pev", "curve_min_pev")

@@ -66,6 +66,8 @@ class CycleConfig:
             raise ValueError("cooling time must be nonnegative")
         if self.t_cooling_us == math.inf:
             raise ValueError("cooling time must be finite")
+        if self.t_thermalization_us + self.t_cooling_us == math.inf:
+            raise ValueError("thermalization and cooling times must have a finite sum")
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,11 @@ def sweep_with_uncertainty(
     Each state is resampled ``n_samples`` times with additive complex
     Gaussian noise N = re + i im of width ``rel_noise`` per matrix element,
     repaired to a valid state (see ``_repair_batch``), and the report
-    quantities are recomputed.  The repair sees only the Hermitian part
+    quantities are recomputed.  Despite its name, the width is absolute,
+    not relative to the state: where a bath's polarization is far below
+    it, every spread measures the noise rather than the engine (at cold
+    gap/kT = 1e-15 and width 0.01, ``mean_heat_hot_pev`` reads
+    2.27e-15 +- 0.143).  The repair sees only the Hermitian part
     (t I + (r + dr) . sigma)/2 of rho + N, with t - 1 = re_00 + re_11 and
     dr = (re_01 + re_10, im_10 - im_01, re_00 - re_11).  Each is a sum or
     difference of two independent N(0, w^2) draws, and the four are jointly
@@ -287,27 +293,19 @@ def sweep_with_uncertainty(
     (see ``_draw_noise``).  The durations run one at a time, so the peak
     memory does not grow with their count.
 
-    With ``rel_noise == 0`` nothing is drawn and the means are the point
-    estimates, bit for bit, with zero spread.  A non-finite width, or one
-    whose draws overflow, is rejected.  A rank-deficient repaired reference
-    makes a sample's lag infinite; the run is then rejected with the number
-    of such samples.
+    With ``rel_noise == 0`` nothing is drawn and each point is reduced as
+    one sample: the means are the point estimates, bit for bit, with zero
+    spread.  A non-finite width, or one whose draws overflow, is rejected.
+    A rank-deficient repaired reference makes a sample's lag infinite; the
+    run is then rejected with the number of such samples.
     """
-    if len(tau_list_us) == 0:
-        raise ValueError("tau list must be nonempty")
     if not 0.0 <= rel_noise < math.inf:
         raise ValueError(f"noise width must be finite and nonnegative, got {rel_noise}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    points, fields, states = _sweep_points(cfg, tau_list_us)
+    points, figures, fields, states = _sweep_points(cfg, tau_list_us)
     if rel_noise == 0.0:
-        return [
-            (point, {
-                name: UncertaintyEstimate(getattr(point, name), 0.0)
-                for name in MONTE_CARLO_FIELDS
-            })
-            for point in points
-        ]
+        return [(point, _estimates(figures[:, [k]])) for k, point in enumerate(points)]
 
     draws = _draw_noise(seed, rel_noise, n_samples)
     if not np.isfinite(draws).all():
@@ -358,10 +356,10 @@ def _draw_noise(seed: int, rel_noise: float, n_samples: int) -> np.ndarray:
 
 def _sweep_points(
     cfg: CycleConfig, tau_list_us: Sequence[float]
-) -> tuple[list[CycleReport], tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
-    """The point reports of a tau list, with what the Monte Carlo
-    resamples: the Bloch vectors of the endpoint Hamiltonians (cold, hot)
-    and of the four cycle states (see :func:`sweep_with_uncertainty`)."""
+) -> tuple[list[CycleReport], np.ndarray, tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """The point reports of a tau list and their ``(7, n_tau)`` figures,
+    with what the Monte Carlo resamples: the Bloch vectors of the endpoint
+    Hamiltonians (cold, hot) and of the four cycle states."""
     expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
     # evolve_unitaries rejects an empty list, and every duration that is not
     # positive and finite, before anything is propagated, drawn or planned
@@ -378,8 +376,8 @@ def _sweep_points(
     states = [*equilibria, *(_bloch(part)[1] for part in (
         forward @ cold_part @ backward, backward @ hot_part @ forward
     ))]
-    points = _report_from_states(cfg, taus, fields, baths, swap_probs, states)
-    return points, fields, states
+    points, figures = _report_from_states(cfg, taus, fields, baths, swap_probs, states)
+    return points, figures, fields, states
 
 
 # pays on mc_cycle: 48 hits / 2 misses over seed 1's 27 s request list,
@@ -419,11 +417,11 @@ def _report_from_states(
     baths: tuple[np.ndarray, np.ndarray],
     swap_probs: np.ndarray,
     states: Sequence[np.ndarray],
-) -> list[CycleReport]:
+) -> tuple[list[CycleReport], np.ndarray]:
     """Point reports for a whole stack of drive durations, in order, from the
     n_tau swap probabilities and the Bloch vectors of the four cycle states:
-    the equilibria as ``(3, 1)``, the drive outputs as ``(3, n_tau)``.  One
-    :func:`_figures_of_merit` call gives every field's row."""
+    the equilibria as ``(3, 1)``, the drive outputs as ``(3, n_tau)``; and
+    the ``(7, n_tau)`` figures of the one :func:`_figures_of_merit` call."""
     relent_sum = _drive_relative_entropy(baths, swap_probs)
     figures = _figures_of_merit(cfg, np.asarray(tau_list_us), fields, states, relent_sum)
     efficiency_otto = 1.0 - cfg.protocol.nu_initial_khz / cfg.protocol.nu_final_khz
@@ -434,7 +432,7 @@ def _report_from_states(
                     efficiency_otto, efficiency_carnot, lag, sigma, power, work > 0.0)
         for tau, swap_prob, work, heat_hot, heat_cold, efficiency, lag, sigma, power
         in zip(tau_list_us, swap_probs.tolist(), *figures.tolist())
-    ]
+    ], figures
 
 
 def _figures_of_merit(

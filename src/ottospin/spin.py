@@ -224,11 +224,12 @@ def _endpoint_polarizations(
 def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:
     """Effective temperature (peV) of a two-level population pair.
 
-    kT = gap / ln(p_ground / p_excited).  Only the population ratio matters,
-    so inputs that do not quite sum to one are renormalized with a warning
-    rather than rejected (measured populations routinely carry that defect).
-    An infinite splitting or population is rejected: it would give a kT of
-    0 or inf.
+    kT = gap / ln(p_ground / p_excited), the log taken as
+    ln p_ground - ln p_excited where the ratio overflows.  Only the
+    population ratio matters, so inputs that do not quite sum to one are
+    renormalized with a warning rather than rejected (measured populations
+    routinely carry that defect).  An infinite splitting or population is
+    rejected: it would give a kT of 0 or inf.
     """
     if not nu_khz > 0.0:
         raise ValueError(f"splitting frequency must be positive, got {nu_khz} kHz")
@@ -249,4 +250,7 @@ def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:
             f"populations sum to {total}, renormalizing", stacklevel=2
         )
     gap = PLANCK_PEV_PER_KHZ * nu_khz
-    return gap / math.log(p_ground / p_excited)
+    ratio = p_ground / p_excited
+    if ratio == math.inf:
+        return gap / (math.log(p_ground) - math.log(p_excited))
+    return gap / math.log(ratio)

@@ -1,4 +1,6 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,16 @@ def _package_caches():
         if callable(getattr(value, "cache_clear", None))
         and getattr(value, "__module__", None) == name
     ]
+
+
+def _tracing_module():
+    """``perfbench/tracing.py``, loaded from its file: the benchmark's
+    tracer, whose ``BOUNDARIES`` name the package functions it wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

@@ -685,6 +685,8 @@ def _run_captured(argv):
 # an infinite stroke time gave a power of 0 where it must give an error line
 @example({"t_thermalization_us": math.inf})
 @example({"t_cooling_us": math.inf})
+# two finite stroke times whose sum overflows gave a false power of 0
+@example({"t_thermalization_us": 1e308, "t_cooling_us": 1e308})
 def test_every_drawn_config_gives_a_report_or_one_error_line(values):
     with tempfile.TemporaryDirectory() as name:
         folder = Path(name)

@@ -310,6 +310,17 @@ def test_an_infinite_stroke_time_is_a_config_error(key, requirement):
         o.parse_config(f"[cycle]\n{key} = inf\n")
 
 
+def test_stroke_times_whose_sum_overflows_are_a_config_error():
+    # each time is finite, but the cycle period is not; the line named is
+    # the thermalization time's, the first of the two keys
+    text = "[cycle]\nt_cooling_us = 1e308\nt_thermalization_us = 1e308\n"
+    message = "t_thermalization_us + t_cooling_us must be finite, got 1e+308 + 1e+308"
+    with pytest.raises(ConfigError, match=f"^line 3: {re.escape(message)}$"):
+        o.parse_config(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        o.apply_overrides(o.RunConfig(), t_thermalization_us=1e308, t_cooling_us=1e308)
+
+
 def test_of_several_bad_values_the_error_names_the_first_in_field_order():
     text = "[monte_carlo]\nseed = -1\n[drive]\nn_steps = 0\n"
     with pytest.raises(ConfigError, match="^line 4: n_steps must be at least 1, got 0$"):

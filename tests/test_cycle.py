@@ -574,6 +574,37 @@ def test_monte_carlo_zero_noise_reproduces_point_estimates_exactly():
         assert est.stddev == 0.0
 
 
+@st.composite
+def zero_noise_sweeps(draw):
+    """An engine of :func:`engines` with 1-5 durations of its drive range,
+    and any sample count and seed."""
+    nu_i, nu_f, kt_cold, kt_hot, tau = draw(engines())
+    longest = min(3000.0, 20.0 / (nu_f * 1e-3))
+    taus = [tau, *draw(st.lists(_log_uniform(1.0, longest), max_size=4))]
+    return (nu_i, nu_f, kt_cold, kt_hot), taus, draw(st.integers(1, 10**6)), draw(
+        st.integers(0, 2**32))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(zero_noise_sweeps())
+@example(((2.0, 3.6, 1e6, 6136363.6), [100.0], 1000, 0))  # the hot-bath config
+@example(((2.0, 3.6, 1e300, 1e300), [100.0, 300.0], 7, 3))  # beta_c Q_h underflows: NaN lag
+def test_zero_noise_spreads_are_the_point_values_on_every_engine(sweep):
+    (nu_i, nu_f, kt_cold, kt_hot), taus, n_samples, seed = sweep
+    cfg = o.CycleConfig(o.DriveProtocol(nu_i, nu_f, taus[0]), o.ThermalParams(kt_cold, kt_hot))
+    with np.errstate(all="ignore"):  # the 1e300 baths' lag is 0/0, which warns
+        swept = o.sweep_with_uncertainty(cfg, taus, 0.0, n_samples, seed)
+    for report, estimates in swept:
+        for field in o.MONTE_CARLO_FIELDS:
+            # bit for bit: a NaN field has a NaN mean, a -0.0 field a -0.0 mean
+            assert _bits(estimates[field].mean) == _bits(getattr(report, field)), field
+            assert _bits(estimates[field].stddev) == _bits(0.0), field
+
+
 def test_monte_carlo_is_deterministic_for_a_fixed_seed():
     cfg = _config(300.0)
     a = o.cycle_with_uncertainty(cfg, rel_noise=0.01, n_samples=100, seed=42)[1]
@@ -882,6 +913,14 @@ def test_a_rejected_cycle_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_stroke_times_whose_sum_overflows_are_rejected():
+    # the period overflowed to inf and the power read a false 0
+    with pytest.raises(ValueError) as exc:
+        o.CycleConfig(PROTOCOL, THERMAL_B, t_thermalization_us=1e308, t_cooling_us=1e308)
+    assert str(exc.value) == "thermalization and cooling times must have a finite sum"
+    o.CycleConfig(PROTOCOL, THERMAL_B, t_thermalization_us=1.7e308, t_cooling_us=1e292)
 
 
 @pytest.mark.parametrize("field_name, stroke", [("t_thermalization_us", "thermalization"),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import _package_caches
+from conftest import _package_caches, _tracing_module
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
@@ -61,6 +61,30 @@ def test_module_has_no_unused_import(path):
 def test_an_unused_import_is_found():
     source = "import math\nimport os  # noqa: F401\nfrom typing import Any, List\nx: Any = 1\n"
     assert _unused_imports(source) == ["line 1: math", "line 3: List"]
+
+
+def _kept_unused_imports(source: str) -> list[str]:
+    """Names bound by an import whose line carries ``# noqa: F401``."""
+    lines = source.splitlines()
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            if "# noqa: F401" in lines[alias.lineno - 1]]
+
+
+def test_the_only_kept_unused_imports_are_the_tracers_one_tau_boundaries():
+    # cycle.py imports these only for the benchmark tracer to wrap under
+    # ottospin.cycle; no other import may be kept unused
+    kept = sorted((f"ottospin.{path.stem}", name)
+                  for path in sorted((ROOT / "src" / "ottospin").glob("*.py"))
+                  for name in _kept_unused_imports(path.read_text(encoding="utf-8")))
+    assert kept == [("ottospin.cycle", name) for name in
+                    ("evolve_unitary", "propagate_state", "transition_probability")]
+    assert set(kept) <= set(_tracing_module().BOUNDARIES)
+
+
+def test_a_kept_unused_import_is_found():
+    source = "import math\nimport os  # noqa: F401\nfrom a import (\n    b,  # noqa: F401\n    c,\n)\n"
+    assert _kept_unused_imports(source) == ["os", "b"]
 
 
 def _unread_private_names(sources: dict[str, str]) -> list[str]:

@@ -265,6 +265,17 @@ def test_spin_temperature_renormalizes_unnormalized_pairs_with_warning():
     assert kt == pytest.approx(40.5, abs=3.7)
 
 
+def test_spin_temperature_takes_the_log_apart_where_the_ratio_overflows():
+    # 1 / 5e-324 is inf, whose log gave a false kT of 0
+    gap = o.PLANCK_PEV_PER_KHZ * 2.0
+    kt = o.spin_temperature(1.0, 5e-324, 2.0)  # 5e-324 is 2**-1074
+    assert kt == pytest.approx(gap / (1074 * math.log(2.0)), rel=1e-15)
+    assert kt == pytest.approx(0.0111, rel=1e-3)
+    # a finite ratio keeps the one log of the ratio, bit for bit
+    assert o.spin_temperature(0.78, 0.22, 2.0) == gap / math.log(0.78 / 0.22)
+    assert o.spin_temperature(1.0, 1e-300, 2.0) == gap / math.log(1.0 / 1e-300)
+
+
 def test_spin_temperature_rejects_inverted_populations():
     with pytest.raises(ValueError, match="non-positive-temperature populations"):
         o.spin_temperature(0.4, 0.6, 2.0)

@@ -5,23 +5,13 @@ through ``sys.stdout``, which a traced run redirects."""
 
 import contextlib
 import importlib
-import importlib.util
 import io
-from pathlib import Path
 
 import pytest
 
 import ottospin as o
+from conftest import _tracing_module
 from ottospin.cli import main
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_traced_boundary_resolves_in_its_module():
