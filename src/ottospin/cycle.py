@@ -106,47 +106,6 @@ def endpoint_hamiltonians(protocol: DriveProtocol) -> tuple[np.ndarray, np.ndarr
     )
 
 
-def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
-    """Quantum relative entropy S(a||b) = tr[a (ln a - ln b)] in nats.
-
-    Infinite whenever the support of ``a`` is not inside that of ``b``; a
-    reference with an eigenvalue below 1e-12 is rejected rather than returned,
-    and so is a state with a non-finite entry.
-    """
-    states = [np.asarray(m) for m in (a, b)]
-    if not all(np.isfinite(m).all() for m in states):
-        raise ValueError("relative entropy needs states with finite entries")
-    result = _relative_entropy_batch(*(_bloch(m[None]) for m in states))
-    if np.isinf(result[0]):
-        raise ValueError("relative entropy infinite: reference eigenvalue below 1e-12")
-    return float(result[0])
-
-
-def efficiency_lag(
-    after_expansion: np.ndarray,
-    hot_equilibrium: np.ndarray,
-    after_compression: np.ndarray,
-    cold_equilibrium: np.ndarray,
-    mean_heat_hot_pev: float,
-    beta_cold_per_pev: float,
-) -> float:
-    """Irreversibility penalty subtracted from the ideal-reservoir efficiency.
-
-    The lag is the summed relative entropy of the two drive outputs to the
-    reference equilibria they fail to reach, per unit of hot heat:
-
-        L = [S(rho_exp || rho_hot) + S(rho_comp || rho_cold)] / (beta_cold <Q_hot>)
-
-    and satisfies efficiency = efficiency_carnot - L identically.
-    """
-    if mean_heat_hot_pev == 0.0:
-        raise ValueError("efficiency lag undefined for zero hot heat")
-    numerator = relative_entropy(after_expansion, hot_equilibrium) + relative_entropy(
-        after_compression, cold_equilibrium
-    )
-    return numerator / (beta_cold_per_pev * mean_heat_hot_pev)
-
-
 def entropy_production_drive(
     mean_heat_cold_pev: float,
     mean_heat_hot_pev: float,
@@ -163,26 +122,6 @@ def entropy_production_drive(
         -mean_heat_cold_pev / thermal.kt_cold_pev
         - mean_heat_hot_pev / thermal.kt_hot_pev
     )
-
-
-def extraction_bound(protocol: DriveProtocol, thermal: ThermalParams) -> float:
-    """Largest transition probability that still permits work extraction.
-
-    Zero when the gap ratio falls outside [1, kT_hot/kT_cold] (no extraction
-    is possible at any transition probability there).  Otherwise the unique
-    root of the mean-work closed form:
-
-        (nu_f - nu_i)(p_cold - p_hot) / (2 (nu_f p_cold + nu_i p_hot))
-    """
-    nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
-    ratio = nu_f / nu_i
-    if not 1.0 <= ratio <= thermal.kt_hot_pev / thermal.kt_cold_pev:
-        return 0.0
-    p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
-    denom = 2.0 * (nu_f * p_cold + nu_i * p_hot)
-    if denom == 0.0:
-        return 0.0
-    return max((nu_f - nu_i) * (p_cold - p_hot) / denom, 0.0)
 
 
 def efficiency_closed_form(

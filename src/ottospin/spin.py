@@ -1,5 +1,5 @@
 """Two-level working-medium primitives: Pauli algebra, the gap drive, Gibbs
-states, spin temperatures, and eigensystems.
+states, and eigensystems.
 
 Unit conventions used throughout the package:
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -219,38 +218,3 @@ def _endpoint_polarizations(
     the hot bath's at the final gap."""
     return (polarization(protocol.nu_initial_khz, thermal.kt_cold_pev),
             polarization(protocol.nu_final_khz, thermal.kt_hot_pev))
-
-
-def spin_temperature(p_ground: float, p_excited: float, nu_khz: float) -> float:
-    """Effective temperature (peV) of a two-level population pair.
-
-    kT = gap / ln(p_ground / p_excited), the log taken as
-    ln p_ground - ln p_excited where the ratio overflows.  Only the
-    population ratio matters, so inputs that do not quite sum to one are
-    renormalized with a warning rather than rejected (measured populations
-    routinely carry that defect).  An infinite splitting or population is
-    rejected: it would give a kT of 0 or inf.
-    """
-    if not nu_khz > 0.0:
-        raise ValueError(f"splitting frequency must be positive, got {nu_khz} kHz")
-    if nu_khz == math.inf:
-        raise ValueError("splitting frequency must be finite, got inf kHz")
-    if not p_excited > 0.0:
-        raise ValueError(f"excited population must be positive, got {p_excited}")
-    if not p_ground > p_excited:
-        raise ValueError(
-            "non-positive-temperature populations: "
-            f"p_ground={p_ground} <= p_excited={p_excited}"
-        )
-    if p_ground == math.inf:  # p_excited < p_ground is finite here
-        raise ValueError("ground population must be finite, got inf")
-    total = p_ground + p_excited
-    if abs(total - 1.0) > 1e-6:
-        warnings.warn(
-            f"populations sum to {total}, renormalizing", stacklevel=2
-        )
-    gap = PLANCK_PEV_PER_KHZ * nu_khz
-    ratio = p_ground / p_excited
-    if ratio == math.inf:
-        return gap / (math.log(p_ground) - math.log(p_excited))
-    return gap / math.log(ratio)

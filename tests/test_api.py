@@ -50,7 +50,6 @@ PUBLIC_API = [
     "depolarizing_process",
     "drive_hamiltonian",
     "efficiency_closed_form",
-    "efficiency_lag",
     "eigensystem",
     "endpoint_hamiltonians",
     "endpoint_spectra",
@@ -58,7 +57,6 @@ PUBLIC_API = [
     "engine_work_distribution",
     "entropy_production_drive",
     "evolve_unitary",
-    "extraction_bound",
     "gap_frequency",
     "gibbs_state",
     "identity_process",
@@ -73,10 +71,8 @@ PUBLIC_API = [
     "polarization",
     "process_trace_distance",
     "propagate_state",
-    "relative_entropy",
     "run_cycle",
     "serialize_config",
-    "spin_temperature",
     "sweep_tau",
     "sweep_with_uncertainty",
     "thermal_populations",

@@ -1,6 +1,7 @@
 """Every module of the package parses under the oldest Python it declares,
 uses each name it imports and reads each parameter it takes, and says of
-each cache which benchmark workload it pays on."""
+each cache which benchmark workload it pays on; every public name has a
+reader in what runs the package."""
 
 import ast
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ottospin
 from conftest import _package_caches, _tracing_module
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,6 +136,83 @@ def test_an_unread_private_name_is_found():
     )
     other = "import m\ndef public():\n    return m._helper(), m._Kept\n"
     assert _unread_private_names({"m": source, "n": other}) == ["m._UNUSED", "m._B", "m._recursive"]
+
+
+def _unread_public_names(public, package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Names of ``public`` that nothing reads outside their own definition.
+
+    ``package`` maps each module of the package (``__init__`` left out) to
+    its source, ``readers`` the other code that runs it to its source.  A
+    read is a loaded ``Name``; an ``Attribute`` of ``o``, ``ottospin`` or a
+    module of the package (``report.efficiency_lag`` reads a report field,
+    not the function); or a name a ``from`` import binds, which
+    ``test_module_has_no_unused_import`` holds to a read or to a benchmark
+    tracer boundary.  What the definition of an unread public name reads
+    does not count, so a chain of such definitions is found whole.
+    """
+    spellings = {"o", "ottospin", *package}
+
+    def reads(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child.id
+            elif (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                  and isinstance(child.value, ast.Name) and child.value.id in spellings):
+                yield child.attr
+            elif isinstance(child, ast.ImportFrom):
+                yield from (alias.name for alias in child.names)
+
+    # (the public name a top-level statement defines, or None; what it reads)
+    blocks = [(getattr(node, "name", None) if label in package else None, list(reads(node)))
+              for label, source in {**package, **readers}.items()
+              for node in ast.parse(source).body]
+    unread: set[str] = set()
+    while True:
+        read = {name for owner, names in blocks if owner not in unread
+                for name in names if name != owner}
+        found = set(public) - read
+        if found == unread:
+            return sorted(unread)
+        unread = found
+
+
+#: public by choice with no reader in the package: the inverse of
+#: parse_config, whose round trip README "Configuration" states, and the
+#: mean of a distribution
+KEPT_WITHOUT_A_READER = ("mean", "serialize_config")
+
+
+def test_every_public_name_of_the_package_has_a_reader():
+    # a public name that only its own tests call is not what the package
+    # runs; the readers are the package, the benchmark, README's example and
+    # the acceptance criteria, not the other tests
+    package = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readers = {f"perfbench/{path.name}": path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    readers["README.md"] = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    readers["tests/test_acceptance.py"] = (ROOT / "tests" / "test_acceptance.py").read_text(
+        encoding="utf-8")
+    unread = _unread_public_names(ottospin.__all__, package, readers)
+    assert [name for name in unread if name not in KEPT_WITHOUT_A_READER] == []
+    assert set(KEPT_WITHOUT_A_READER) <= set(unread), "a kept name has a reader now"
+
+
+def test_an_unread_public_name_is_found():
+    source = (
+        "import numpy as np\n"
+        "from .n import shared\n"
+        "def run(report):\n    return report.lag, shared, np.pi\n"
+        "def lag(x):\n    return entropy(x) + lag(x)\n"
+        "def entropy(x):\n    return x\n"
+        "def bound(x):\n    return x\n"
+        "LIMIT = 1.0\n"
+    )
+    other = "def shared():\n    return m.bound(1), LIMIT\n"
+    runner = "import ottospin as o\nreport = o.run(None)\nreport.entropy\n"
+    public = ("run", "lag", "entropy", "bound", "LIMIT", "shared", "unused")
+    assert _unread_public_names(public, {"m": source, "n": other}, {"runner": runner}) == [
+        "entropy", "lag", "unused"]
 
 
 def _unread_parameters(source: str) -> list[str]:

@@ -7,11 +7,13 @@ which knows nothing about time stepping, or against the plain-loop
 `scipy.linalg.expm` instead of the closed axis-angle form.
 """
 
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ottospin as o
 from ottospin import cycle, propagator
@@ -469,6 +471,39 @@ def test_transition_probability_not_monotone_but_decreasing_overall():
     diffs = np.diff(values)
     assert np.any(diffs > 0) and np.any(diffs < 0)  # genuinely oscillatory
     assert values[-1] < values[0]
+
+
+@st.composite
+def adiabatic_engines(draw):
+    """(nu_i, nu_f, tau_us): nu_i log-uniform over 0.1-50 kHz, nu_f/nu_i over
+    1.05-3, and tau log-uniform over the drives of at least 5 cycles at nu_i
+    and at most 30 at nu_f, which the step doubling converges."""
+    nu_i = math.exp(draw(st.floats(math.log(0.1), math.log(50.0))))
+    nu_f = nu_i * draw(st.floats(1.05, 3.0))
+    shortest, longest = 5.0 / (o.KHZ_US * nu_i), 30.0 / (o.KHZ_US * nu_f)
+    return nu_i, nu_f, shortest * (longest / shortest) ** draw(st.floats(0.0, 1.0))
+
+
+# Fixed from drawn engines before the test below was committed: over a dense
+# scan of its range, |xi - xi_APT| / (w/A_i)^4 peaked at 9.52 (nu_f/nu_i = 3,
+# 9.9 cycles at nu_i; the default ramp at 5 ms reads 0.12), and xi moved by
+# at most 0.08 sqrt(xi) CONVERGENCE_TOLERANCE when the step count was
+# quadrupled.  Never raise them.
+ADIABATIC_C, ADIABATIC_K = 10.0, 1.0
+
+
+@given(adiabatic_engines())
+@example((2.0, 3.6, 5000.0))
+@settings(max_examples=60, deadline=None)
+def test_long_drives_match_first_order_adiabatic_perturbation_theory(engine):
+    # the error of first-order theory falls as (w/A_i)^4, with w = pi/(4 tau)
+    # and A_i = pi 1e-3 nu_i; the second term is the propagator's tolerance
+    nu_i, nu_f, tau_us = engine
+    protocol = o.DriveProtocol(nu_i, nu_f, tau_us)
+    xi = o.transition_probability(o.evolve_unitary(protocol), *o.endpoint_hamiltonians(protocol))
+    w_over_a = (math.pi / (4.0 * tau_us)) / (math.pi * o.KHZ_US * nu_i)
+    bound = ADIABATIC_C * w_over_a**4 + ADIABATIC_K * math.sqrt(xi) * o.CONVERGENCE_TOLERANCE
+    assert abs(xi - oracles.adiabatic_swap_probability(nu_i, nu_f, tau_us)) <= bound
 
 
 def test_transition_probability_identity_evolution_is_zero():

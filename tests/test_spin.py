@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -244,58 +243,10 @@ def test_populations_and_polarization_past_exp_overflow():
     assert o.polarization(2.0, kt) == 1.0
 
 
-def test_spin_temperature_recovers_cold_bath_example():
-    kt = o.spin_temperature(0.78, 0.22, 2.0)
-    assert kt == pytest.approx(oracles.SPIN_TEMPERATURE_COLD_PEV, abs=1e-12)
-    assert kt == pytest.approx(6.6, abs=0.1)
-
-
-def test_spin_temperature_recovers_hot_bath_example():
-    kt = o.spin_temperature(0.67, 0.33, 3.6)
-    assert kt == pytest.approx(oracles.SPIN_TEMPERATURE_HOT_PEV, abs=1e-12)
-    assert kt == pytest.approx(21.5, abs=0.5)
-
-
-def test_spin_temperature_renormalizes_unnormalized_pairs_with_warning():
-    # (0.60, 0.42) sums to 1.02; the ratio is what matters, so the value must
-    # agree with the normalized pair and a warning must be emitted.
-    with pytest.warns(UserWarning):
-        kt = o.spin_temperature(0.60, 0.42, 3.6)
-    assert kt == pytest.approx(o.spin_temperature(0.60 / 1.02, 0.42 / 1.02, 3.6), rel=1e-12)
-    assert kt == pytest.approx(40.5, abs=3.7)
-
-
-def test_spin_temperature_takes_the_log_apart_where_the_ratio_overflows():
-    # 1 / 5e-324 is inf, whose log gave a false kT of 0
-    gap = o.PLANCK_PEV_PER_KHZ * 2.0
-    kt = o.spin_temperature(1.0, 5e-324, 2.0)  # 5e-324 is 2**-1074
-    assert kt == pytest.approx(gap / (1074 * math.log(2.0)), rel=1e-15)
-    assert kt == pytest.approx(0.0111, rel=1e-3)
-    # a finite ratio keeps the one log of the ratio, bit for bit
-    assert o.spin_temperature(0.78, 0.22, 2.0) == gap / math.log(0.78 / 0.22)
-    assert o.spin_temperature(1.0, 1e-300, 2.0) == gap / math.log(1.0 / 1e-300)
-
-
-def test_spin_temperature_rejects_inverted_populations():
-    with pytest.raises(ValueError, match="non-positive-temperature populations"):
-        o.spin_temperature(0.4, 0.6, 2.0)
-    with pytest.raises(ValueError, match="non-positive-temperature populations"):
-        o.spin_temperature(0.5, 0.5, 2.0)
-
-
-def test_spin_temperature_rejects_nonpositive_frequency():
-    with pytest.raises(ValueError):
-        o.spin_temperature(0.7, 0.3, 0.0)
-
-
-def test_spin_temperature_diverges_toward_equal_populations():
-    assert o.spin_temperature(0.5001, 0.4999, 2.0) > o.spin_temperature(0.6, 0.4, 2.0) > 0
-
-
 @given(st.floats(min_value=1.0, max_value=100.0))
-def test_spin_temperature_round_trips_thermal_populations(kt_pev):
+def test_thermal_populations_follow_the_boltzmann_ratio(kt_pev):
     p0, p1 = o.thermal_populations(2.0, kt_pev)
-    assert o.spin_temperature(p0, p1, 2.0) == pytest.approx(kt_pev, rel=1e-9)
+    assert math.log(p0 / p1) == pytest.approx(o.PLANCK_PEV_PER_KHZ * 2.0 / kt_pev, rel=1e-9)
 
 
 @given(
@@ -321,45 +272,19 @@ def test_drive_protocol_validation():
 @pytest.mark.parametrize(
     "call, message",
     [(lambda: o.gibbs_state(np.eye(3), 1.0), "expected a 2x2 matrix, got shape (3, 3)"),
-     (lambda: o.spin_temperature(1.0, 0.0, 2.0), "excited population must be positive, got 0.0"),
      (lambda: o.eigensystem(np.full((2, 2), np.nan)), "matrix has non-finite entries"),
      (lambda: o.gibbs_state(np.full((2, 2), np.nan), 1.0), "matrix has non-finite entries"),
      (lambda: o.eigensystem(np.diag([np.inf, -np.inf])), "matrix has non-finite entries"),
      (lambda: o.gibbs_state(np.diag([np.inf, -np.inf]), 1.0), "matrix has non-finite entries"),
      (lambda: o.polarization(math.nan, 1.0), "splitting frequency must be positive, got nan kHz"),
      (lambda: o.thermal_populations(math.nan, 1.0),
-      "splitting frequency must be positive, got nan kHz"),
-     (lambda: o.spin_temperature(0.7, 0.3, math.nan),
-      "splitting frequency must be positive, got nan kHz"),
-     (lambda: o.spin_temperature(0.7, math.nan, 2.0),
-      "excited population must be positive, got nan"),
-     (lambda: o.spin_temperature(math.nan, 0.3, 2.0),
-      "non-positive-temperature populations: p_ground=nan <= p_excited=0.3")],
-    ids=["gibbs-3x3", "empty-excited-level", "nan-eigensystem", "nan-gibbs", "inf-eigensystem",
-         "inf-gibbs", "nan-polarization", "nan-populations", "nan-spin-temperature-splitting",
-         "nan-excited-population", "nan-ground-population"],
+      "splitting frequency must be positive, got nan kHz")],
+    ids=["gibbs-3x3", "nan-eigensystem", "nan-gibbs", "inf-eigensystem", "inf-gibbs",
+         "nan-polarization", "nan-populations"],
 )
 def test_a_rejected_spin_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as exc:
         call()
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [((math.inf, 0.3, 2.0), "ground population must be finite, got inf"),
-     ((0.7, 0.3, math.inf), "splitting frequency must be finite, got inf kHz"),
-     ((0.7, math.inf, 2.0), "non-positive-temperature populations: p_ground=0.7 <= p_excited=inf"),
-     ((math.inf, math.inf, 2.0),
-      "non-positive-temperature populations: p_ground=inf <= p_excited=inf")],
-    ids=["infinite-ground", "infinite-splitting", "infinite-excited", "both-infinite"],
-)
-def test_spin_temperature_rejects_infinite_inputs(args, message):
-    # an infinite ground population gave kT = 0, an infinite splitting kT = inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no renormalizing warning either
-        with pytest.raises(ValueError) as exc:
-            o.spin_temperature(*args)
     assert str(exc.value) == message
 
 
