@@ -278,9 +278,30 @@ def test_drive_protocol_validation():
      (lambda: o.gibbs_state(np.diag([np.inf, -np.inf]), 1.0), "matrix has non-finite entries"),
      (lambda: o.polarization(math.nan, 1.0), "splitting frequency must be positive, got nan kHz"),
      (lambda: o.thermal_populations(math.nan, 1.0),
-      "splitting frequency must be positive, got nan kHz")],
+      "splitting frequency must be positive, got nan kHz"),
+     (lambda: o.thermal_populations(2.0, math.nan), "kT must be positive, got nan peV"),
+     (lambda: o.polarization(2.0, 0.0), "kT must be positive, got 0.0 peV"),
+     (lambda: o.gibbs_state(o.PAULI_Z, math.nan), "kT must be positive, got nan peV"),
+     (lambda: o.gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]), 6.6),
+      "matrix is not Hermitian"),
+     (lambda: o.gibbs_state(3.0 * o.IDENTITY, 6.6), "degenerate Hamiltonian"),
+     (lambda: o.DriveProtocol(math.nan, 3.6, 100.0),
+      "drive frequencies must be positive and finite, got (nan, 3.6) kHz"),
+     (lambda: o.DriveProtocol(2.0, math.inf, 100.0),
+      "drive frequencies must be positive and finite, got (2.0, inf) kHz"),
+     (lambda: o.ThermalParams(math.nan, 40.5), "kT (cold) must be positive, got nan peV"),
+     (lambda: o.ThermalParams(6.6, math.nan), "kT (hot) must be positive, got nan peV"),
+     (lambda: o.gap_frequency(math.nan, o.DriveProtocol(2.0, 3.6, 100.0)),
+      "time nan us outside the drive window [0, 100.0] us"),
+     (lambda: o.gap_frequency(100.1, o.DriveProtocol(2.0, 3.6, 100.0)),
+      "time 100.1 us outside the drive window [0, 100.0] us"),
+     (lambda: o.drive_hamiltonian(math.nan, o.DriveProtocol(2.0, 3.6, 100.0)),
+      "time nan us outside the drive window [0, 100.0] us")],
     ids=["gibbs-3x3", "nan-eigensystem", "nan-gibbs", "inf-eigensystem", "inf-gibbs",
-         "nan-polarization", "nan-populations"],
+         "nan-polarization", "nan-populations", "nan-populations-kt", "zero-polarization-kt",
+         "nan-gibbs-kt", "non-hermitian-gibbs", "degenerate-gibbs", "nan-initial-frequency",
+         "infinite-final-frequency", "nan-cold-bath", "nan-hot-bath", "nan-time",
+         "late-time", "nan-drive-time"],
 )
 def test_a_rejected_spin_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as exc:
