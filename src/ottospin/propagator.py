@@ -2,14 +2,18 @@
 transition probability.
 
 One Magnus kernel, :func:`cayley_klein_product`, builds the expansion
-propagators of a whole array of drive durations at one step count;
-:func:`evolve_unitaries` doubles the step count of each duration in lockstep
-until it converges, and ``_flip_probabilities`` takes every propagator's
-eigenstate flip probability from the endpoint eigenvectors.
-:func:`slice_product`, :func:`evolve_unitary` and
-:func:`transition_probability` are their one-duration cases.  The compression
-drive H_c(t) = -H_e(tau - t) maps each step's exponent c to -c in reverse
-order, so its propagator is served as the expansion one's adjoint.
+propagators of a whole array of drive durations at one step count, in the
+frame that turns with the drive's field axis; :func:`evolve_unitaries`
+doubles the step count of each duration in lockstep until it converges, and
+``_flip_probabilities`` takes every propagator's eigenstate flip probability
+from the endpoint eigenvectors.  :func:`slice_product`,
+:func:`evolve_unitary` and :func:`transition_probability` are their
+one-duration cases.  The compression drive H_c(t) = -H_e(tau - t) is the
+same sweep run backwards, its axis turning from angle 3 pi/2 to pi.  In its
+own turning frame each step's exponent is the expansion one's in reverse
+order with c_z negated, and the frame's ends negate c_x and c_y and leave
+V(tau)^dagger on the right, so its product is the expansion one's adjoint
+step for step, and is served as that.
 
 The converged propagators of a call are kept, bounded, so a repeated call
 skips the escalation; every result keeps its bits.
@@ -34,11 +38,8 @@ CONVERGENCE_TOLERANCE = 1e-8
 
 _MAX_DOUBLINGS = 6
 
-# sqrt(3)/6: offset of the two Gauss-Legendre nodes from the step midpoint (in
-# steps), and the weight of the Magnus cross-product term.
-_GAUSS_OFFSET = np.sqrt(3.0) / 6.0
-# positions of the two nodes inside a step, in steps, as a column
-_NODE_CENTRES = np.array([[0.5 - _GAUSS_OFFSET], [0.5 + _GAUSS_OFFSET]])
+# the end rotation V(tau) = exp(-i pi sigma_z / 4) on a Cayley-Klein pair
+_END_PHASE = np.exp(-0.25j * np.pi)
 
 
 def cayley_klein_product(
@@ -47,22 +48,25 @@ def cayley_klein_product(
     """Time-ordered products of fourth-order Magnus steps for the expansion
     drive, one per drive duration, as Cayley-Klein pairs.
 
-    The drive generator is a real vector on the Pauli basis,
-    ``-i H(t) / hbar = i a(t) . sigma`` with
+    The drive generator ``-i H / hbar = i A(t) (cos phi sigma_x + sin phi
+    sigma_y)``, with ``A = pi * nu(t) * KHZ_US`` [rad/us] (``KHZ_US``
+    converts kHz*us to cycles), turns its axis at the constant rate
+    ``phi(t) = pi t / 2 tau``.  In the frame that turns with it,
+    ``U = V(t) U_R`` with ``V(t) = exp(-i phi sigma_z / 2)``, the drive is a
+    finite-duration Landau-Zener sweep (Vitanov & Garraway, Phys. Rev. A 53
+    (1996) 4288):
 
-        a(t) = pi * nu(t) * KHZ_US * (cos phi(t), sin phi(t), 0)   [rad/us]
+        dU_R/dt = i (A(t) sigma_x + w sigma_z) U_R,   w = pi / (4 tau).
 
-    (``KHZ_US`` converts kHz*us to cycles) and ``phi(t) = pi t / 2 tau`` the
-    rotation angle of the field axis; the compression product is the adjoint
-    of this one (see the module docstring).  Each step of width ``dt``
-    samples ``a`` at the two Gauss-Legendre nodes
-    ``t_k + (1/2 -+ sqrt(3)/6) dt`` and takes the two-term Magnus exponent
-
-        c = dt/2 (a_- + a_+) + sqrt(3)/6 dt^2 (a_- x a_+)
-
-    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
-    exponential is the SU(2) rotation ``cos|c| I + i sin|c| c^ . sigma``.
-    The local error is fifth order in ``dt``.
+    Each of the ``n`` steps takes the two-node Gauss-Legendre Magnus exponent
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose local
+    error is fifth order in ``dt = tau / n``.  A is linear in t, so the
+    nodes collapse exactly to ``c = (dt A(midpoint), c_y, pi / (4 n))``,
+    where ``c_y = pi^2 KHZ_US (nu_end - nu_start) tau / (24 n^3)`` is the
+    cross term ``sqrt(3)/6 dt^2 (a_- x a_+)`` of the node vectors
+    ``(A, 0, w)``.  Its exponential is the SU(2) rotation
+    ``cos|c| I + i sin|c| c^ . sigma``; as ``c_z > 0``, ``|c|`` never
+    vanishes.
 
     Every rotation, and every product of them, is ``[[a, b], [-b*, a*]]``, so
     a step is held as its Cayley-Klein pair ``a = cos|c| + i sinc|c| c_z``,
@@ -74,36 +78,28 @@ def cayley_klein_product(
     of shape ``(n_tau, n_steps)`` and multiplied by a pairwise
     (balanced-tree) reduction along the step axis, later times earlier, so
     the latest step ends up leftmost and the Python-level loop runs
-    O(log n) times.  Returns the products' ``(a, b)`` stacked as an array of
-    shape ``(2, n_tau)``.
+    O(log n) times.  The end rotation ``V(tau) = exp(-i pi sigma_z / 4)`` is
+    one phase ``exp(-i pi / 4)`` on both entries of every product.  Returns
+    the products' ``(a, b)`` stacked as an array of shape ``(2, n_tau)``;
+    the compression product is its adjoint (see the module docstring).
     """
     # np.arange gives an empty array, not an error, at 2**63 - 1 and above
     if n_steps >= 2**63 - 1:
         raise ValueError(f"n_steps {n_steps} is too large for an array")
-    # the drive at each Gauss node depends on tau only through the node's
-    # fraction of the window; rows: the earlier and the later node of a step
-    frac = (np.arange(n_steps) + _NODE_CENTRES) / n_steps
-    nu = nu_start_khz + (nu_end_khz - nu_start_khz) * frac
-    phi = 0.5 * np.pi * frac
-    amp = np.pi * KHZ_US * nu
-    ax = amp * np.cos(phi)
-    ay = amp * np.sin(phi)
-    # c = dt/2 * node_sum + sqrt(3)/6 dt^2 * node_cross, and its squared norm
-    node_sum_x, node_sum_y = ax[0] + ax[1], ay[0] + ay[1]
-    node_cross = ax[0] * ay[1] - ay[0] * ax[1]
-    sum_sq, cross_sq = node_sum_x**2 + node_sum_y**2, node_cross**2
-
-    dt = np.asarray(tau_list_us, dtype=np.float64)[:, None] / n_steps
-    half_dt, cross_dt = 0.5 * dt, _GAUSS_OFFSET * dt * dt
-    angle = np.sqrt(half_dt**2 * sum_sq + cross_dt**2 * cross_sq)
-    # sin|c| / |c|; its value at |c| = 0 only ever multiplies c = 0
-    sinc = np.sin(angle) / np.where(angle > 0.0, angle, 1.0)
+    midpoint = (np.arange(n_steps) + 0.5) / n_steps
+    amp = np.pi * KHZ_US * (nu_start_khz + (nu_end_khz - nu_start_khz) * midpoint)
+    taus = np.asarray(tau_list_us, dtype=np.float64)[:, None]
+    c_x = (taus / n_steps) * amp
+    # float: the cube of a numpy integer step count would wrap past 2**21
+    c_y = (np.pi**2 * KHZ_US * (nu_end_khz - nu_start_khz) / (24.0 * float(n_steps) ** 3)) * taus
+    c_z = np.pi / (4 * n_steps)
+    angle = np.sqrt(c_x * c_x + (c_y * c_y + c_z * c_z))
+    sinc = np.sin(angle) / angle
     pairs = np.empty((2, *angle.shape), dtype=np.complex128)
     np.cos(angle, out=pairs[0].real)
-    np.multiply(sinc * cross_dt, node_cross, out=pairs[0].imag)
-    sinc_half_dt = sinc * half_dt
-    np.multiply(sinc_half_dt, node_sum_y, out=pairs[1].real)
-    np.multiply(sinc_half_dt, node_sum_x, out=pairs[1].imag)
+    np.multiply(sinc, c_z, out=pairs[0].imag)
+    np.multiply(sinc, c_y, out=pairs[1].real)
+    np.multiply(sinc, c_x, out=pairs[1].imag)
 
     # pairwise reduction; pairs stays ordered earliest -> latest along the
     # last axis, each pair collapses as later * earlier, an odd tail is
@@ -118,7 +114,7 @@ def cayley_klein_product(
         if n % 2:
             paired = np.concatenate([paired, pairs[..., -1:]], axis=-1)
         pairs = paired
-    return pairs[..., 0]
+    return _END_PHASE * pairs[..., 0]
 
 
 def slice_product(
@@ -173,8 +169,9 @@ def evolve_unitaries(
     the step count of the durations whose product still moved by
     ``CONVERGENCE_TOLERANCE`` or more in max-norm, which for
     ``[[a, b], [-b*, a*]]`` is ``max(|da|, |db|)``, and the finer product of
-    each is kept.  Raises :class:`ConvergenceError` if any duration is still
-    unconverged after six doublings, and ``ValueError`` if a product is off
+    each is kept.  Raises :class:`ConvergenceError`, naming the first
+    duration in input order and its cycle count at the final gap, if any
+    duration is still unconverged after six doublings, and ``ValueError`` if a product is off
     unitarity by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
     A bad list (empty, or a duration not positive and finite) is rejected
     first.  The result of each call is kept for both phases (see
@@ -222,9 +219,11 @@ def _converged(
         if len(pending) == 0:
             break
     else:
+        tau = taus[pending[0]]
         raise ConvergenceError(
             f"Magnus product not converged to {CONVERGENCE_TOLERANCE} after "
-            f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps}"
+            f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps} (tau_us = {tau:g}, "
+            f"{nu_final_khz * tau * KHZ_US:g} cycles at nu_final_khz = {nu_final_khz:g})"
         )
     defect = np.abs((pairs.real**2 + pairs.imag**2).sum(axis=0) - 1.0).max()
     if defect > 1e-10:

@@ -120,11 +120,6 @@ def transition_matrix(transition_prob: float) -> np.ndarray:
     return np.array([[stay, transition_prob], [transition_prob, stay]])
 
 
-def mean(dist: EnergyDistribution) -> float:
-    """First moment of an atom distribution (peV)."""
-    return float(np.dot(dist.energies_pev, dist.probabilities))
-
-
 def characteristic_function(
     dist: EnergyDistribution, u_grid: Sequence[float]
 ) -> CharacteristicSamples:

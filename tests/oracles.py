@@ -622,29 +622,39 @@ def haar_unitary(rng):
 
 
 def sequential_magnus_product(nu1_khz, nu2_khz, tau_us, n_steps, compression):
-    """Plain-loop fourth-order Magnus product; order-of-multiplication
-    reference.
+    """Plain-loop fourth-order Magnus product in the frame that turns with the
+    drive's field axis; order-of-multiplication reference.
 
-    Each step is the matrix exponential of the two-term Magnus exponent
-    Omega = dt/2 (A_- + A_+) + sqrt(3)/12 dt^2 [A_+, A_-], with
-    A = -i H / hbar sampled at the two Gauss-Legendre nodes of the step.
+    The field axis of either drive turns about z at a constant rate: from
+    angle 0 by +pi/2 (expansion), or from 3 pi/2 by -pi/2 (compression, whose
+    field is the expansion one negated and reversed).  With
+    V(t) = exp(-i theta(t) sigma_z / 2) and U = V U_R, the turning-frame
+    generator is B = V^dagger A V + i theta'/2 sigma_z, with A = -i H / hbar
+    from the lab-frame Hamiltonian.  Each step is the matrix exponential of
+    the two-term Magnus exponent Omega = dt/2 (B_- + B_+) + sqrt(3)/12 dt^2
+    [B_+, B_-], B sampled at the two Gauss-Legendre nodes of the step, and
+    the product is framed by V(tau) on the left and V(0)^dagger on the right.
     """
+    start, turn = (1.5 * np.pi, -0.5 * np.pi) if compression else (0.0, 0.5 * np.pi)
+
+    def frame(t):
+        return expm(-0.5j * (start + turn * t / tau_us) * _SZ)
+
+    def generator(t):
+        v = frame(t)
+        a = -1j / HBAR_PEV_US * drive_hamiltonian(t, nu1_khz, nu2_khz, tau_us, compression)
+        return v.conj().T @ a @ v + 0.5j * (turn / tau_us) * _SZ
+
     dt = tau_us / n_steps
     offset = np.sqrt(3.0) / 6.0
-    u = np.eye(2, dtype=complex)
+    u = frame(0.0).conj().T
     for i in range(n_steps):
-        a_early, a_late = (
-            -1j / HBAR_PEV_US
-            * drive_hamiltonian(
-                (i + 0.5 + node) * dt, nu1_khz, nu2_khz, tau_us, compression
-            )
-            for node in (-offset, offset)
-        )
-        omega = 0.5 * dt * (a_early + a_late) + (np.sqrt(3.0) / 12.0) * dt**2 * (
-            a_late @ a_early - a_early @ a_late
+        b_early, b_late = (generator((i + 0.5 + node) * dt) for node in (-offset, offset))
+        omega = 0.5 * dt * (b_early + b_late) + (np.sqrt(3.0) / 12.0) * dt**2 * (
+            b_late @ b_early - b_early @ b_late
         )
         u = expm(omega) @ u
-    return u
+    return frame(tau_us) @ u
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ PUBLIC_API = [
     "identity_process",
     "invert_characteristic",
     "lorentzian_broaden",
-    "mean",
     "mean_heat_cold_closed_form",
     "mean_heat_hot_closed_form",
     "mean_work_closed_form",

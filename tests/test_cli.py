@@ -214,6 +214,17 @@ def test_unconverged_propagator_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_a_long_drive_converges_toward_the_otto_efficiency(tmp_path, capsys):
+    # 180 cycles at the final gap: the step doubling stops at 1024 steps
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("[cycle]\ntau_us = 50000\n")
+    rc, out, err = _run(capsys, ["cycle", "--config", str(cfg)])
+    assert (rc, err) == (0, "")
+    (row,) = _rows(out)
+    assert float(row["tau_us"]) == 50000 and float(row["transition_prob"]) < 1e-6
+    assert float(row["efficiency"]) == pytest.approx(float(row["efficiency_otto"]), abs=1e-5)
+
+
 def test_transition_symmetry_violation_is_a_one_line_error(monkeypatch, capsys):
     exact = propagator.eigensystem
 
@@ -676,6 +687,7 @@ def _run_captured(argv):
 @example({"kt_cold_pev": 0.2})  # the counted 509-of-1000 Monte Carlo error
 @example({"mc_noise_width": 0.3})
 @example({"tau_us": 1e300})
+@example({"tau_us": 5e5})  # 1800 cycles: the step doubling gives up
 @example({"n_steps": 2**63})  # np.arange gives an empty array at this size
 @example({"curve_points": 2**63})  # np.linspace fails on an empty array
 # the cycle report underflows on these baths, while the distributions report

@@ -177,9 +177,8 @@ def _unread_public_names(public, package: dict[str, str], readers: dict[str, str
 
 
 #: public by choice with no reader in the package: the inverse of
-#: parse_config, whose round trip README "Configuration" states, and the
-#: mean of a distribution
-KEPT_WITHOUT_A_READER = ("mean", "serialize_config")
+#: parse_config, whose round trip README "Configuration" states
+KEPT_WITHOUT_A_READER = ("serialize_config",)
 
 
 def test_every_public_name_of_the_package_has_a_reader():

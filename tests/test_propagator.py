@@ -1,10 +1,16 @@
 """Propagator checks against an independent adaptive ODE integration.
 
-The library builds its unitaries from products of fourth-order Magnus steps;
-every quantitative claim here is verified against `oracles.ode_unitary`,
-which knows nothing about time stepping, or against the plain-loop
-`oracles.sequential_magnus_product`, which exponentiates each step with
-`scipy.linalg.expm` instead of the closed axis-angle form.
+The library builds its unitaries from products of fourth-order Magnus steps
+taken in the frame that turns with the drive's field axis.  Every
+quantitative claim here is verified against `oracles.ode_unitary`, which
+integrates the lab-frame equation and knows nothing about time stepping or
+frames, or against the plain-loop `oracles.sequential_magnus_product`.  That
+loop builds each drive's turning-frame generator from the lab Hamiltonian,
+exponentiates each step with `scipy.linalg.expm` instead of the closed
+axis-angle form, and applies both ends' frame rotations as matrices.  It
+integrates the compression drive in its own turning frame, so its match
+with the adjoint of the kernel's expansion product checks that identity step
+for step.
 """
 
 import math
@@ -26,8 +32,8 @@ CRITERION_10_GRID = np.arange(100.0, 701.0, 10.0)
 # how many of the 61 grid points converge at each step count; the same in
 # both phases
 GRID_STEP_COUNTS = {
-    (2.0, 3.6): {128: 10, 256: 30, 512: 21},
-    (1.1, 7.3): {128: 1, 256: 19, 512: 40, 1024: 1},
+    (2.0, 3.6): {128: 61},
+    (1.1, 7.3): {128: 18, 256: 43},
 }
 SLICE_CASES = [
     (2.0, 3.6, 100.0, 1),
@@ -80,29 +86,36 @@ def test_compression_matches_independent_ode_integration():
 
 
 def test_single_step_is_the_magnus_exponential():
-    # With one step the product *is* the exponential of the two-node Magnus
-    # exponent over the whole window, built here from the package's own
-    # Hamiltonian and scipy's expm.
+    # With one step the product *is* the end rotation V(tau) times the
+    # exponential of the two-node Magnus exponent over the whole window, in
+    # the frame V(t) = exp(-i pi t / (4 tau) sigma_z) that turns with the
+    # field, built here from the package's own Hamiltonian and scipy's expm.
     from scipy.linalg import expm
 
     tau = 80.0
     p = o.DriveProtocol(2.0, 3.6, tau)
     u = slice_product(2.0, 3.6, tau, 1)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+
+    def frame(t):
+        return expm(-0.25j * np.pi * (t / tau) * sz)
+
+    def turning_generator(t):
+        a = -1j / oracles.HBAR_PEV_US * o.drive_hamiltonian(t, p)
+        return frame(t).conj().T @ a @ frame(t) + 0.25j * (np.pi / tau) * sz
+
     offset = np.sqrt(3.0) / 6.0
-    a_early, a_late = (
-        -1j / oracles.HBAR_PEV_US * o.drive_hamiltonian((0.5 + node) * tau, p)
-        for node in (-offset, offset)
+    b_early, b_late = (turning_generator((0.5 + node) * tau) for node in (-offset, offset))
+    omega = 0.5 * tau * (b_early + b_late) + (np.sqrt(3.0) / 12.0) * tau**2 * (
+        b_late @ b_early - b_early @ b_late
     )
-    omega = 0.5 * tau * (a_early + a_late) + (np.sqrt(3.0) / 12.0) * tau**2 * (
-        a_late @ a_early - a_early @ a_late
-    )
-    assert np.max(np.abs(u - expm(omega))) < 1e-13
+    assert np.max(np.abs(u - frame(tau) @ expm(omega))) < 1e-13
 
 
 def test_time_ordering_error_is_fourth_order_in_step_width():
     ref = oracles.ode_unitary(2.0, 3.6, 300.0)
     errs = []
-    for n in (50, 100, 200, 400):
+    for n in (25, 50, 100, 200):
         u = slice_product(2.0, 3.6, 300.0, n)
         errs.append(np.max(np.abs(u - ref)))
     for coarse, fine in zip(errs, errs[1:]):
@@ -112,8 +125,8 @@ def test_time_ordering_error_is_fourth_order_in_step_width():
 def test_kernel_matches_plain_loop_reference_product():
     # Guards the multiplication *order* of the pairwise step reduction.  The
     # kernel builds the expansion product only; the plain loop integrates the
-    # compression drive on its own, so its match with the adjoint checks that
-    # identity step for step.
+    # compression drive on its own, in its own turning frame, so its match
+    # with the adjoint checks that identity step for step.
     for n in (1, 2, 7, 17, 64):
         got = slice_product(2.0, 3.6, 50.0, n)
         for product, compression in ((got, False), (got.conj().T, True)):
@@ -148,8 +161,8 @@ def test_slice_product_reproduces_converged_physics():
 def test_convergence_escalation_reports_the_finer_slicing():
     um = o.evolve_unitary(DEFAULT)
     assert um.n_steps == 2 * o.DEFAULT_N_STEPS
-    # the slow ramp needs two extra doublings
-    um_slow = o.evolve_unitary(o.DriveProtocol(2.0, 3.6, 700.0))
+    # the slow ramp of 10.8 cycles needs two extra doublings
+    um_slow = o.evolve_unitary(o.DriveProtocol(2.0, 3.6, 3000.0))
     assert um_slow.n_steps == 8 * o.DEFAULT_N_STEPS
 
 
@@ -185,6 +198,22 @@ def test_grid_convergence_failure_of_one_duration_fails_the_grid():
     assert evolve_unitaries(DEFAULT, [10.0], n_steps=1)[1][0] == 32
     with pytest.raises(ConvergenceError, match="not converged to 1e-08 after 6 doublings"):
         evolve_unitaries(DEFAULT, [10.0, 700.0, 50.0], n_steps=1)
+
+
+@pytest.mark.parametrize(
+    "taus, n_steps, message",
+    [([10.0, 700.0, 5000.0], 1,
+      "from n_steps=1 (tau_us = 700, 2.52 cycles at nu_final_khz = 3.6)"),
+     ([100.0, 5e5], 64,
+      "from n_steps=64 (tau_us = 500000, 1800 cycles at nu_final_khz = 3.6)")],
+    ids=["first-of-two-failing", "long-drive"],
+)
+def test_a_convergence_failure_names_the_first_failing_drive(taus, n_steps, message):
+    with pytest.raises(ConvergenceError) as exc:
+        evolve_unitaries(DEFAULT, taus, n_steps)
+    assert str(exc.value) == (
+        "Magnus product not converged to 1e-08 after 6 doublings " + message
+    )
 
 
 def test_grid_rejects_a_kernel_output_off_unitarity(monkeypatch):
@@ -477,7 +506,8 @@ def test_transition_probability_not_monotone_but_decreasing_overall():
 def adiabatic_engines(draw):
     """(nu_i, nu_f, tau_us): nu_i log-uniform over 0.1-50 kHz, nu_f/nu_i over
     1.05-3, and tau log-uniform over the drives of at least 5 cycles at nu_i
-    and at most 30 at nu_f, which the step doubling converges."""
+    and at most 30 at nu_f, the range the bound below was fixed on (longer
+    drives converge, but their first-order error is not held by that bound)."""
     nu_i = math.exp(draw(st.floats(math.log(0.1), math.log(50.0))))
     nu_f = nu_i * draw(st.floats(1.05, 3.0))
     shortest, longest = 5.0 / (o.KHZ_US * nu_i), 30.0 / (o.KHZ_US * nu_f)
@@ -494,6 +524,8 @@ ADIABATIC_C, ADIABATIC_K = 10.0, 1.0
 
 @given(adiabatic_engines())
 @example((2.0, 3.6, 5000.0))
+@example((2.0, 3.6, 50000.0))
+@example((2.0, 3.6, 100000.0))
 @settings(max_examples=60, deadline=None)
 def test_long_drives_match_first_order_adiabatic_perturbation_theory(engine):
     # the error of first-order theory falls as (w/A_i)^4, with w = pi/(4 tau)
