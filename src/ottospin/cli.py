@@ -130,7 +130,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _COMMANDS[args.command][-1](cfg)
     except FloatingPointError as exc:
         stage = _floating_point_stage(exc)
-        print(f"error: {stage + ': ' if stage else ''}{exc}", file=sys.stderr)
+        drive = f" ({_drive_keys(cfg, args.command)})" if stage == "propagator" else ""
+        print(f"error: {stage + ': ' if stage else ''}{exc}{drive}", file=sys.stderr)
         return 1
     # RuntimeError covers ConvergenceError and the transition-symmetry check
     except (ConfigError, RuntimeError, ValueError) as exc:
@@ -174,6 +175,16 @@ def _floating_point_stage(exc: FloatingPointError) -> str | None:
     ) == "sweep_with_uncertainty":
         return "Monte Carlo"
     return _STAGES.get(module)
+
+
+def _drive_keys(cfg: RunConfig, command: str) -> str:
+    """The config keys of the drive a command propagates: the ramp and the
+    duration, for ``sweep`` the longest entry of its tau list."""
+    if command == "sweep":
+        tau = f"max(tau_list_us) = {max(cfg.tau_list_us):g}"
+    else:
+        tau = f"tau_us = {cfg.tau_us:g}"
+    return f"nu_initial_khz = {cfg.nu_initial_khz:g}, nu_final_khz = {cfg.nu_final_khz:g}, {tau}"
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:

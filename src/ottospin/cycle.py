@@ -8,7 +8,11 @@ of those states, which is also what makes the Monte Carlo error propagation a
 straight resampling of them.
 
 What an engine fixes at every drive duration (endpoint eigenvectors, Gibbs
-states, their Bloch vectors) is built once per engine and kept.
+states, their Bloch vectors) is built once per engine and kept.  What the
+Monte Carlo resamples at a tau list (the point reports, their figures and the
+four states' Bloch vectors) does not depend on the seed, the noise width or
+the sample count, and is kept per engine and tau list for the next Monte
+Carlo call; ``sweep_tau`` and ``run_cycle`` keep nothing of it.
 """
 
 from __future__ import annotations
@@ -237,12 +241,17 @@ def sweep_with_uncertainty(
     spread.  A non-finite width, or one whose draws overflow, is rejected.
     A rank-deficient repaired reference makes a sample's lag infinite; the
     run is then rejected with the number of such samples.
+
+    The point states of a config and tau list are kept, read-only, for the
+    next call with any seed, width or sample count (see ``_kept_points``);
+    a call whose tau list fails keeps nothing.
     """
     if not 0.0 <= rel_noise < math.inf:
         raise ValueError(f"noise width must be finite and nonnegative, got {rel_noise}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    points, figures, fields, states = _sweep_points(cfg, tau_list_us)
+    taus = np.array([float(tau) for tau in tau_list_us], dtype=np.float64)
+    points, figures, fields, states = _kept_points(cfg, taus.tobytes())
     if rel_noise == 0.0:
         return [(point, _estimates(figures[:, [k]])) for k, point in enumerate(points)]
 
@@ -291,6 +300,24 @@ def _draw_noise(seed: int, rel_noise: float, n_samples: int) -> np.ndarray:
         np.multiply(standard.transpose(1, 2, 0), math.sqrt(2.0) * rel_noise, out=draws)
     draws += 0.0
     return draws
+
+
+# pays on mc_cycle: 32 hits / 18 misses over seed 1's 27 s request list,
+# where requests repeat an (engine, tau) with a new seed (tau_scan:
+# 0 hits / 0 misses, as sweep_tau and run_cycle keep nothing).  What
+# _sweep_points returns, read-only, the reports as a tuple, keyed on the
+# config and the bytes of the float tau list.  About 1.9 kB plus 0.5 kB per
+# duration an entry (tracemalloc)
+@functools.lru_cache(maxsize=32)
+def _kept_points(
+    cfg: CycleConfig, tau_bytes: bytes
+) -> tuple[tuple[CycleReport, ...], np.ndarray, tuple[np.ndarray, np.ndarray],
+           tuple[np.ndarray, ...]]:
+    points, figures, fields, states = _sweep_points(
+        cfg, np.frombuffer(tau_bytes, dtype=np.float64).tolist())
+    for array in (figures, *states):
+        array.flags.writeable = False
+    return tuple(points), figures, fields, tuple(states)
 
 
 def _sweep_points(
@@ -403,11 +430,23 @@ def _figures_of_merit(
 def _estimates(figures: np.ndarray) -> dict[str, UncertaintyEstimate]:
     """Mean and sample standard deviation (0 for one sample) of each field's
     row of the ``(7, n)`` samples of :func:`_figures_of_merit`, in one
-    reduction whose rows round as np.mean/np.std of each row.  The samples
+    reduction whose rows round as np.mean/np.std of each row: each row's
+    mean is taken once, and the variance pass repeats np.std's steps on it
+    (subtract, square, sum, divide by n - 1, square root).  The samples
     die with the call, so a sweep holds none across its durations."""
-    stddevs = figures.std(axis=1, ddof=1) if figures.shape[1] > 1 else np.zeros(len(figures))
+    n = figures.shape[1]
+    means = figures.sum(axis=1, keepdims=True)
+    means /= n
+    if n > 1:
+        deviations = np.subtract(figures, means)
+        np.square(deviations, out=deviations)
+        stddevs = deviations.sum(axis=1)
+        stddevs /= n - 1
+        np.sqrt(stddevs, out=stddevs)
+    else:
+        stddevs = np.zeros(len(figures))
     return dict(zip(MONTE_CARLO_FIELDS, map(
-        UncertaintyEstimate, figures.mean(axis=1).tolist(), stddevs.tolist())))
+        UncertaintyEstimate, means[:, 0].tolist(), stddevs.tolist())))
 
 
 def _drive_relative_entropy(
@@ -451,15 +490,27 @@ def _repair_batch(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     when |r| <= t, r/|r| when |r| > t and t + |r| > 0, and 0 (I/2)
     otherwise.  That does not change when (t, r) is scaled by c > 0, so
     (t, r) is first divided by max(|t|, max |r_i|) and |r| cannot overflow.
+    The steps run on three scratch rows and the returned array; t and r
+    are left as they are.  The rows are separate arrays: one block of them
+    raised a CLI sweep's peak RSS by ~50 kB.
     """
-    size = np.maximum(np.maximum(np.abs(t), np.abs(r[0])),
-                      np.maximum(np.abs(r[1]), np.abs(r[2])))
-    size = np.where(size > 0.0, size, 1.0)
-    t, r = t / size, r / size
-    length = _length(r)
-    valid = t + length > 0.0
-    scale = np.where(valid, 1.0 / np.where(valid, np.maximum(t, length), 1.0), 0.0)
-    return scale * r
+    size, t_unit, spare = (np.empty(len(t)) for _ in range(3))
+    np.abs(t, out=size)
+    np.maximum(size, np.abs(r[0], out=spare), out=size)
+    np.maximum(np.abs(r[1], out=t_unit), np.abs(r[2], out=spare), out=t_unit)
+    np.maximum(size, t_unit, out=size)
+    size[~(size > 0.0)] = 1.0
+    np.divide(t, size, out=t_unit)
+    repaired = np.divide(r, size)
+    length = _length(repaired, size, spare)
+    np.add(t_unit, length, out=spare)
+    invalid = ~(spare > 0.0)
+    scale = np.maximum(t_unit, length, out=spare)
+    scale[invalid] = 1.0
+    np.divide(1.0, scale, out=scale)
+    scale[invalid] = 0.0
+    repaired *= scale
+    return repaired
 
 
 def _relative_entropy_batch(a: tuple, b: tuple) -> np.ndarray:
@@ -470,23 +521,61 @@ def _relative_entropy_batch(a: tuple, b: tuple) -> np.ndarray:
     For a = (t, r) and b = (u, s) with eigenvalues (t +- |r|)/2 and
     mu_+- = (u +- |s|)/2, tr[a ln b] is
     [(t + r.s/|s|) ln mu_+ + (t - r.s/|s|) ln mu_-]/2, with r.s/|s| = 0 at s = 0.
+    The steps run on six separate scratch rows (see ``_repair_batch``), the
+    first of which is returned; neither pair is written to.
     """
     (t, r), (u, s) = a, b
-    r_len, s_len = _length(r), _length(s)
-    plus, minus = (np.clip(0.5 * (t + r_len), 0.0, None),
-                   np.clip(0.5 * (t - r_len), 0.0, None))
-    entropy_a = (plus * np.log(np.where(plus > 0.0, plus, 1.0))
-                 + minus * np.log(np.where(minus > 0.0, minus, 1.0)))
-    mu_plus, mu_minus = 0.5 * (u + s_len), 0.5 * (u - s_len)
+    shape = np.broadcast_shapes(np.shape(t), r.shape[1:], np.shape(u), s.shape[1:])
+    entropy, plus, minus, mu_plus, mu_minus, spare = (np.empty(shape) for _ in range(6))
+    r_len = _length(r, entropy, spare)
+    np.add(t, r_len, out=plus)
+    plus *= 0.5
+    np.clip(plus, 0.0, None, out=plus)
+    np.subtract(t, r_len, out=minus)
+    minus *= 0.5
+    np.clip(minus, 0.0, None, out=minus)
+    # entropy = plus ln plus + minus ln minus, with 0 ln 0 read as 0
+    np.copyto(entropy, plus)
+    entropy[~(plus > 0.0)] = 1.0
+    np.log(entropy, out=entropy)
+    entropy *= plus
+    np.copyto(spare, minus)
+    spare[~(minus > 0.0)] = 1.0
+    np.log(spare, out=spare)
+    spare *= minus
+    entropy += spare
+    s_len = _length(s, plus, spare)
+    np.add(u, s_len, out=mu_plus)
+    mu_plus *= 0.5
+    np.subtract(u, s_len, out=mu_minus)
+    mu_minus *= 0.5
     singular = mu_minus < 1e-12
-    log_plus = np.log(np.where(singular, 1.0, mu_plus))
-    log_minus = np.log(np.where(singular, 1.0, mu_minus))
+    mu_plus[singular] = 1.0
+    np.log(mu_plus, out=mu_plus)
+    mu_minus[singular] = 1.0
+    np.log(mu_minus, out=mu_minus)
     # summed in the order numpy's einsum("ni,ni->n") rounds the (n, 3) dot
-    along = ((r[0] * s[0] + r[2] * s[2]) + r[1] * s[1]) / np.where(s_len > 0.0, s_len, 1.0)
-    cross = 0.5 * ((t + along) * log_plus + (t - along) * log_minus)
-    return np.where(singular, np.inf, entropy_a - cross)
+    along = np.multiply(r[0], s[0], out=minus)
+    along += np.multiply(r[2], s[2], out=spare)
+    along += np.multiply(r[1], s[1], out=spare)
+    s_len[~(s_len > 0.0)] = 1.0
+    along /= s_len
+    # cross = ((t + along) ln mu_+ + (t - along) ln mu_-) / 2
+    np.subtract(t, along, out=spare)
+    spare *= mu_minus
+    np.add(t, along, out=along)
+    along *= mu_plus
+    along += spare
+    along *= 0.5
+    entropy -= along
+    entropy[singular] = np.inf
+    return entropy
 
 
-def _length(r: np.ndarray) -> np.ndarray:
-    """|r| of ``(3, n)`` Bloch vectors, summed as np.linalg.norm sums."""
-    return np.sqrt((r[0] * r[0] + r[1] * r[1]) + r[2] * r[2])
+def _length(r: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """|r| of ``(3, n)`` Bloch vectors, summed as np.linalg.norm sums, into
+    ``out``; ``spare`` is scratch of the same shape."""
+    np.multiply(r[0], r[0], out=out)
+    out += np.multiply(r[1], r[1], out=spare)
+    out += np.multiply(r[2], r[2], out=spare)
+    return np.sqrt(out, out=out)

@@ -15,13 +15,13 @@ order with c_z negated, and the frame's ends negate c_x and c_y and leave
 V(tau)^dagger on the right, so its product is the expansion one's adjoint
 step for step, and is served as that.
 
-The converged propagators of a call are kept, bounded, so a repeated call
-skips the escalation; every result keeps its bits.
+Nothing here is kept between calls: every call runs its escalation, and the
+Monte Carlo keeps what it repeats one layer up, as point states
+(``cycle._kept_points``).
 """
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -174,8 +174,7 @@ def evolve_unitaries(
     duration is still unconverged after six doublings, and ``ValueError`` if a product is off
     unitarity by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
     A bad list (empty, or a duration not positive and finite) is rejected
-    first.  The result of each call is kept for both phases (see
-    ``_converged``); a call that raises keeps nothing.
+    first.  Nothing is kept: each call runs its own escalation.
 
     Returns the ``(n_tau, 2, 2)`` stack of propagators and the step count
     each used, in input order.
@@ -187,23 +186,6 @@ def evolve_unitaries(
     for tau in taus.tolist():
         _check_duration(tau)
     ramp = (protocol.nu_initial_khz, protocol.nu_final_khz)
-    matrices, steps = _converged(*ramp, n_steps, taus.tobytes())
-    if protocol.phase is Phase.COMPRESSION:
-        return matrices.conj().transpose(0, 2, 1), steps.copy()
-    return matrices.copy(), steps.copy()
-
-
-# pays on mc_cycle: 40 hits / 10 misses over seed 1's 27 s request list,
-# where requests repeat a drive (tau_scan: 0 hits / 20 misses).  One call's
-# converged expansion stack and step counts, read-only, keyed on the ramp,
-# the starting step count and the bytes of the durations in order (both
-# phases share an entry); about 0.5 kB plus 80 B per duration an entry
-@functools.lru_cache(maxsize=32)
-def _converged(
-    nu_initial_khz: float, nu_final_khz: float, n_steps: int, tau_bytes: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    ramp = (nu_initial_khz, nu_final_khz)
-    taus = np.frombuffer(tau_bytes, dtype=np.float64)
     pairs = np.empty((2, len(taus)), dtype=np.complex128)
     steps = np.empty(len(taus), dtype=np.int64)
     pending = np.arange(len(taus))
@@ -223,13 +205,15 @@ def _converged(
         raise ConvergenceError(
             f"Magnus product not converged to {CONVERGENCE_TOLERANCE} after "
             f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps} (tau_us = {tau:g}, "
-            f"{nu_final_khz * tau * KHZ_US:g} cycles at nu_final_khz = {nu_final_khz:g})"
+            f"{protocol.nu_final_khz * tau * KHZ_US:g} cycles at "
+            f"nu_final_khz = {protocol.nu_final_khz:g})"
         )
     defect = np.abs((pairs.real**2 + pairs.imag**2).sum(axis=0) - 1.0).max()
     if defect > 1e-10:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     matrices = _matrices(pairs)
-    matrices.flags.writeable = steps.flags.writeable = False
+    if protocol.phase is Phase.COMPRESSION:
+        return matrices.conj().transpose(0, 2, 1), steps
     return matrices, steps
 
 

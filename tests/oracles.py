@@ -565,6 +565,45 @@ def relative_entropy_batch_rows(a, b):
     return np.where(singular, np.inf, entropy_a - cross)
 
 
+def repair_batch_allocating(t, r):
+    """The component-major Bloch repair of ``cycle._repair_batch``, (t (n,),
+    r (3, n)) to (3, n), as expressions that each allocate their result:
+    the same operations in the same order, so the package's in-place steps
+    must give its bits."""
+    size = np.maximum(np.maximum(np.abs(t), np.abs(r[0])),
+                      np.maximum(np.abs(r[1]), np.abs(r[2])))
+    size = np.where(size > 0.0, size, 1.0)
+    t, r = t / size, r / size
+    length = _length_allocating(r)
+    valid = t + length > 0.0
+    scale = np.where(valid, 1.0 / np.where(valid, np.maximum(t, length), 1.0), 0.0)
+    return scale * r
+
+
+def relative_entropy_batch_allocating(a, b):
+    """The component-major Bloch-pair S(a||b) of
+    ``cycle._relative_entropy_batch`` as expressions that each allocate
+    their result, in the package's order of operations; +inf where b has an
+    eigenvalue < 1e-12."""
+    (t, r), (u, s) = a, b
+    r_len, s_len = _length_allocating(r), _length_allocating(s)
+    plus, minus = (np.clip(0.5 * (t + r_len), 0.0, None),
+                   np.clip(0.5 * (t - r_len), 0.0, None))
+    entropy_a = (plus * np.log(np.where(plus > 0.0, plus, 1.0))
+                 + minus * np.log(np.where(minus > 0.0, minus, 1.0)))
+    mu_plus, mu_minus = 0.5 * (u + s_len), 0.5 * (u - s_len)
+    singular = mu_minus < 1e-12
+    log_plus = np.log(np.where(singular, 1.0, mu_plus))
+    log_minus = np.log(np.where(singular, 1.0, mu_minus))
+    along = ((r[0] * s[0] + r[2] * s[2]) + r[1] * s[1]) / np.where(s_len > 0.0, s_len, 1.0)
+    cross = 0.5 * ((t + along) * log_plus + (t - along) * log_minus)
+    return np.where(singular, np.inf, entropy_a - cross)
+
+
+def _length_allocating(r):
+    return np.sqrt((r[0] * r[0] + r[1] * r[1]) + r[2] * r[2])
+
+
 def monte_carlo_noise(seed, n_samples, width):
     """Hermitian noise on the four cycle states (cold, hot, after expansion,
     after compression) of each Monte Carlo sample, shape (n_samples, 4, 2, 2).

@@ -221,7 +221,6 @@ def test_batched_sweep_report_equals_the_one_duration_report(thermal, taus):
     reports = o.sweep_tau(_config(100.0, thermal), taus)
     assert [r.tau_us for r in reports] == taus
     for tau, report in zip(taus, reports):
-        propagator._converged.cache_clear()
         cycle._cycle_plan.cache_clear()
         single = o.run_cycle(_config(tau, thermal))
         for name in REPORT_FIELDS:
@@ -265,14 +264,126 @@ def test_sweep_points_are_the_monte_carlo_sweep_points():
     assert [repr(r) for r in o.sweep_tau(cfg, taus)] == [repr(r) for r, _ in swept]
 
 
+def _monte_carlo_bits(cfg, taus, width, n_samples, seed):
+    """Every report field and spread of a Monte Carlo sweep, floats as their
+    bytes, or the message of the error it ends in."""
+    try:
+        swept = o.sweep_with_uncertainty(cfg, taus, width, n_samples, seed)
+    except ValueError as exc:
+        return str(exc)
+    return [[_bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+            + [_bits(x) for field in o.MONTE_CARLO_FIELDS for x in spread[field]]
+            for report, spread in swept]
+
+
+def test_kept_point_states_give_every_monte_carlo_call_its_cold_bits():
+    # two seeds, two widths (0.3 ends mostly in the counted rank-deficient
+    # error), one and 1000 samples: each case cold, then every case again
+    # with the point states kept by the first
+    cfg = _config(300.0)
+    taus = [700.0, 100.0, 300.0]
+    cases = [(width, n, seed) for width in (0.01, 0.3) for n in (1, 1000) for seed in (3, 11)]
+    cold = {}
+    for case in cases:
+        cycle._kept_points.cache_clear()
+        cold[case] = _monte_carlo_bits(cfg, taus, *case)
+    assert sum(isinstance(value, str) for value in cold.values()) >= 2
+    assert sum(isinstance(value, list) for value in cold.values()) >= len(cases) // 2
+    cycle._kept_points.cache_clear()
+    for case in cases + cases[::-1]:
+        assert _monte_carlo_bits(cfg, taus, *case) == cold[case], case
+    info = cycle._kept_points.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2 * len(cases) - 1, 1, 1)
+    # each call gets its own list; the kept reports are frozen
+    first, again = (o.sweep_with_uncertainty(cfg, taus, 0.01, 5, 1) for _ in range(2))
+    assert first is not again and first == again
+    first.clear()
+    assert o.sweep_with_uncertainty(cfg, taus, 0.01, 5, 1) == again
+
+
+def test_sweep_tau_and_run_cycle_keep_no_point_states():
+    cfg = _config(300.0)
+    o.sweep_tau(cfg, TAU_GRID)
+    o.run_cycle(cfg)
+    o.sweep_tau(cfg, [300.0])
+    info = cycle._kept_points.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    o.cycle_with_uncertainty(cfg, 0.01, 5, 1)
+    assert cycle._kept_points.cache_info().currsize == 1
+    o.run_cycle(cfg)
+    info = cycle._kept_points.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "taus, n_steps, error, message",
+    [
+        ([], 64, ValueError, "tau list must be nonempty"),
+        ([math.nan], 64, ValueError, "drive duration must be positive and finite, got nan us"),
+        ([-0.0], 64, ValueError, "drive duration must be positive and finite, got -0.0 us"),
+        ([100.0, math.inf], 64, ValueError,
+         "drive duration must be positive and finite, got inf us"),
+        ([10.0, 700.0], 1, o.ConvergenceError,
+         "Magnus product not converged to 1e-08 after 6 doublings from n_steps=1 "
+         "(tau_us = 700, 2.52 cycles at nu_final_khz = 3.6)"),
+    ],
+    ids=["empty", "nan", "negative-zero", "inf", "unconverged"],
+)
+def test_a_failing_tau_list_keeps_no_point_states(taus, n_steps, error, message):
+    cfg = dataclasses.replace(_config(100.0), n_steps=n_steps)
+    for _ in range(2):  # fails again: nothing of the first call answers it
+        with pytest.raises(error) as exc:
+            o.sweep_with_uncertainty(cfg, taus, 0.01, 5, 1)
+        assert str(exc.value) == message
+        info = cycle._kept_points.cache_info()
+        assert info.currsize == 0 and info.hits == 0
+    assert cycle._kept_points.cache_info().misses == 2
+
+
+def test_the_kept_point_states_never_exceed_their_bound():
+    bound = cycle._kept_points.cache_info().maxsize
+    cfg = _config(100.0)
+    taus = (100.0 + 0.01 * np.arange(bound + 5)).tolist()
+
+    def swept(tau):
+        return o.sweep_with_uncertainty(cfg, [tau], 0.0, 1, 0)
+
+    for tau in taus[:bound]:
+        swept(tau)
+    # the first list is used again, so it outlives the next five
+    swept(taus[0])
+    for tau in taus[bound:]:
+        swept(tau)
+    assert cycle._kept_points.cache_info().currsize == bound
+    misses = cycle._kept_points.cache_info().misses
+    swept(taus[0])
+    swept(taus[-1])
+    assert cycle._kept_points.cache_info().misses == misses
+    swept(taus[1])
+    info = cycle._kept_points.cache_info()
+    assert (info.misses, info.currsize) == (misses + 1, bound)
+
+
+def test_kept_point_states_are_read_only():
+    cfg = _config(300.0)
+    taus = np.array([700.0, 100.0, 300.0])
+    points, figures, fields, states = cycle._kept_points(cfg, taus.tobytes())
+    assert isinstance(points, tuple) and isinstance(states, tuple)
+    assert [p.tau_us for p in points] == taus.tolist()
+    assert figures.shape == (len(o.MONTE_CARLO_FIELDS), len(taus))
+    assert [s.shape for s in states] == [(3, 1), (3, 1), (3, 3), (3, 3)]
+    for array in (figures, *fields, *states):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0.0
+
+
 def test_run_cycle_at_a_swept_duration_is_that_sweeps_report():
     cold = {}
     for thermal in (THERMAL_A, THERMAL_B):
         for tau in TAU_GRID:
-            propagator._converged.cache_clear()
             cycle._cycle_plan.cache_clear()
             cold[thermal, tau] = repr(o.run_cycle(_config(tau, thermal)))
-    propagator._converged.cache_clear()
     cycle._cycle_plan.cache_clear()
     for thermal in (THERMAL_A, THERMAL_B):
         swept = o.sweep_tau(_config(100.0, thermal), TAU_GRID)
@@ -680,6 +791,54 @@ def test_bloch_repair_matches_the_eigendecomposition_route():
         assert np.isfinite(repaired).all()
         for got, m in zip(repaired, scaled):
             np.testing.assert_allclose(got, oracles.repair_state_eigh(m), rtol=0.0, atol=1e-14)
+
+
+def _u64(array):
+    return np.asarray(array, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 5000])
+@pytest.mark.parametrize("width", [0.01, 0.3, 3.0, 1e200])
+def test_in_place_monte_carlo_math_is_the_allocating_math_bit_for_bit(width, n):
+    # the repairs and relative entropies of one tau's samples, as the Monte
+    # Carlo forms them, against the allocating references of tests/oracles.py
+    cfg = _config(300.0)
+    states = cycle._kept_points(cfg, np.array([300.0]).tobytes())[3]
+    draws = cycle._draw_noise(7, width, n)
+    trace, shift = 1.0 + draws[:, 0], draws[:, 1:]
+    branches = np.zeros(3, dtype=int)
+    repaired = []
+    for k in range(4):
+        t, r = trace[k], states[k] + shift[k]
+        before = _u64(t).copy(), _u64(r).copy()
+        got = cycle._repair_batch(t, r)
+        assert np.array_equal(_u64(t), before[0]) and np.array_equal(_u64(r), before[1])
+        assert np.array_equal(_u64(got), _u64(oracles.repair_batch_allocating(t, r))), k
+        # the branches on (t, r) scaled to at most 1, where |r| cannot overflow
+        size = np.maximum(np.abs(t), np.abs(r).max(axis=0))
+        t_unit, length = t / size, np.linalg.norm(r / size, axis=0)
+        branches += [(length <= t_unit).sum(), ((length > t_unit) & (t_unit + length > 0.0)).sum(),
+                     (t_unit + length <= 0.0).sum()]
+        repaired.append(got)
+    cold_s, hot_s, exp_s, comp_s = repaired
+    infinite = 0
+    # the Monte Carlo's unit traces, and per-sample traces with a maximally
+    # mixed reference among them
+    unit = [((1.0, exp_s), (1.0, hot_s)), ((1.0, comp_s), (1.0, cold_s))]
+    mixed = np.where(np.arange(n) % 3 == 0, 0.0, 1.0) * exp_s
+    for a, b in [*unit, ((trace[2], exp_s), (trace[1], mixed))]:
+        before = [_u64(x).copy() for x in (*a, *b)]
+        got = cycle._relative_entropy_batch(a, b)
+        assert all(np.array_equal(_u64(x), y) for x, y in zip((*a, *b), before))
+        assert np.array_equal(_u64(got), _u64(oracles.relative_entropy_batch_allocating(a, b)))
+        infinite += np.isinf(got).sum()
+    if n == 5000:
+        # each branch and singular references are reached where the noise
+        # is not small against the states
+        assert branches[0] > 0
+        if width > 0.01:
+            assert (branches > 0).all(), branches
+            assert infinite > 0
 
 
 def test_component_major_monte_carlo_matches_the_row_major_route(monkeypatch):

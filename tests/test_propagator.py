@@ -179,7 +179,6 @@ def test_grid_kernel_matches_one_tau_propagator_and_plain_loop(ramp, phase):
     counts = dict(zip(*np.unique(steps, return_counts=True)))
     assert counts == GRID_STEP_COUNTS[ramp]
     for tau, u, n in zip(CRITERION_10_GRID, matrices, steps):
-        propagator._converged.cache_clear()
         single = o.evolve_unitary(replace(protocol, tau_us=tau))
         assert n == single.n_steps
         assert np.max(np.abs(u - single.matrix)) < 1e-14
@@ -259,7 +258,7 @@ def test_grid_rejects_bad_duration_lists_before_the_kernel(
     calls = _counting_kernel(monkeypatch)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         evolve_unitaries(DEFAULT, taus)
-    assert calls == [] and propagator._converged.cache_info().currsize == 0
+    assert calls == []
     assert not recwarn.list
 
 
@@ -268,95 +267,51 @@ def test_grid_rejects_bad_duration_lists_before_the_kernel(
     [(DEFAULT, 64), (o.DriveProtocol(1.1, 7.3, 1.0, o.Phase.COMPRESSION), 25)],
     ids=["expansion-64", "compression-25"],
 )
-def test_kept_products_are_bit_identical_to_cold_ones(monkeypatch, protocol, n_steps):
+def test_the_other_phase_is_the_conjugate_transpose_bit_for_bit(protocol, n_steps):
     rng = np.random.default_rng(5)
     taus = rng.uniform(20.0, 700.0, 12).tolist()
     # one duration, a list, the list reordered with duplicates, a repeat
     lists = [taus[:1], taus, rng.permutation(taus + taus[2:7]).tolist(), [taus[3]] * 3]
-    cold = []
-    for tau_list in lists:
-        propagator._converged.cache_clear()
-        matrices, steps = evolve_unitaries(protocol, tau_list, n_steps)
-        cold.append((matrices.tobytes(), steps.tobytes()))
-    for tau_list, expected in zip(lists, cold):
-        for _ in range(2):  # kept by the first call unless already kept
-            matrices, steps = evolve_unitaries(protocol, tau_list, n_steps)
-            assert (matrices.tobytes(), steps.tobytes()) == expected
-    # every list is kept now, also when passed as an array: no kernel runs
-    calls = _counting_kernel(monkeypatch)
-    for tau_list, expected in zip(lists, cold):
-        matrices, steps = evolve_unitaries(protocol, np.array(tau_list), n_steps)
-        assert (matrices.tobytes(), steps.tobytes()) == expected
-    assert calls == []
-    # the other phase of the same drive runs no kernel either: its stack is
-    # the conjugate transpose, bit for bit, at the same step counts
     phase = o.Phase.EXPANSION if protocol.phase is o.Phase.COMPRESSION else o.Phase.COMPRESSION
     for tau_list in lists:
         u, steps = evolve_unitaries(protocol, tau_list, n_steps)
-        v, other_steps = evolve_unitaries(replace(protocol, phase=phase), tau_list, n_steps)
+        v, other_steps = evolve_unitaries(replace(protocol, phase=phase), np.array(tau_list),
+                                          n_steps)
         assert v.tobytes() == u.conj().transpose(0, 2, 1).tobytes()
         assert other_steps.tobytes() == steps.tobytes()
-    assert calls == []
-    # another step count, ramp or order is another call
-    for drive, steps_from, tau_list in (
-        (protocol, 2 * n_steps, taus),
-        (replace(protocol, nu_final_khz=protocol.nu_final_khz + 0.5), n_steps, taus),
-        (protocol, n_steps, taus[::-1]),
-    ):
-        evolve_unitaries(drive, tau_list, steps_from)
-        assert calls.pop(0) == tau_list
-        calls.clear()
+        # a duration's product does not depend on the list it came in
+        for tau, matrix, n in zip(tau_list, u, steps):
+            single, single_steps = evolve_unitaries(protocol, [tau], n_steps)
+            assert (single[0].tobytes(), single_steps[0]) == (matrix.tobytes(), n)
 
 
-def test_a_failing_grid_keeps_nothing(monkeypatch):
+def test_a_repeated_call_runs_its_escalation_again(monkeypatch):
+    # nothing is kept at this layer: every call runs the kernel, a failing
+    # one as often as it is made
+    calls = _counting_kernel(monkeypatch)
     for _ in range(2):
         with pytest.raises(ConvergenceError):
             evolve_unitaries(DEFAULT, [10.0, 700.0, 50.0], n_steps=1)
-        assert propagator._converged.cache_info().currsize == 0
-    exact = propagator.cayley_klein_product
-    monkeypatch.setattr(
-        propagator, "cayley_klein_product", lambda *args: 1.001 * exact(*args)
-    )
-    for _ in range(2):
-        with pytest.raises(ValueError, match="matrix is not unitary"):
-            evolve_unitaries(DEFAULT, [100.0, 300.0])
-        assert propagator._converged.cache_info().currsize == 0
-    monkeypatch.undo()
-    # a later clean call runs the kernel on every duration
-    calls = _counting_kernel(monkeypatch)
-    assert evolve_unitaries(DEFAULT, [10.0], n_steps=1)[1].tolist() == [32]
-    matrices, _ = evolve_unitaries(DEFAULT, [100.0, 300.0])
-    assert calls[0] == [10.0] and [100.0, 300.0] in calls
-    assert np.max(np.abs(matrices[0] - oracles.ode_unitary(2.0, 3.6, 100.0))) < 1e-8
+    half = len(calls) // 2
+    # the first kernel call of each takes every duration; the doublings follow
+    assert calls[0] == calls[half] == [10.0, 700.0, 50.0] and calls[:half] == calls[half:]
+    calls.clear()
+    first = evolve_unitaries(DEFAULT, [100.0, 300.0])
+    again = evolve_unitaries(DEFAULT, [100.0, 300.0])
+    half = len(calls) // 2
+    assert calls[0] == calls[half] == [100.0, 300.0] and calls[:half] == calls[half:]
+    assert (first[0].tobytes(), first[1].tobytes()) == (again[0].tobytes(), again[1].tobytes())
+    assert np.max(np.abs(first[0][0] - oracles.ode_unitary(2.0, 3.6, 100.0))) < 1e-8
 
 
-def test_writing_into_a_returned_stack_leaves_the_next_result(monkeypatch):
+def test_writing_into_a_returned_stack_leaves_the_next_result():
     matrices, steps = evolve_unitaries(DEFAULT, [100.0, 300.0])
     expected = matrices.tobytes(), steps.tobytes()
+    assert matrices.flags.writeable and steps.flags.writeable
     matrices[:] = 0.0
     steps[:] = 0
-    calls = _counting_kernel(monkeypatch)
     again = evolve_unitaries(DEFAULT, [100.0, 300.0])
-    assert calls == [] and (again[0].tobytes(), again[1].tobytes()) == expected
-
-
-def test_the_kept_products_never_exceed_their_bound(monkeypatch):
-    bound = propagator._converged.cache_info().maxsize
-    taus = (10.0 + 0.01 * np.arange(bound + 5)).tolist()
-    for tau in taus[:bound]:
-        evolve_unitaries(DEFAULT, [tau])
-    # the first call is made again, so it outlives the next five
-    evolve_unitaries(DEFAULT, taus[:1])
-    for tau in taus[bound:]:
-        evolve_unitaries(DEFAULT, [tau])
-    assert propagator._converged.cache_info().currsize == bound
-    calls = _counting_kernel(monkeypatch)
-    evolve_unitaries(DEFAULT, taus[:1])
-    evolve_unitaries(DEFAULT, taus[-1:])
-    assert calls == []
-    evolve_unitaries(DEFAULT, taus[1:2])
-    assert calls[0] == taus[1:2]
-    assert propagator._converged.cache_info().currsize == bound
+    assert (again[0].tobytes(), again[1].tobytes()) == expected
 
 
 def test_an_engines_kept_eigenvectors_still_check_every_sweep(monkeypatch):
