@@ -1,5 +1,5 @@
 """Run configuration: strict sectioned key-value parsing with line-numbered
-diagnostics, canonical serialization, and the preset reservoir temperatures.
+diagnostics, and the preset reservoir temperatures.
 
 The format is deliberately small: ``[section]`` headers, ``key = value``
 lines, blank lines, and full-line ``#`` comments.  Unknown sections or keys,
@@ -221,30 +221,6 @@ def parse_config(text: str) -> RunConfig:
         # name the line of the first of the error's fields the text set
         line = next((value_lines[f] for f in exc.fields if f in value_lines), None)
         raise ConfigError(str(exc), line) from None
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text for a configuration; parse(serialize(c)) == c."""
-    lines: list[str] = []
-    for section in _SECTIONS:
-        lines.append(f"[{section}]")
-        for field_name, (key_section, key, *_) in _KEYS.items():
-            value = getattr(cfg, field_name)
-            # kt_hot_pev is only meaningful for hot_option = custom
-            if key_section == section and not (field_name == "kt_hot_pev" and value is None):
-                lines.append(f"{key} = {_format_value(value)}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _format_value(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, tuple):
-        return ", ".join(repr(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def to_cycle_config(cfg: RunConfig, tau_us: float | None = None) -> CycleConfig:

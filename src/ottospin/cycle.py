@@ -206,8 +206,8 @@ def sweep_with_uncertainty(
     carried as its real Bloch vector r, rho = (I + r . sigma)/2, and the
     point reports of all durations come from one batched pass over them;
     their lag's relative-entropy sum is a closed form (see
-    ``_drive_relative_entropy``), the samples' the Bloch-pair
-    ``_relative_entropy_batch``, which loses digits only where the
+    ``_drive_relative_entropy``), the samples' ``_relative_entropy_batch``
+    of two unit-trace Bloch vectors, which loses digits only where the
     polarizations are far below any noise width.
     Every stack of Bloch vectors is component-major, ``(3, n)``, so the
     Monte Carlo math is elementwise on contiguous rows of n samples.
@@ -264,8 +264,8 @@ def sweep_with_uncertainty(
     for point, exp_r, comp_r in zip(points, states[2].T, states[3].T):
         exp_s = _repair_batch(trace[2], exp_r[:, None] + shift[2])
         comp_s = _repair_batch(trace[3], comp_r[:, None] + shift[3])
-        relent = _relative_entropy_batch((1.0, exp_s), (1.0, hot_s))
-        relent += _relative_entropy_batch((1.0, comp_s), (1.0, cold_s))
+        relent = _relative_entropy_batch(exp_s, hot_s)
+        relent += _relative_entropy_batch(comp_s, cold_s)
         if np.isinf(relent).any():
             raise ValueError(
                 f"relative entropy infinite: {np.isinf(relent).sum()} of {n_samples} "
@@ -339,15 +339,18 @@ def _sweep_points(
     swap_probs = propagator._flip_probabilities(forward, *vectors)
     # the drives map the traceless parts r . sigma/2 alone: with the I/2,
     # a hot bath's Bloch components would be differences of numbers near 1/2
-    states = [*equilibria, *(_bloch(part)[1] for part in (
+    states = [*equilibria, *(_bloch(part) for part in (
         forward @ cold_part @ backward, backward @ hot_part @ forward
     ))]
     points, figures = _report_from_states(cfg, taus, fields, baths, swap_probs, states)
     return points, figures, fields, states
 
 
-# pays on mc_cycle: 48 hits / 2 misses over seed 1's 27 s request list,
-# where requests repeat an engine (tau_scan: 0 hits / 10 misses).
+# pays on mc_cycle: 16 hits / 2 misses over seed 1's 27 s request list,
+# one call per _kept_points miss, where requests repeat an engine (tau_scan:
+# 0 hits / 10 misses); bypassing it cost mc_cycle ~3 % of its tau_points_per_s
+# (175.0 -> 170.1 on seed 1, 175.4 -> 170.3 on seed 1009, 10 alternating
+# pairs each on a 2-core VM, the bypass winning 2 and 1 of them).
 # What an engine fixes at every drive duration, as read-only (cold, hot)
 # pairs: the endpoint eigenvectors (from the propagator's eigensystem), the
 # traceless parts rho - I/2 of the Gibbs states, and the Bloch vectors of
@@ -367,8 +370,8 @@ def _cycle_plan(
         tuple(propagator.eigensystem(h)[1] for h in hamiltonians),
         tuple(rho - IDENTITY / 2.0 for rho in gibbs),
         tuple(np.array([f(*end) for end in ends]) for f in (_gap_over_kt, polarization)),
-        tuple(_bloch(h)[1] for h in hamiltonians),
-        tuple(_bloch(rho[None])[1] for rho in gibbs),
+        tuple(_bloch(h) for h in hamiltonians),
+        tuple(_bloch(rho[None]) for rho in gibbs),
     )
     for pair in plan:
         for array in pair:
@@ -513,25 +516,24 @@ def _repair_batch(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return repaired
 
 
-def _relative_entropy_batch(a: tuple, b: tuple) -> np.ndarray:
-    """S(a||b) for stacks of states (t I + r . sigma)/2 given as Bloch pairs
-    (t, r), t ``(n,)`` or a scalar and r ``(3, n)``; +inf where b has an
-    eigenvalue < 1e-12.
+def _relative_entropy_batch(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """S(a||b) for stacks of unit-trace states a = (I + r . sigma)/2 and
+    b = (I + s . sigma)/2 given by their ``(3, n)`` Bloch vectors; +inf
+    where b has an eigenvalue < 1e-12.
 
-    For a = (t, r) and b = (u, s) with eigenvalues (t +- |r|)/2 and
-    mu_+- = (u +- |s|)/2, tr[a ln b] is
-    [(t + r.s/|s|) ln mu_+ + (t - r.s/|s|) ln mu_-]/2, with r.s/|s| = 0 at s = 0.
-    The steps run on six separate scratch rows (see ``_repair_batch``), the
-    first of which is returned; neither pair is written to.
+    With the eigenvalues (1 +- |r|)/2 of a and mu_+- = (1 +- |s|)/2 of b,
+    tr[a ln b] is [(1 + r.s/|s|) ln mu_+ + (1 - r.s/|s|) ln mu_-]/2, with
+    r.s/|s| = 0 at s = 0.  The steps run on six separate scratch rows (see
+    ``_repair_batch``), the first of which is returned; neither stack is
+    written to.
     """
-    (t, r), (u, s) = a, b
-    shape = np.broadcast_shapes(np.shape(t), r.shape[1:], np.shape(u), s.shape[1:])
+    shape = np.broadcast_shapes(r.shape[1:], s.shape[1:])
     entropy, plus, minus, mu_plus, mu_minus, spare = (np.empty(shape) for _ in range(6))
     r_len = _length(r, entropy, spare)
-    np.add(t, r_len, out=plus)
+    np.add(1.0, r_len, out=plus)
     plus *= 0.5
     np.clip(plus, 0.0, None, out=plus)
-    np.subtract(t, r_len, out=minus)
+    np.subtract(1.0, r_len, out=minus)
     minus *= 0.5
     np.clip(minus, 0.0, None, out=minus)
     # entropy = plus ln plus + minus ln minus, with 0 ln 0 read as 0
@@ -545,9 +547,9 @@ def _relative_entropy_batch(a: tuple, b: tuple) -> np.ndarray:
     spare *= minus
     entropy += spare
     s_len = _length(s, plus, spare)
-    np.add(u, s_len, out=mu_plus)
+    np.add(1.0, s_len, out=mu_plus)
     mu_plus *= 0.5
-    np.subtract(u, s_len, out=mu_minus)
+    np.subtract(1.0, s_len, out=mu_minus)
     mu_minus *= 0.5
     singular = mu_minus < 1e-12
     mu_plus[singular] = 1.0
@@ -560,10 +562,10 @@ def _relative_entropy_batch(a: tuple, b: tuple) -> np.ndarray:
     along += np.multiply(r[1], s[1], out=spare)
     s_len[~(s_len > 0.0)] = 1.0
     along /= s_len
-    # cross = ((t + along) ln mu_+ + (t - along) ln mu_-) / 2
-    np.subtract(t, along, out=spare)
+    # cross = ((1 + along) ln mu_+ + (1 - along) ln mu_-) / 2
+    np.subtract(1.0, along, out=spare)
     spare *= mu_minus
-    np.add(t, along, out=along)
+    np.add(1.0, along, out=along)
     along *= mu_plus
     along += spare
     along *= 0.5

@@ -168,11 +168,16 @@ def evolve_unitaries(
     the step width.  All durations start at ``n_steps``; each round doubles
     the step count of the durations whose product still moved by
     ``CONVERGENCE_TOLERANCE`` or more in max-norm, which for
-    ``[[a, b], [-b*, a*]]`` is ``max(|da|, |db|)``, and the finer product of
-    each is kept.  Raises :class:`ConvergenceError`, naming the first
-    duration in input order and its cycle count at the final gap, if any
-    duration is still unconverged after six doublings, and ``ValueError`` if a product is off
-    unitarity by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
+    ``[[a, b], [-b*, a*]]`` is ``max(|da|, |db|)``, or whose finer steps
+    each turn the state by pi/2 or more, and the finer product of each is
+    kept.  A step turns by about pi times the drive's cycle count at the
+    faster end of the ramp over the step count, and past the Magnus
+    convergence radius (Moan & Niesen, Found. Comput. Math. 8 (2008) 291)
+    two wrong products can agree to the tolerance.  Raises
+    :class:`ConvergenceError`, naming the first duration in input order and
+    its cycle count at the final gap, if any duration is still unconverged
+    after six doublings, and ``ValueError`` if a product is off unitarity
+    by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
     A bad list (empty, or a duration not positive and finite) is rejected
     first.  Nothing is kept: each call runs its own escalation.
 
@@ -190,11 +195,14 @@ def evolve_unitaries(
     steps = np.empty(len(taus), dtype=np.int64)
     pending = np.arange(len(taus))
     current = cayley_klein_product(*ramp, taus, n_steps)
+    # more than two steps per cycle, a step angle below pi/2; never raise this bound
+    fewest = 2.0 * max(ramp) * KHZ_US * taus
     n = n_steps
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
         finer = cayley_klein_product(*ramp, taus[pending], n)
-        done = np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE
+        done = (np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE) & (
+            n > fewest[pending])
         pairs[:, pending[done]] = finer[:, done]
         steps[pending[done]] = n
         pending, current = pending[~done], finer[:, ~done]

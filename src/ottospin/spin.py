@@ -135,12 +135,12 @@ def _require_hermitian(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _bloch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, r) of the Hermitian parts (t I + r . sigma)/2 of a stack of
-    matrices, with the components of r on the first axis: r is ``(3, ...)``."""
+def _bloch(matrices: np.ndarray) -> np.ndarray:
+    """r of the Hermitian parts (t I + r . sigma)/2 of a stack of matrices,
+    with the components on the first axis: r is ``(3, ...)``."""
     upper, lower = matrices[..., 0, 0].real, matrices[..., 1, 1].real
     off = matrices[..., 0, 1] + np.conj(matrices[..., 1, 0])
-    return upper + lower, np.stack([off.real, -off.imag, upper - lower])
+    return np.stack([off.real, -off.imag, upper - lower])
 
 
 def eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +174,7 @@ def gibbs_state(hamiltonian: np.ndarray, kt_pev: float) -> np.ndarray:
         raise ValueError(f"kT must be positive, got {kt_pev} peV")
     if math.isinf(kt_pev):
         return IDENTITY / 2.0
-    field = _bloch(hamiltonian)[1]
+    field = _bloch(hamiltonian)
     gap = math.hypot(*field)  # 2|h|, the level splitting
     if gap < 1e-14:
         raise ValueError("degenerate Hamiltonian")

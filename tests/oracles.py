@@ -15,14 +15,15 @@ matrices are Kraus sums written term by term, relative entropy goes through a
 matrix logarithm, and so does the efficiency lag, from the paper's four cycle
 states, the largest swap probability that still extracts work is the root of
 the mean work in the bath polarizations, the swap probability of a long drive
-is first-order adiabatic perturbation theory in the frame that turns with the
+is second-order adiabatic perturbation theory in the frame that turns with the
 drive's field, the drive strokes' relative-entropy sum goes through
 Gibbs populations and logarithms at 50 decimal digits, the mean entropy
 production and the fluctuation theorem go through the sixteen cycle
 histories, Gibbs states and state repair go through an
 eigendecomposition, the Bloch-form Monte Carlo repair and relative entropy
 are also written row-major, on (n, 3) stacks reduced over their component
-axis, and trace norms go through singular values.  Tests
+axis, trace norms go through singular values, and a run configuration is
+written back as text, the inverse that the parser's round-trip tests read.  Tests
 compare the two routes; frozen literals below were produced by these oracles
 (or, where noted, by an equally independent integrator) and are pinned so
 regressions show up as honest failures.
@@ -38,6 +39,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, logm, svdvals
+
+from ottospin.config import _KEYS
 
 H_PEV_PER_KHZ = 4.135667696
 HBAR_PEV_US = H_PEV_PER_KHZ / (2 * np.pi * 1e-3)
@@ -492,28 +495,70 @@ def extraction_bound(protocol, thermal):
 
 
 def adiabatic_swap_probability(nu_i, nu_f, tau_us):
-    """Eigenstate swap probability of the expansion drive to first order in
+    """Eigenstate swap probability of the expansion drive to second order in
     adiabatic perturbation theory, standard library only.
 
     In the frame that turns with the drive's field axis, the generator is
     i(A(t) sigma_x + w sigma_z), with A = pi 1e-3 nu(t) rad/us for the
-    linear ramp nu(t) and w = pi/(4 tau) rad/us half the turning rate.  Then
+    linear ramp nu(t) and w = pi/(4 tau) rad/us half the turning rate: a
+    field (A, 0, w) of length B = sqrt(A^2 + w^2), tilted from x by
+    alpha = atan(w/A).  The first-order amplitude has the end terms
+    s = sin(alpha/2) and a coupling integral of (alpha'/2) e^{i phi};
+    integrating that by parts once leaves the end terms
+    kappa = w A'/(4 B^3), with A' = (A_f - A_i)/tau, and
 
-        xi = (w/2)^2 (1/A_i^2 + 1/A_f^2 - 2 cos(Phi)/(A_i A_f)),
+        xi = s_i^2 + s_f^2 + kappa_i^2 + kappa_f^2
+             - 2 (s_i s_f + kappa_i kappa_f) cos(Phi)
+             + 2 (s_f kappa_i - s_i kappa_f) sin(Phi),
 
-    with the dynamical phase Phi = 2 int_0^tau sqrt(A^2 + w^2) dt, which for
-    a linear A is [A sqrt(A^2 + w^2) + w^2 asinh(A/w)] / A' taken between
-    A_i and A_f.  The error falls as (w/A_i)^4.
+    with the dynamical phase Phi = 2 int_0^tau B dt, which for a linear A
+    is [A B + w^2 asinh(A/w)] / A' taken between A_i and A_f.  At
+    kappa = 0 and s = w/(2A) this is the first-order form
+    (w/2)^2 (1/A_i^2 + 1/A_f^2 - 2 cos(Phi)/(A_i A_f)); the kappa terms add
+    ones of order (w/A)^3 (A_f - A_i)/A, which dominate its error on long
+    drives.  The error falls as (w/A_i)^4.
     """
     a_i, a_f = math.pi * 1e-3 * nu_i, math.pi * 1e-3 * nu_f
     w = math.pi / (4.0 * tau_us)
+    slope = (a_f - a_i) / tau_us
 
     def antiderivative(a):
         return a * math.hypot(a, w) + w * w * math.asinh(a / w)
 
-    phase = (antiderivative(a_f) - antiderivative(a_i)) / ((a_f - a_i) / tau_us)
-    return (0.5 * w) ** 2 * (1.0 / a_i**2 + 1.0 / a_f**2
-                             - 2.0 * math.cos(phase) / (a_i * a_f))
+    phase = (antiderivative(a_f) - antiderivative(a_i)) / slope
+    s_i, s_f = (math.sin(0.5 * math.atan2(w, a)) for a in (a_i, a_f))
+    k_i, k_f = (w * slope / (4.0 * math.hypot(a, w) ** 3) for a in (a_i, a_f))
+    return (s_i**2 + s_f**2 + k_i**2 + k_f**2
+            - 2.0 * (s_i * s_f + k_i * k_f) * math.cos(phase)
+            + 2.0 * (s_f * k_i - s_i * k_f) * math.sin(phase))
+
+
+def serialize_config(cfg):
+    """Canonical text of a ``RunConfig``, the inverse of ``parse_config``:
+    each section of the parser's key table, in sorted order, with every key
+    of it as ``key = value``; ``kt_hot_pev`` is left out when unset, as it
+    is only read with ``hot_option = custom``."""
+    lines = []
+    for section in sorted({section for section, *_ in _KEYS.values()}):
+        lines.append(f"[{section}]")
+        for field_name, (key_section, key, *_) in _KEYS.items():
+            value = getattr(cfg, field_name)
+            if key_section == section and not (field_name == "kt_hot_pev" and value is None):
+                lines.append(f"{key} = {format_value(value)}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def format_value(value):
+    """A config value as the parser reads it back: floats and each entry of
+    a float list by repr, None as the empty string."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def gibbs_state_eigh(hamiltonian, kt_pev):
@@ -549,19 +594,19 @@ def repair_batch_rows(t, r):
     return scale[:, None] * r
 
 
-def relative_entropy_batch_rows(a, b):
-    """Bloch-form S(a||b) on row-major (n, 3) Bloch pairs a = (t, r) and
-    b = (u, s); +inf where b has an eigenvalue < 1e-12.  The eigenvalue
-    pairs are stacked, and r.s is an einsum over the component axis."""
-    (t, r), (u, s) = a, b
+def relative_entropy_batch_rows(r, s):
+    """Bloch-form S(a||b) of unit-trace states a = (I + r . sigma)/2 and
+    b = (I + s . sigma)/2 on row-major (n, 3) Bloch vectors r and s; +inf
+    where b has an eigenvalue < 1e-12.  The eigenvalue pairs are stacked,
+    and r.s is an einsum over the component axis."""
     r_len, s_len = np.linalg.norm(r, axis=-1), np.linalg.norm(s, axis=-1)
-    eig_a = np.clip(0.5 * np.stack([t + r_len, t - r_len], axis=-1), 0.0, None)
+    eig_a = np.clip(0.5 * np.stack([1.0 + r_len, 1.0 - r_len], axis=-1), 0.0, None)
     entropy_a = np.sum(eig_a * np.log(np.where(eig_a > 0.0, eig_a, 1.0)), axis=-1)
-    eig_b = 0.5 * np.stack([u + s_len, u - s_len], axis=-1)
+    eig_b = 0.5 * np.stack([1.0 + s_len, 1.0 - s_len], axis=-1)
     singular = eig_b[:, 1] < 1e-12
     log_b = np.log(np.where(singular[:, None], 1.0, eig_b))
     along = np.einsum("ni,ni->n", r, s) / np.where(s_len > 0.0, s_len, 1.0)
-    cross = 0.5 * ((t + along) * log_b[:, 0] + (t - along) * log_b[:, 1])
+    cross = 0.5 * ((1.0 + along) * log_b[:, 0] + (1.0 - along) * log_b[:, 1])
     return np.where(singular, np.inf, entropy_a - cross)
 
 
@@ -580,23 +625,22 @@ def repair_batch_allocating(t, r):
     return scale * r
 
 
-def relative_entropy_batch_allocating(a, b):
-    """The component-major Bloch-pair S(a||b) of
-    ``cycle._relative_entropy_batch`` as expressions that each allocate
-    their result, in the package's order of operations; +inf where b has an
-    eigenvalue < 1e-12."""
-    (t, r), (u, s) = a, b
+def relative_entropy_batch_allocating(r, s):
+    """The component-major S(a||b) of ``cycle._relative_entropy_batch``, for
+    the ``(3, n)`` Bloch vectors r and s of unit-trace states, as
+    expressions that each allocate their result, in the package's order of
+    operations; +inf where b has an eigenvalue < 1e-12."""
     r_len, s_len = _length_allocating(r), _length_allocating(s)
-    plus, minus = (np.clip(0.5 * (t + r_len), 0.0, None),
-                   np.clip(0.5 * (t - r_len), 0.0, None))
+    plus, minus = (np.clip(0.5 * (1.0 + r_len), 0.0, None),
+                   np.clip(0.5 * (1.0 - r_len), 0.0, None))
     entropy_a = (plus * np.log(np.where(plus > 0.0, plus, 1.0))
                  + minus * np.log(np.where(minus > 0.0, minus, 1.0)))
-    mu_plus, mu_minus = 0.5 * (u + s_len), 0.5 * (u - s_len)
+    mu_plus, mu_minus = 0.5 * (1.0 + s_len), 0.5 * (1.0 - s_len)
     singular = mu_minus < 1e-12
     log_plus = np.log(np.where(singular, 1.0, mu_plus))
     log_minus = np.log(np.where(singular, 1.0, mu_minus))
     along = ((r[0] * s[0] + r[2] * s[2]) + r[1] * s[1]) / np.where(s_len > 0.0, s_len, 1.0)
-    cross = 0.5 * ((t + along) * log_plus + (t - along) * log_minus)
+    cross = 0.5 * ((1.0 + along) * log_plus + (1.0 - along) * log_minus)
     return np.where(singular, np.inf, entropy_a - cross)
 
 

@@ -71,7 +71,6 @@ PUBLIC_API = [
     "process_trace_distance",
     "propagate_state",
     "run_cycle",
-    "serialize_config",
     "sweep_tau",
     "sweep_with_uncertainty",
     "thermal_populations",

@@ -23,6 +23,7 @@ from ottospin import cli, config, parse_config, propagator, run_cycle, to_cycle_
 from ottospin.cli import main
 
 from conftest import _package_caches
+import oracles
 
 H = 4.135667696
 
@@ -375,6 +376,27 @@ def test_cold_bath_monte_carlo_reference_is_a_counted_one_line_error(tmp_path, c
     )
 
 
+# 5812 cycles at nu_final_khz: at the 4096-step cap each step turns the
+# state by 4.46 rad, past the Magnus convergence radius, where two doublings
+# agreed to the tolerance on a wrong xi of 7.4123871723e-10 (7.603312e-10 by
+# a 65536-step product and by the second-order adiabatic closed form)
+LONG_DRIVE_CONFIG = "[drive]\nnu_initial_khz = 1.8507\nnu_final_khz = 2.9259\n" \
+    "[cycle]\ntau_us = 1986413\n"
+
+
+@pytest.mark.parametrize("command", ["cycle", "qpt"])  # the sweep and one-tau routes
+def test_a_drive_past_the_magnus_radius_at_the_step_cap_is_a_one_line_error(
+    tmp_path, capsys, command
+):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(LONG_DRIVE_CONFIG)
+    rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: Magnus product not converged to 1e-08 after 6 doublings from n_steps=64 "
+        "(tau_us = 1.98641e+06, 5812.05 cycles at nu_final_khz = 2.9259)\n")
+
+
 @pytest.mark.parametrize(
     "width, message",
     [
@@ -676,7 +698,7 @@ def _config_text(values, folder):
         section, key = config._KEYS[field_name][:2]
         if field_name == "output_path" and value is not None:
             value = str(folder / value)
-        lines.append(f"[{section}]\n{key} = {config._format_value(value)}\n")
+        lines.append(f"[{section}]\n{key} = {oracles.format_value(value)}\n")
     return "".join(lines)
 
 
@@ -696,6 +718,8 @@ def _run_captured(argv):
 @example({"tau_us": 1e300})
 @example({"tau_list_us": (100.0, 1e300)})  # the propagator line names max(tau_list_us)
 @example({"tau_us": 5e5})  # 1800 cycles: the step doubling gives up
+# 5812 cycles: two doublings past the Magnus radius agreed on a wrong xi
+@example({"nu_initial_khz": 1.8507, "nu_final_khz": 2.9259, "tau_us": 1986413.0})
 @example({"n_steps": 2**63})  # np.arange gives an empty array at this size
 @example({"curve_points": 2**63})  # np.linspace fails on an empty array
 # the cycle report underflows on these baths, while the distributions report

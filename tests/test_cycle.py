@@ -562,9 +562,9 @@ def test_entropy_production_vanishes_in_the_reversible_corner():
 # ---------------------------------------------------------------------------
 
 def _relative_entropy(a, b):
-    """S(a||b) of two 2x2 states through the Monte Carlo's Bloch-pair core."""
-    pairs = (spin._bloch(np.asarray(m)[None]) for m in (a, b))
-    return float(cycle._relative_entropy_batch(*pairs)[0])
+    """S(a||b) of two 2x2 states through the Monte Carlo's Bloch core."""
+    return float(cycle._relative_entropy_batch(
+        spin._bloch(np.asarray(a)[None]), spin._bloch(np.asarray(b)[None]))[0])
 
 
 def test_relative_entropy_of_a_state_with_itself_is_zero():
@@ -822,15 +822,14 @@ def test_in_place_monte_carlo_math_is_the_allocating_math_bit_for_bit(width, n):
         repaired.append(got)
     cold_s, hot_s, exp_s, comp_s = repaired
     infinite = 0
-    # the Monte Carlo's unit traces, and per-sample traces with a maximally
-    # mixed reference among them
-    unit = [((1.0, exp_s), (1.0, hot_s)), ((1.0, comp_s), (1.0, cold_s))]
+    # the Monte Carlo's two pairs, and a reference that is maximally mixed
+    # (s = 0, where r.s/|s| is read as 0) for every third sample
     mixed = np.where(np.arange(n) % 3 == 0, 0.0, 1.0) * exp_s
-    for a, b in [*unit, ((trace[2], exp_s), (trace[1], mixed))]:
-        before = [_u64(x).copy() for x in (*a, *b)]
-        got = cycle._relative_entropy_batch(a, b)
-        assert all(np.array_equal(_u64(x), y) for x, y in zip((*a, *b), before))
-        assert np.array_equal(_u64(got), _u64(oracles.relative_entropy_batch_allocating(a, b)))
+    for r, s in [(exp_s, hot_s), (comp_s, cold_s), (exp_s, mixed)]:
+        before = _u64(r).copy(), _u64(s).copy()
+        got = cycle._relative_entropy_batch(r, s)
+        assert np.array_equal(_u64(r), before[0]) and np.array_equal(_u64(s), before[1])
+        assert np.array_equal(_u64(got), _u64(oracles.relative_entropy_batch_allocating(r, s)))
         infinite += np.isinf(got).sum()
     if n == 5000:
         # each branch and singular references are reached where the noise
@@ -857,11 +856,10 @@ def test_component_major_monte_carlo_matches_the_row_major_route(monkeypatch):
         np.testing.assert_allclose(repair(t, r), rows, rtol=1e-14, atol=0.0)
         return rows
 
-    def relative_entropy_rows(a, b):
-        (t, r), (u, s) = a, b
+    def relative_entropy_rows(r, s):
         rows = oracles.relative_entropy_batch_rows(
-            (t, np.ascontiguousarray(r.T)), (u, np.ascontiguousarray(s.T)))
-        np.testing.assert_allclose(relative_entropy(a, b), rows, rtol=1e-14, atol=1e-14)
+            np.ascontiguousarray(r.T), np.ascontiguousarray(s.T))
+        np.testing.assert_allclose(relative_entropy(r, s), rows, rtol=1e-14, atol=1e-14)
         return rows
 
     def outcome(cfg, width, n, seed):

@@ -176,11 +176,6 @@ def _unread_public_names(public, package: dict[str, str], readers: dict[str, str
         unread = found
 
 
-#: public by choice with no reader in the package: the inverse of
-#: parse_config, whose round trip README "Configuration" states
-KEPT_WITHOUT_A_READER = ("serialize_config",)
-
-
 def test_every_public_name_of_the_package_has_a_reader():
     # a public name that only its own tests call is not what the package
     # runs; the readers are the package, the benchmark, README's example and
@@ -192,9 +187,7 @@ def test_every_public_name_of_the_package_has_a_reader():
     readers["README.md"] = readme.split("```python\n", 1)[1].split("```", 1)[0]
     readers["tests/test_acceptance.py"] = (ROOT / "tests" / "test_acceptance.py").read_text(
         encoding="utf-8")
-    unread = _unread_public_names(ottospin.__all__, package, readers)
-    assert [name for name in unread if name not in KEPT_WITHOUT_A_READER] == []
-    assert set(KEPT_WITHOUT_A_READER) <= set(unread), "a kept name has a reader now"
+    assert _unread_public_names(ottospin.__all__, package, readers) == []
 
 
 def test_an_unread_public_name_is_found():
