@@ -44,6 +44,7 @@ from .spin import (
     _bloch,
     _endpoint_polarizations,
     _gap_over_kt,
+    _product,
     drive_hamiltonian,
     gibbs_state,
     polarization,
@@ -339,9 +340,9 @@ def _sweep_points(
     swap_probs = propagator._flip_probabilities(forward, *vectors)
     # the drives map the traceless parts r . sigma/2 alone: with the I/2,
     # a hot bath's Bloch components would be differences of numbers near 1/2
-    states = [*equilibria, *(_bloch(part) for part in (
-        forward @ cold_part @ backward, backward @ hot_part @ forward
-    ))]
+    states = [*equilibria,
+              _bloch(_product(_product(forward, cold_part), backward)),
+              _bloch(_product(_product(backward, hot_part), forward))]
     points, figures = _report_from_states(cfg, taus, fields, baths, swap_probs, states)
     return points, figures, fields, states
 

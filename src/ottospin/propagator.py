@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spin import KHZ_US, DriveProtocol, Phase, _check_duration, eigensystem
+from .spin import KHZ_US, DriveProtocol, Phase, _check_duration, _product, eigensystem
 
 #: Starting Magnus step count for the converged propagator.
 DEFAULT_N_STEPS = 64
@@ -174,9 +174,12 @@ def evolve_unitaries(
     faster end of the ramp over the step count, and past the Magnus
     convergence radius (Moan & Niesen, Found. Comput. Math. 8 (2008) 291)
     two wrong products can agree to the tolerance.  Raises
-    :class:`ConvergenceError`, naming the first duration in input order and
-    its cycle count at the final gap, if any duration is still unconverged
-    after six doublings, and ``ValueError`` if a product is off unitarity
+    :class:`ConvergenceError`, naming the first duration in input order, if
+    any duration is still unconverged after six doublings: where its last
+    doubling met the tolerance, the error says that the step-angle guard
+    refused it and names the step count the guard needs, with the cycle
+    count at the faster end; otherwise it gives the cycle count at the
+    final gap.  Raises ``ValueError`` if a product is off unitarity
     by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
     A bad list (empty, or a duration not positive and finite) is rejected
     first.  Nothing is kept: each call runs its own escalation.
@@ -201,15 +204,25 @@ def evolve_unitaries(
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
         finer = cayley_klein_product(*ramp, taus[pending], n)
-        done = (np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE) & (
-            n > fewest[pending])
+        met = np.abs(finer - current).max(axis=0) < CONVERGENCE_TOLERANCE
+        done = met & (n > fewest[pending])
         pairs[:, pending[done]] = finer[:, done]
         steps[pending[done]] = n
+        # met the tolerance, but the step-angle guard refused the product
+        refused = met[~done]
         pending, current = pending[~done], finer[:, ~done]
         if len(pending) == 0:
             break
     else:
         tau = taus[pending[0]]
+        if refused[0]:
+            raise ConvergenceError(
+                f"Magnus product refused by the step-angle guard after {_MAX_DOUBLINGS} "
+                f"doublings from n_steps={n_steps}: its {n} steps met "
+                f"{CONVERGENCE_TOLERANCE}, but tau_us = {tau:g} "
+                f"({max(ramp) * tau * KHZ_US:g} cycles at max(nu_initial_khz, "
+                f"nu_final_khz) = {max(ramp):g}) needs more than {fewest[pending[0]]:g} steps"
+            )
         raise ConvergenceError(
             f"Magnus product not converged to {CONVERGENCE_TOLERANCE} after "
             f"{_MAX_DOUBLINGS} doublings from n_steps={n_steps} (tau_us = {tau:g}, "
@@ -244,7 +257,7 @@ def _flip_probabilities(
     |<down_f|U|up_i>|^2 are computed; unitarity of a 2x2 map forces them
     equal, and that symmetry is asserted (to 1e-9) for every propagator
     rather than trusted.  Their means are returned."""
-    overlap = vec_f.conj().T @ matrices @ vec_i
+    overlap = _product(_product(vec_f.conj().T, matrices), vec_i)
     up = np.abs(overlap[:, 1, 0]) ** 2
     down = np.abs(overlap[:, 0, 1]) ** 2
     asymmetric = ~(np.abs(up - down) < 1e-9)

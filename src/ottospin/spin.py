@@ -143,18 +143,53 @@ def _bloch(matrices: np.ndarray) -> np.ndarray:
     return np.stack([off.real, -off.imag, upper - lower])
 
 
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for stacks of 2x2 matrices that broadcast over their leading axes.
+    An unoptimized einsum sums in its own loop; a matmul would call into
+    BLAS, whose first call allocates its buffers."""
+    return np.einsum("...ij,...jk->...ik", x, y)
+
+
 def eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Energies (ascending) and eigenvector columns of a 2x2 Hermitian matrix.
+
+    Like ``eigh``, it reads the real diagonal (a, d) and the lower triangle,
+    so H = [[a, c], [c*, d]] with c the conjugate of the (1, 0) entry.  With
+    m = (a + d)/2, h = (a - d)/2 and r = hypot(h, |c|), the energies are
+    m -+ r, and with s = |h| + r, which adds two magnitudes, the columns
+
+        (c, -s), (s, c*)  for h >= 0;   (-s, c*), (c, s)  for h < 0
+
+    solve (H - E) v = 0 (the row of H - E whose diagonal entry is -s or s)
+    and are orthogonal term by term; each is normalized by hypot.  The
+    entries are first scaled by a power of two, exact in both directions,
+    so that the largest is of order one and no square or sum overflows or
+    underflows.
 
     The global phase of each eigenvector is fixed by making its first
     component of appreciable magnitude real and positive, so downstream
     quantities built from the vectors are reproducible bit for bit.
     """
     hamiltonian = _require_hermitian(hamiltonian)
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    if abs(energies[1] - energies[0]) < 1e-14:
-        raise ValueError("degenerate Hamiltonian")
-    vectors = vectors.copy()
+    a, d = hamiltonian[0, 0].real, hamiltonian[1, 1].real
+    lower = hamiltonian[1, 0]
+    entries = (a, d, lower.real, -lower.imag)
+    exponent = math.frexp(max(map(abs, entries)))[1]
+    a, d, c_re, c_im = (math.ldexp(x, -exponent) for x in entries)
+    half, mean = (a - d) / 2.0, (a + d) / 2.0
+    radius = math.hypot(half, c_re, c_im)
+    # an energy, or a gap, past the float range is inf, as from eigh
+    with np.errstate(over="ignore"):
+        energies = np.ldexp([mean - radius, mean + radius], exponent)
+        if abs(energies[1] - energies[0]) < 1e-14:
+            raise ValueError("degenerate Hamiltonian")
+    s = abs(half) + radius
+    norm = math.hypot(s, c_re, c_im)
+    c, s = complex(c_re, c_im) / norm, s / norm
+    if half >= 0.0:
+        vectors = np.array([[c, s], [-s, c.conjugate()]])
+    else:
+        vectors = np.array([[-s, c], [c.conjugate(), s]])
     for col in range(2):
         column = vectors[:, col]
         pivot = column[0] if abs(column[0]) > 1e-12 else column[1]

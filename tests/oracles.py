@@ -20,13 +20,15 @@ drive's field, the drive strokes' relative-entropy sum goes through
 Gibbs populations and logarithms at 50 decimal digits, the mean entropy
 production and the fluctuation theorem go through the sixteen cycle
 histories, Gibbs states and state repair go through an
-eigendecomposition, the Bloch-form Monte Carlo repair and relative entropy
-are also written row-major, on (n, 3) stacks reduced over their component
-axis, trace norms go through singular values, and a run configuration is
-written back as text, the inverse that the parser's round-trip tests read.  Tests
-compare the two routes; frozen literals below were produced by these oracles
-(or, where noted, by an equally independent integrator) and are pinned so
-regressions show up as honest failures.
+eigendecomposition, the eigensystem of a 2x2 Hermitian matrix comes
+from LAPACK's ``eigh`` rather than the closed form, the Bloch-form Monte
+Carlo repair and relative entropy are also written row-major, on (n, 3)
+stacks reduced over their component axis, trace norms go through singular
+values, and a run configuration is written back as text, the inverse that
+the parser's round-trip tests read.  Tests compare the two routes; frozen
+literals below were produced by these oracles (or, where noted, by an
+equally independent integrator) and are pinned so regressions show up as
+honest failures.
 """
 
 from __future__ import annotations
@@ -559,6 +561,29 @@ def format_value(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def eigensystem_eigh(hamiltonian):
+    """Energies (ascending) and eigenvector columns of a 2x2 Hermitian matrix
+    from LAPACK's ``eigh``, with the package's input checks, degeneracy
+    guard and phase rule (each column's first component above 1e-12 made
+    real and positive) written out: the reference of the closed form."""
+    hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
+    if hamiltonian.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {hamiltonian.shape}")
+    if not np.isfinite(hamiltonian).all():
+        raise ValueError("matrix has non-finite entries")
+    if np.max(np.abs(hamiltonian - hamiltonian.conj().T)) > 1e-12:
+        raise ValueError("matrix is not Hermitian")
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    if abs(energies[1] - energies[0]) < 1e-14:
+        raise ValueError("degenerate Hamiltonian")
+    vectors = vectors.copy()
+    for col in range(2):
+        column = vectors[:, col]
+        pivot = column[0] if abs(column[0]) > 1e-12 else column[1]
+        vectors[:, col] = column * (pivot.conjugate() / abs(pivot))
+    return energies, vectors
 
 
 def gibbs_state_eigh(hamiltonian, kt_pev):

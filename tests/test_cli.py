@@ -392,9 +392,11 @@ def test_a_drive_past_the_magnus_radius_at_the_step_cap_is_a_one_line_error(
     cfg.write_text(LONG_DRIVE_CONFIG)
     rc, out, err = _run(capsys, [command, "--config", str(cfg)])
     assert (rc, out) == (1, "")
+    # the 2048 -> 4096 change, 6.2e-9, met the tolerance; the guard refused it
     assert err == (
-        "error: Magnus product not converged to 1e-08 after 6 doublings from n_steps=64 "
-        "(tau_us = 1.98641e+06, 5812.05 cycles at nu_final_khz = 2.9259)\n")
+        "error: Magnus product refused by the step-angle guard after 6 doublings from "
+        "n_steps=64: its 4096 steps met 1e-08, but tau_us = 1.98641e+06 (5812.05 cycles "
+        "at max(nu_initial_khz, nu_final_khz) = 2.9259) needs more than 11624.1 steps\n")
 
 
 @pytest.mark.parametrize(
@@ -658,6 +660,34 @@ def test_a_curve_window_far_beyond_every_atom_draws_zeros_without_a_warning(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--mc-samples", "20"],
+        ["cycle", "--tau", "300", "--mc-samples", "20"],
+        ["work-dist", "--tau", "300"],
+        ["heat-dist", "--tau", "700"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_cycle_and_distribution_commands_call_no_lapack_eigensolver(
+    monkeypatch, capsys, argv
+):
+    # every state is a qubit: the endpoint eigensystem and the Gibbs states
+    # are closed forms (qpt keeps eigvalsh for its 4x4 process matrices)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver was called")
+
+    with monkeypatch.context() as patch:
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            patch.setattr(np.linalg, name, refuse)
+        patched = _run(capsys, argv)
+    for cache in _package_caches():  # the unpatched run computes afresh
+        cache.cache_clear()
+    assert patched[0] == 0
+    assert patched == _run(capsys, argv)
+
+
 # --- the CLI contract over drawn configs ----------------------------------------
 
 COMMANDS = tuple(cli._COMMANDS)
@@ -726,6 +756,14 @@ def _run_captured(argv):
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1e300})
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1.7e308})
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": math.inf})
+# engines near the float range's ends, baths and drive durations to match:
+# the endpoint eigensystem of gaps of 8e-300 (degenerate) and 7e300 peV
+@example({"nu_initial_khz": 2e-300, "nu_final_khz": 3.6e-300, "kt_cold_pev": 6.6e-300,
+          "hot_option": "custom", "kt_hot_pev": 4.05e-299, "tau_us": 1e302,
+          "tau_list_us": (1e302, 2e302)})
+@example({"nu_initial_khz": 2e300, "nu_final_khz": 3.6e300, "kt_cold_pev": 6.6e300,
+          "hot_option": "custom", "kt_hot_pev": 4.05e301, "tau_us": 1e-298,
+          "tau_list_us": (1e-298, 2e-298)})
 # an infinite stroke time gave a power of 0 where it must give an error line
 @example({"t_thermalization_us": math.inf})
 @example({"t_cooling_us": math.inf})

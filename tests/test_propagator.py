@@ -215,6 +215,19 @@ def test_a_convergence_failure_names_the_first_failing_drive(taus, n_steps, mess
     )
 
 
+@pytest.mark.parametrize("ramp", [(1.8507, 2.9259), (2.9259, 1.8507)],
+                         ids=["opening", "narrowing"])
+def test_a_step_angle_refusal_names_the_step_count_the_guard_needs(ramp):
+    # the 2048 -> 4096 change met the tolerance on both ramps, so the line
+    # blames the guard, and counts cycles at the faster end, as it does
+    with pytest.raises(ConvergenceError) as exc:
+        evolve_unitaries(o.DriveProtocol(*ramp, 1.0), [100.0, 1986413.0])
+    assert str(exc.value) == (
+        "Magnus product refused by the step-angle guard after 6 doublings from "
+        "n_steps=64: its 4096 steps met 1e-08, but tau_us = 1.98641e+06 (5812.05 cycles "
+        "at max(nu_initial_khz, nu_final_khz) = 2.9259) needs more than 11624.1 steps")
+
+
 def test_grid_rejects_a_kernel_output_off_unitarity(monkeypatch):
     exact = propagator.cayley_klein_product
     monkeypatch.setattr(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ottospin as o
 import oracles
@@ -126,6 +126,61 @@ def test_eigensystem_rejects_degenerate_input():
 def test_eigensystem_rejects_non_hermitian_input():
     with pytest.raises(ValueError):
         o.eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+EPS = np.finfo(float).eps
+unit_entries = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A Hermitian 2x2 matrix with entries in [-1, 1] scaled by 10^k,
+    -150 <= k <= 150; now and then one entry is made non-finite, or the
+    upper triangle is moved off the lower one's conjugate, by 1e-11 (not
+    Hermitian) or by 1e-13 (Hermitian to the 1e-12 tolerance, and only the
+    lower triangle is read)."""
+    a, d, c_re, c_im = (draw(unit_entries) for _ in range(4))
+    lower = complex(c_re, c_im)
+    h = 10.0 ** draw(st.floats(-150.0, 150.0)) * np.array(
+        [[a, lower.conjugate()], [lower, d]], dtype=np.complex128)
+    fault = draw(st.sampled_from([None] * 7 + ["nan", "inf", 1e-11, 1e-13]))
+    if isinstance(fault, float):
+        h[0, 1] += fault
+    elif fault is not None:
+        h[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = float(fault)
+    return h
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(hermitian_matrices())
+# the default engine's ends: -(gap/2) sigma_x, and -(gap/2) sigma_y with its
+# cos(pi/2) ~ 6e-17 sigma_x part, where eigh gave a round-off real part of
+# 1.1e-16 in the lower components for the exact 4.3e-17
+@example(o.endpoint_hamiltonians(o.DriveProtocol(2.0, 3.6, 100.0))[0])
+@example(o.endpoint_hamiltonians(o.DriveProtocol(2.0, 3.6, 100.0))[1])
+# a - d, the squares and the gap overflow, the energies +-1.118e308 do not
+@example(np.array([[1e308, 5e307], [5e307, -1e308]], dtype=np.complex128))
+def test_the_closed_form_eigensystem_agrees_with_lapack(h):
+    try:
+        with np.errstate(over="ignore"):  # eigh's gap may overflow as well
+            want, _ = oracles.eigensystem_eigh(h)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            o.eigensystem(h)
+        assert str(got.value) == str(exc)
+        return
+    energies, vectors = o.eigensystem(h)
+    # the matrix both read: the real diagonal and the lower triangle
+    seen = np.diag(h.diagonal().real) + np.tril(h, -1) + np.tril(h, -1).conj().T
+    norm = np.max(np.abs(want))  # the spectral norm
+    assert energies[0] < energies[1]
+    assert np.max(np.abs(energies - want)) <= 8 * EPS * norm
+    for k in range(2):
+        residual = seen @ vectors[:, k] - energies[k] * vectors[:, k]
+        assert np.linalg.norm(residual) <= 8 * EPS * norm
+        lead = vectors[:, k][np.argmax(np.abs(vectors[:, k]) > 1e-12)]
+        assert lead.real > 0.0 and abs(lead.imag) <= 2 * EPS
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(2))) <= 8 * EPS
 
 
 def test_gibbs_state_cold_bath_populations():
