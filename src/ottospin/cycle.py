@@ -576,8 +576,8 @@ def _relative_entropy_batch(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _length(r: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """|r| of ``(3, n)`` Bloch vectors, summed as np.linalg.norm sums, into
-    ``out``; ``spare`` is scratch of the same shape."""
+    """|r| of ``(3, n)`` Bloch vectors, the squares summed in the order of
+    numpy's vector norm, into ``out``; ``spare`` is scratch of the same shape."""
     np.multiply(r[0], r[0], out=out)
     out += np.multiply(r[1], r[1], out=spare)
     out += np.multiply(r[2], r[2], out=spare)

@@ -12,6 +12,7 @@ the unitality diagnostics lean on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class ProcessMatrix:
         object.__setattr__(self, "matrix", m)
         if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
             raise ValueError("process matrix must be Hermitian")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
+        if _eigenvalues(m)[0] < -1e-10:
             raise ValueError("process matrix must be positive semidefinite")
         closure = np.einsum("kj,jab,kbc->ac", m, _BASIS_DAG, BASIS)
         if np.max(np.abs(closure - np.eye(2))) > 1e-10:
@@ -102,4 +103,67 @@ def unitality_defect(process: ProcessMatrix) -> float:
 
 def process_trace_distance(a: ProcessMatrix, b: ProcessMatrix) -> float:
     """Half the trace norm of the difference of two process matrices."""
-    return float(0.5 * np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+    return float(0.5 * sum(map(abs, _eigenvalues(a.matrix - b.matrix))))
+
+
+#: Squared rounding unit: the off-diagonal mass below which the Jacobi sweeps
+#: stop, relative to that of the diagonal.
+_EPS2 = (2.0 ** -53) ** 2
+
+#: Jacobi sweeps after which a 4x4 matrix is diagonal to rounding; four or
+#: five are needed, since each sweep squares the off-diagonal mass.
+_MAX_SWEEPS = 30
+
+#: The (p, q) pairs of one cyclic sweep, and for each the two other indices.
+_PAIRS = tuple((p, q) for q in range(4) for p in range(q))
+_OTHERS = tuple(tuple(r for r in range(4) if r not in pair) for pair in _PAIRS)
+
+
+def _eigenvalues(matrix: np.ndarray) -> list[float]:
+    """Eigenvalues (ascending) of a 4x4 Hermitian matrix by cyclic Jacobi
+    rotations on Python complex numbers.
+
+    Like ``eigvalsh``, it reads the real diagonal and the lower triangle.
+    These are first scaled by a power of two, exact in both directions, so
+    that the largest component is of order one and no square overflows or
+    underflows.  The rotation of a pair (p, q) turns the phase of column q
+    so that the (p, q) entry h is real, then zeroes it; neither step moves
+    the spectrum.  The sweeps stop as soon as the off-diagonal mass is below
+    rounding, so a diagonal or zero matrix costs one pass.
+    """
+    a = matrix.tolist()
+    diagonal = [a[i][i].real for i in range(4)]
+    lower = [a[q][p] for p, q in _PAIRS]
+    parts = diagonal + [x for z in lower for x in (z.real, z.imag)]
+    exponent = math.frexp(max(map(abs, parts)))[1]
+    diagonal = [math.ldexp(x, -exponent) for x in diagonal]
+    for (p, q), z in zip(_PAIRS, lower):
+        a[q][p] = z = complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
+        a[p][q] = z.conjugate()
+    for _ in range(_MAX_SWEEPS):
+        off = sum(a[q][p].real ** 2 + a[q][p].imag ** 2 for p, q in _PAIRS)
+        if off <= _EPS2 * sum(x * x for x in diagonal):
+            break
+        for (p, q), others in zip(_PAIRS, _OTHERS):
+            g = a[p][q]
+            h = abs(g)
+            if h == 0.0:
+                continue
+            # tan of the angle that zeroes h, the smaller root of
+            # t^2 + 2 theta t - 1 = 0; a theta past the float range gives 0
+            theta = (diagonal[q] - diagonal[p]) / (2.0 * h)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            phase = g.conjugate() / h
+            diagonal[p] -= t * h
+            diagonal[q] += t * h
+            a[p][q] = a[q][p] = 0j
+            for r in others:
+                row = a[r]
+                x, y = row[p], row[q] * phase
+                row[p], row[q] = x, y = c * x - s * y, s * x + c * y
+                a[p][r], a[q][r] = x.conjugate(), y.conjugate()
+    # an eigenvalue of the scaled matrix is below ||M||_F <= 4 sqrt(2), so the
+    # ldexp stays in range and only the product by 8 may overflow, to inf
+    return sorted(math.ldexp(x, exponent - 3) * 8.0 for x in diagonal)

@@ -21,7 +21,9 @@ Gibbs populations and logarithms at 50 decimal digits, the mean entropy
 production and the fluctuation theorem go through the sixteen cycle
 histories, Gibbs states and state repair go through an
 eigendecomposition, the eigensystem of a 2x2 Hermitian matrix comes
-from LAPACK's ``eigh`` rather than the closed form, the Bloch-form Monte
+from LAPACK's ``eigh`` rather than the closed form, the eigenvalues of a
+4x4 Hermitian matrix come from LAPACK's ``eigvalsh`` rather than Jacobi
+rotations, the Bloch-form Monte
 Carlo repair and relative entropy are also written row-major, on (n, 3)
 stacks reduced over their component axis, trace norms go through singular
 values, and a run configuration is written back as text, the inverse that
@@ -584,6 +586,13 @@ def eigensystem_eigh(hamiltonian):
         pivot = column[0] if abs(column[0]) > 1e-12 else column[1]
         vectors[:, col] = column * (pivot.conjugate() / abs(pivot))
     return energies, vectors
+
+
+def eigenvalues_eigvalsh(matrix):
+    """Eigenvalues (ascending) of a 4x4 Hermitian matrix from LAPACK's
+    ``eigvalsh``, which reads the real diagonal and the lower triangle: the
+    reference of the Jacobi rotations behind the process diagnostics."""
+    return np.linalg.eigvalsh(np.asarray(matrix, dtype=np.complex128))
 
 
 def gibbs_state_eigh(hamiltonian, kt_pev):

@@ -661,20 +661,29 @@ def test_a_curve_window_far_beyond_every_atom_draws_zeros_without_a_warning(
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, config_text",
     [
-        ["sweep", "--mc-samples", "20"],
-        ["cycle", "--tau", "300", "--mc-samples", "20"],
-        ["work-dist", "--tau", "300"],
-        ["heat-dist", "--tau", "700"],
+        (["sweep", "--mc-samples", "20"], None),
+        (["cycle", "--tau", "300", "--mc-samples", "20"], None),
+        (["work-dist", "--tau", "300"], None),
+        (["heat-dist", "--tau", "700"], None),
+        (["qpt"], None),
+        (["qpt"], "[process]\nnoise_mix = 0.3\n"),
+        (["qpt", "--format", "json"], None),
     ],
-    ids=lambda argv: argv[0],
+    ids=["sweep", "cycle", "work-dist", "heat-dist", "qpt", "qpt-noise-mix", "qpt-json"],
 )
 def test_the_cycle_and_distribution_commands_call_no_lapack_eigensolver(
-    monkeypatch, capsys, argv
+    monkeypatch, capsys, tmp_path, argv, config_text
 ):
     # every state is a qubit: the endpoint eigensystem and the Gibbs states
-    # are closed forms (qpt keeps eigvalsh for its 4x4 process matrices)
+    # are closed forms, and the 4x4 process matrices go through Jacobi
+    # rotations
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        argv = [*argv, "--config", str(cfg)]
+
     def refuse(*args, **kwargs):
         raise AssertionError("a LAPACK eigensolver was called")
 
