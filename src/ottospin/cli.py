@@ -223,6 +223,10 @@ def _emit_distribution(cfg: RunConfig, kind: str) -> None:
         # np.linspace fails on an empty array at 2**63 - 1 points and above
         if cfg.curve_points >= 2**63 - 1:
             raise ValueError(f"curve_points {cfg.curve_points} is too large for an array")
+        # np.linspace overflows on a wider window, which curveless commands accept
+        if not math.isfinite(cfg.curve_max_pev - cfg.curve_min_pev):
+            raise ValueError(f"curve_max_pev - curve_min_pev must be finite, "
+                             f"got {cfg.curve_max_pev} - {cfg.curve_min_pev}")
         grid = np.linspace(cfg.curve_min_pev, cfg.curve_max_pev, cfg.curve_points)
         density = lorentzian_broaden(dist, cfg.lorentzian_fwhm_pev, grid)
         curve = {"fwhm_pev": cfg.lorentzian_fwhm_pev,

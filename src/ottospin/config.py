@@ -16,7 +16,7 @@ from typing import Callable
 
 from .cycle import CycleConfig
 from .propagator import DEFAULT_N_STEPS
-from .spin import DriveProtocol, Phase, ThermalParams
+from .spin import DriveProtocol, ThermalParams
 
 #: Preset hot-reservoir temperatures (peV) selectable by option letter.
 HOT_PRESETS_PEV = {"A": 21.5, "B": 40.5}
@@ -225,12 +225,8 @@ def parse_config(text: str) -> RunConfig:
 
 def to_cycle_config(cfg: RunConfig, tau_us: float | None = None) -> CycleConfig:
     """Build the simulation configuration for one drive duration."""
-    protocol = DriveProtocol(
-        nu_initial_khz=cfg.nu_initial_khz,
-        nu_final_khz=cfg.nu_final_khz,
-        tau_us=cfg.tau_us if tau_us is None else tau_us,
-        phase=Phase.EXPANSION,
-    )
+    tau_us = cfg.tau_us if tau_us is None else tau_us
+    protocol = DriveProtocol(cfg.nu_initial_khz, cfg.nu_final_khz, tau_us)
     thermal = ThermalParams(
         kt_cold_pev=cfg.kt_cold_pev, kt_hot_pev=cfg.resolved_kt_hot_pev()
     )

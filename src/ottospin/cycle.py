@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,9 +39,9 @@ from .spin import (
     IDENTITY,
     US_PER_MS,
     DriveProtocol,
-    Phase,
     ThermalParams,
     _bloch,
+    _check_transition_probability,
     _endpoint_polarizations,
     _gap_over_kt,
     _product,
@@ -104,11 +104,7 @@ class UncertaintyEstimate(NamedTuple):
 
 def endpoint_hamiltonians(protocol: DriveProtocol) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonians at the two ends of the expansion ramp (narrow, wide)."""
-    expansion = replace(protocol, phase=Phase.EXPANSION)
-    return (
-        drive_hamiltonian(0.0, expansion),
-        drive_hamiltonian(expansion.tau_us, expansion),
-    )
+    return drive_hamiltonian(0.0, protocol), drive_hamiltonian(protocol.tau_us, protocol)
 
 
 def entropy_production_drive(
@@ -142,6 +138,7 @@ def efficiency_closed_form(
     which reduces to the ideal-ramp value 1 - nu_i/nu_f at zero transition
     probability and equals mean work over mean hot heat everywhere.
     """
+    _check_transition_probability(transition_prob)
     nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
     p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
     if math.isclose(p_cold, p_hot, rel_tol=1e-15):
@@ -201,9 +198,8 @@ def sweep_with_uncertainty(
     The expansion propagators U of all durations come from one lockstep
     Magnus call and their swap probabilities from one batched overlap with
     the endpoint eigenvectors (see :func:`~ottospin.propagator.evolve_unitaries`).
-    The compression drive H_c(t) = -H_e(tau - t) makes its propagator the
-    adjoint U^dagger of the expansion propagator U, so the compression
-    stroke maps the hot equilibrium to U^dagger rho_hot U.  Every state is
+    The compression stroke maps the hot equilibrium to U^dagger rho_hot U
+    (see :mod:`ottospin.propagator`).  Every state is
     carried as its real Bloch vector r, rho = (I + r . sigma)/2, and the
     point reports of all durations come from one batched pass over them;
     their lag's relative-entropy sum is a closed form (see
@@ -327,13 +323,12 @@ def _sweep_points(
     """The point reports of a tau list and their ``(7, n_tau)`` figures,
     with what the Monte Carlo resamples: the Bloch vectors of the endpoint
     Hamiltonians (cold, hot) and of the four cycle states."""
-    expansion = replace(cfg.protocol, phase=Phase.EXPANSION)
     # evolve_unitaries rejects an empty list, and every duration that is not
     # positive and finite, before anything is propagated, drawn or planned
     taus = [float(tau) for tau in tau_list_us]
-    forward, _ = evolve_unitaries(expansion, taus, cfg.n_steps)
+    forward, _ = evolve_unitaries(cfg.protocol, taus, cfg.n_steps)
     vectors, (cold_part, hot_part), baths, fields, equilibria = _cycle_plan(
-        expansion.nu_initial_khz, expansion.nu_final_khz,
+        cfg.protocol.nu_initial_khz, cfg.protocol.nu_final_khz,
         cfg.thermal.kt_cold_pev, cfg.thermal.kt_hot_pev,
     )
     backward = forward.conj().transpose(0, 2, 1)

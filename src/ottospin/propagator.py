@@ -13,7 +13,7 @@ same sweep run backwards, its axis turning from angle 3 pi/2 to pi.  In its
 own turning frame each step's exponent is the expansion one's in reverse
 order with c_z negated, and the frame's ends negate c_x and c_y and leave
 V(tau)^dagger on the right, so its product is the expansion one's adjoint
-step for step, and is served as that.
+step for step: the compression propagator is ``U.conj().T``.
 
 Nothing here is kept between calls: every call runs its escalation, and the
 Monte Carlo keeps what it repeats one layer up, as point states
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spin import KHZ_US, DriveProtocol, Phase, _check_duration, _product, eigensystem
+from .spin import KHZ_US, DriveProtocol, _check_duration, _product, eigensystem
 
 #: Starting Magnus step count for the converged propagator.
 DEFAULT_N_STEPS = 64
@@ -80,8 +80,7 @@ def cayley_klein_product(
     the latest step ends up leftmost and the Python-level loop runs
     O(log n) times.  The end rotation ``V(tau) = exp(-i pi sigma_z / 4)`` is
     one phase ``exp(-i pi / 4)`` on both entries of every product.  Returns
-    the products' ``(a, b)`` stacked as an array of shape ``(2, n_tau)``;
-    the compression product is its adjoint (see the module docstring).
+    the products' ``(a, b)`` stacked as an array of shape ``(2, n_tau)``.
     """
     # np.arange gives an empty array, not an error, at 2**63 - 1 and above
     if n_steps >= 2**63 - 1:
@@ -122,8 +121,7 @@ def slice_product(
 ) -> np.ndarray:
     """Time-ordered product of ``n_steps`` fourth-order Magnus steps for the
     expansion drive of one duration, as a 2x2 matrix (see
-    :func:`cayley_klein_product`); the compression drive's is its conjugate
-    transpose."""
+    :func:`cayley_klein_product`)."""
     _check_step_count(n_steps)
     _check_duration(tau_us)
     return _matrices(cayley_klein_product(nu_start_khz, nu_end_khz, [tau_us], n_steps))[0]
@@ -158,10 +156,8 @@ def evolve_unitaries(
     tau_list_us: Sequence[float],
     n_steps: int = DEFAULT_N_STEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagators of the protocol's ramp and phase at each drive duration in
-    ``tau_list_us`` (``protocol.tau_us`` itself is not used).  Only the
-    expansion ramp is integrated: a COMPRESSION protocol gets the conjugate
-    transpose of each expansion propagator, with the same step counts.
+    """Propagators of the protocol's expansion ramp at each drive duration
+    in ``tau_list_us`` (``protocol.tau_us`` itself is not used).
 
     Each propagator is a time-ordered product of Magnus steps (see
     :func:`cayley_klein_product`), so the global error is fourth order in
@@ -181,8 +177,7 @@ def evolve_unitaries(
     count at the faster end; otherwise it gives the cycle count at the
     final gap.  Raises ``ValueError`` if a product is off unitarity
     by more than 1e-10 (``U^dagger U - I = (|a|^2 + |b|^2 - 1) I``).
-    A bad list (empty, or a duration not positive and finite) is rejected
-    first.  Nothing is kept: each call runs its own escalation.
+    A bad list (empty, or a duration not positive and finite) is rejected first.
 
     Returns the ``(n_tau, 2, 2)`` stack of propagators and the step count
     each used, in input order.
@@ -232,10 +227,7 @@ def evolve_unitaries(
     defect = np.abs((pairs.real**2 + pairs.imag**2).sum(axis=0) - 1.0).max()
     if defect > 1e-10:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    matrices = _matrices(pairs)
-    if protocol.phase is Phase.COMPRESSION:
-        return matrices.conj().transpose(0, 2, 1), steps
-    return matrices, steps
+    return _matrices(pairs), steps
 
 
 def evolve_unitary(

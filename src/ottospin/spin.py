@@ -16,9 +16,8 @@ only unit conversions anywhere in the code.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,28 +39,16 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY):
     _m.setflags(write=False)
 
 
-class Phase(enum.Enum):
-    """Direction of the gap ramp."""
-
-    EXPANSION = "expansion"
-    COMPRESSION = "compression"
-
-
 @dataclass(frozen=True)
 class DriveProtocol:
-    """Linear gap ramp between two splitting frequencies over a fixed window.
-
-    ``nu_initial_khz`` and ``nu_final_khz`` always describe the forward
-    (expansion) ramp; ``phase`` selects whether the protocol runs that ramp or
-    its time-reversed negation.  A COMPRESSION protocol therefore starts at
-    the wide gap: ``gap_frequency(0, p)`` is ``nu_final_khz``, and its
-    propagator is the adjoint of the expansion one.
-    """
+    """Linear gap ramp of the expansion stroke, ``nu_initial_khz`` at t = 0 to
+    ``nu_final_khz`` at ``tau_us``.  The compression stroke has no protocol of
+    its own: its Hamiltonian at time t is ``-drive_hamiltonian(tau_us - t, p)``
+    and its propagator is ``evolve_unitary(p).matrix.conj().T``."""
 
     nu_initial_khz: float
     nu_final_khz: float
     tau_us: float
-    phase: Phase = Phase.EXPANSION
 
     def __post_init__(self) -> None:
         # NaN fails these chained comparisons as inf and nonpositive values do
@@ -77,6 +64,12 @@ def _check_duration(tau_us: float) -> None:
     # NaN fails this chained comparison as inf and nonpositive values do
     if not 0.0 < tau_us < math.inf:
         raise ValueError(f"drive duration must be positive and finite, got {tau_us} us")
+
+
+def _check_transition_probability(transition_prob: float) -> None:
+    # NaN fails this chained comparison as values outside [0, 1] do
+    if not 0.0 <= transition_prob <= 1.0:
+        raise ValueError(f"transition probability must lie in [0, 1], got {transition_prob}")
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,8 @@ class ThermalParams:
 def gap_frequency(t_us: float, protocol: DriveProtocol) -> float:
     """Instantaneous splitting frequency in kHz at time ``t_us`` of the ramp."""
     if not 0.0 <= t_us <= protocol.tau_us:
-        raise ValueError(
-            f"time {t_us} us outside the drive window [0, {protocol.tau_us}] us"
-        )
-    s = protocol.tau_us - t_us if protocol.phase is Phase.COMPRESSION else t_us
-    frac = s / protocol.tau_us
+        raise ValueError(f"time {t_us} us outside the drive window [0, {protocol.tau_us}] us")
+    frac = t_us / protocol.tau_us
     return protocol.nu_initial_khz * (1.0 - frac) + protocol.nu_final_khz * frac
 
 
@@ -112,12 +102,10 @@ def drive_hamiltonian(t_us: float, protocol: DriveProtocol) -> np.ndarray:
         H(t) = -(gap(t)/2) * (cos(pi t / 2 tau) sigma_x + sin(pi t / 2 tau) sigma_y)
 
     The compression drive is the negated, time-reversed expansion drive,
-    H_c(t) = -H_e(tau - t), which is what makes the reversed propagator the
-    exact adjoint of the forward one.
+    H_c(t) = -H_e(tau - t) = ``-drive_hamiltonian(tau - t, p)``, so its
+    propagator is the exact adjoint ``evolve_unitary(p).matrix.conj().T``.
     """
     nu = gap_frequency(t_us, protocol)
-    if protocol.phase is Phase.COMPRESSION:
-        return -drive_hamiltonian(protocol.tau_us - t_us, replace(protocol, phase=Phase.EXPANSION))
     # t/tau is exactly 1 at the ramp's end, so H(tau) has the same bits for
     # every tau and the hot Gibbs state does not depend on it
     angle = 0.5 * math.pi * (t_us / protocol.tau_us)

@@ -27,6 +27,7 @@ from .spin import (
     PLANCK_PEV_PER_KHZ,
     DriveProtocol,
     ThermalParams,
+    _check_transition_probability,
     _endpoint_polarizations,
     thermal_populations,
 )
@@ -240,6 +241,7 @@ def mean_work_closed_form(
     The transition_prob coefficient is strictly negative for positive
     temperatures, so faster (less adiabatic) driving always costs output.
     """
+    _check_transition_probability(transition_prob)
     h = PLANCK_PEV_PER_KHZ
     nu_i, nu_f = protocol.nu_initial_khz, protocol.nu_final_khz
     p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
@@ -253,6 +255,7 @@ def mean_heat_hot_closed_form(
 ) -> float:
     """Mean heat absorbed from the hot reservoir per cycle (peV):
     (gap_f / 2) * ((1 - 2 * transition_prob) * p_cold - p_hot)."""
+    _check_transition_probability(transition_prob)
     h = PLANCK_PEV_PER_KHZ
     p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
     return 0.5 * h * protocol.nu_final_khz * ((1.0 - 2.0 * transition_prob) * p_cold - p_hot)
@@ -264,6 +267,7 @@ def mean_heat_cold_closed_form(
     """Mean heat absorbed from the cold reservoir per cycle (peV):
     (gap_i / 2) * ((1 - 2 * transition_prob) * p_hot - p_cold).  Negative
     while the engine runs."""
+    _check_transition_probability(transition_prob)
     h = PLANCK_PEV_PER_KHZ
     p_cold, p_hot = _endpoint_polarizations(protocol, thermal)
     return 0.5 * h * protocol.nu_initial_khz * ((1.0 - 2.0 * transition_prob) * p_hot - p_cold)
@@ -526,10 +530,7 @@ def _apart(differences: list[complex]) -> bool:
 
 def _stay_probability(transition_prob: float) -> float:
     """1 - transition_prob, for a transition probability in [0, 1]."""
-    if not 0.0 <= transition_prob <= 1.0:
-        raise ValueError(
-            f"transition probability must lie in [0, 1], got {transition_prob}"
-        )
+    _check_transition_probability(transition_prob)
     return 1.0 - transition_prob
 
 

@@ -35,7 +35,6 @@ PUBLIC_API = [
     "CycleReport",
     "DriveProtocol",
     "EnergyDistribution",
-    "Phase",
     "ProcessMatrix",
     "RunConfig",
     "ThermalParams",

@@ -660,6 +660,17 @@ def test_a_curve_window_far_beyond_every_atom_draws_zeros_without_a_warning(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv", [["work-dist", "--tau", "300"], ["heat-dist", "--tau", "700"]],
+                         ids=lambda argv: argv[0])
+def test_a_curve_window_wider_than_the_float_range_names_its_keys(tmp_path, capsys, argv):
+    # it printed "error: overflow encountered in subtract", from np.linspace
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[output]\ncurve_min_pev = -1e308\ncurve_max_pev = 1e308\n")
+    rc, out, err = _run(capsys, [*argv, "--config", str(cfg)])
+    assert (rc, out, err) == (
+        1, "", "error: curve_max_pev - curve_min_pev must be finite, got 1e+308 - -1e+308\n")
+
+
 @pytest.mark.parametrize(
     "argv, config_text",
     [
@@ -761,6 +772,8 @@ def _run_captured(argv):
 @example({"nu_initial_khz": 1.8507, "nu_final_khz": 2.9259, "tau_us": 1986413.0})
 @example({"n_steps": 2**63})  # np.arange gives an empty array at this size
 @example({"curve_points": 2**63})  # np.linspace fails on an empty array
+# the curve window's span overflows; only the distributions draw the curve
+@example({"curve_min_pev": -1.7e308, "curve_max_pev": 1.7e308})
 # the cycle report underflows on these baths, while the distributions report
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1e300})
 @example({"kt_cold_pev": 1e300, "hot_option": "custom", "kt_hot_pev": 1.7e308})

@@ -9,6 +9,7 @@ relative-entropy production) are required to agree without sharing code.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,13 +66,12 @@ def test_report_satisfies_first_law():
 def test_cold_heat_matches_an_independently_built_compression_stroke():
     # run_cycle takes the compression stroke as the adjoint of the expansion
     # propagator; here the stroke is propagated by the compression drive's
-    # own product instead.
-    for thermal in (THERMAL_A, THERMAL_B):
-        for tau in TAU_GRID:
+    # own product instead, at the expansion's step count.
+    for tau in TAU_GRID:
+        n_steps = o.evolve_unitary(o.DriveProtocol(2.0, 3.6, tau)).n_steps
+        u_c = oracles.sequential_magnus_product(2.0, 3.6, tau, n_steps, True)
+        for thermal in (THERMAL_A, THERMAL_B):
             cfg = _config(tau, thermal)
-            u_c = o.evolve_unitary(
-                o.DriveProtocol(2.0, 3.6, tau, o.Phase.COMPRESSION)
-            ).matrix
             h_cold, h_hot = o.endpoint_hamiltonians(cfg.protocol)
             rho_cold = o.gibbs_state(h_cold, thermal.kt_cold_pev)
             rho_hot = o.gibbs_state(h_hot, thermal.kt_hot_pev)
@@ -474,6 +474,19 @@ def test_efficiency_closed_form_rejects_equal_polarizations():
     t = o.ThermalParams(6.6, 6.6 * 1.8)
     with pytest.raises(ValueError, match="efficiency undefined"):
         o.efficiency_closed_form(PROTOCOL, t, 0.1)
+
+
+@pytest.mark.parametrize("transition_prob", [-0.2, 1.5, math.nan])
+@pytest.mark.parametrize("closed_form", [o.efficiency_closed_form, o.mean_work_closed_form,
+                                         o.mean_heat_hot_closed_form,
+                                         o.mean_heat_cold_closed_form],
+                         ids=lambda f: f.__name__)
+def test_a_closed_form_rejects_a_transition_probability_outside_0_1(closed_form,
+                                                                     transition_prob):
+    # mean_work_closed_form gave -13.43 at 1.5, where transition_matrix raises
+    message = f"transition probability must lie in [0, 1], got {transition_prob}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        closed_form(PROTOCOL, THERMAL_B, transition_prob)
 
 
 def test_extraction_bound_frozen_values():

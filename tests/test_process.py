@@ -139,8 +139,8 @@ def test_trace_distance_triangle_inequality():
 
 def test_round_trip_drive_composes_to_the_identity_process():
     u = o.evolve_unitary(PROTOCOL)
-    v = o.evolve_unitary(o.DriveProtocol(2.0, 3.6, 100.0, o.Phase.COMPRESSION))
-    composite = o.choi_from_unitary(v.matrix @ u.matrix)
+    v = oracles.ode_unitary(2.0, 3.6, 100.0, compression=True)
+    composite = o.choi_from_unitary(v @ u.matrix)
     assert o.process_trace_distance(composite, o.identity_process()) < 1e-8
 
 

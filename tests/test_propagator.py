@@ -29,8 +29,7 @@ import oracles
 DEFAULT = o.DriveProtocol(2.0, 3.6, 100.0)
 SWEEP_TAU_GRID = (100.0, 200.0, 235.0, 260.0, 300.0, 320.0, 420.0, 500.0, 600.0, 700.0)
 CRITERION_10_GRID = np.arange(100.0, 701.0, 10.0)
-# how many of the 61 grid points converge at each step count; the same in
-# both phases
+# how many of the 61 grid points converge at each step count
 GRID_STEP_COUNTS = {
     (2.0, 3.6): {128: 61},
     (1.1, 7.3): {128: 18, 256: 43},
@@ -57,18 +56,15 @@ def test_unitarity_defect_below_contract():
 
 
 def test_compression_unitary_is_adjoint_of_expansion():
-    u = o.evolve_unitary(DEFAULT).matrix
-    v = o.evolve_unitary(
-        o.DriveProtocol(2.0, 3.6, 100.0, o.Phase.COMPRESSION)
-    ).matrix
-    assert v.tobytes() == u.conj().T.tobytes()
+    # the compression drive's own product, at the expansion's step count
+    u = o.evolve_unitary(DEFAULT)
+    v = oracles.sequential_magnus_product(2.0, 3.6, 100.0, u.n_steps, True)
+    assert np.max(np.abs(v - u.matrix.conj().T)) < 1e-13
 
 
 def test_expansion_then_compression_composes_to_identity():
     u = o.evolve_unitary(DEFAULT).matrix
-    v = o.evolve_unitary(
-        o.DriveProtocol(2.0, 3.6, 100.0, o.Phase.COMPRESSION)
-    ).matrix
+    v = oracles.ode_unitary(2.0, 3.6, 100.0, compression=True)
     assert np.max(np.abs(v @ u - np.eye(2))) < 1e-8
 
 
@@ -80,7 +76,7 @@ def test_matches_independent_ode_integration():
 
 
 def test_compression_matches_independent_ode_integration():
-    v = o.evolve_unitary(o.DriveProtocol(2.0, 3.6, 100.0, o.Phase.COMPRESSION)).matrix
+    v = o.evolve_unitary(DEFAULT).matrix.conj().T
     ref = oracles.ode_unitary(2.0, 3.6, 100.0, compression=True)
     assert np.max(np.abs(v - ref)) < 1e-7
 
@@ -171,10 +167,9 @@ def test_convergence_failure_raises_after_bounded_doublings():
         o.evolve_unitary(o.DriveProtocol(2.0, 3.6, 700.0), n_steps=1)
 
 
-@pytest.mark.parametrize("phase", list(o.Phase))
 @pytest.mark.parametrize("ramp", list(GRID_STEP_COUNTS))
-def test_grid_kernel_matches_one_tau_propagator_and_plain_loop(ramp, phase):
-    protocol = o.DriveProtocol(*ramp, 100.0, phase)
+def test_grid_kernel_matches_one_tau_propagator_and_plain_loop(ramp):
+    protocol = o.DriveProtocol(*ramp, 100.0)
     matrices, steps = evolve_unitaries(protocol, CRITERION_10_GRID)
     counts = dict(zip(*np.unique(steps, return_counts=True)))
     assert counts == GRID_STEP_COUNTS[ramp]
@@ -183,13 +178,14 @@ def test_grid_kernel_matches_one_tau_propagator_and_plain_loop(ramp, phase):
         assert n == single.n_steps
         assert np.max(np.abs(u - single.matrix)) < 1e-14
     # the plain loop at the shortest duration of each step count, where the
-    # doubling decision was closest
+    # doubling decision was closest, integrating both drives: the adjoints
+    # of the grid's products are the compression propagators
+    adjoints = matrices.conj().transpose(0, 2, 1)
     for n in counts:
         k = int(np.argmax(steps == n))
-        ref = oracles.sequential_magnus_product(
-            *ramp, CRITERION_10_GRID[k], n, phase is o.Phase.COMPRESSION
-        )
-        assert np.max(np.abs(matrices[k] - ref)) < 1e-13
+        for product, compression in ((matrices[k], False), (adjoints[k], True)):
+            ref = oracles.sequential_magnus_product(*ramp, CRITERION_10_GRID[k], n, compression)
+            assert np.max(np.abs(product - ref)) < 1e-13
 
 
 def test_grid_convergence_failure_of_one_duration_fails_the_grid():
@@ -277,22 +273,19 @@ def test_grid_rejects_bad_duration_lists_before_the_kernel(
 
 @pytest.mark.parametrize(
     "protocol, n_steps",
-    [(DEFAULT, 64), (o.DriveProtocol(1.1, 7.3, 1.0, o.Phase.COMPRESSION), 25)],
-    ids=["expansion-64", "compression-25"],
+    [(DEFAULT, 64), (o.DriveProtocol(1.1, 7.3, 1.0), 25)],
+    ids=["default-64", "wide-25"],
 )
-def test_the_other_phase_is_the_conjugate_transpose_bit_for_bit(protocol, n_steps):
+def test_a_durations_product_does_not_depend_on_its_list(protocol, n_steps):
     rng = np.random.default_rng(5)
     taus = rng.uniform(20.0, 700.0, 12).tolist()
     # one duration, a list, the list reordered with duplicates, a repeat
     lists = [taus[:1], taus, rng.permutation(taus + taus[2:7]).tolist(), [taus[3]] * 3]
-    phase = o.Phase.EXPANSION if protocol.phase is o.Phase.COMPRESSION else o.Phase.COMPRESSION
     for tau_list in lists:
         u, steps = evolve_unitaries(protocol, tau_list, n_steps)
-        v, other_steps = evolve_unitaries(replace(protocol, phase=phase), np.array(tau_list),
-                                          n_steps)
-        assert v.tobytes() == u.conj().transpose(0, 2, 1).tobytes()
-        assert other_steps.tobytes() == steps.tobytes()
-        # a duration's product does not depend on the list it came in
+        # a list and its array give the same products
+        again, again_steps = evolve_unitaries(protocol, np.array(tau_list), n_steps)
+        assert (again.tobytes(), again_steps.tobytes()) == (u.tobytes(), steps.tobytes())
         for tau, matrix, n in zip(tau_list, u, steps):
             single, single_steps = evolve_unitaries(protocol, [tau], n_steps)
             assert (single[0].tobytes(), single_steps[0]) == (matrix.tobytes(), n)
