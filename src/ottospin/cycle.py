@@ -358,10 +358,16 @@ def _sweep_points(
 def _cycle_plan(
     nu_initial_khz: float, nu_final_khz: float, kt_cold_pev: float, kt_hot_pev: float
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    ends = ((nu_initial_khz, kt_cold_pev), (nu_final_khz, kt_hot_pev))
+    # a gap/kT past the float range is inf, which the lag would report
+    keys = (("cold", "nu_initial_khz", "kt_cold_pev"), ("hot", "nu_final_khz", "kt_hot_pev"))
+    for (bath, nu_key, kt_key), (nu, kt) in zip(keys, ends):
+        if not math.isfinite(_gap_over_kt(nu, kt)):
+            raise ValueError(
+                f"{bath} bath gap/kT is not finite: {nu_key} = {nu:g}, {kt_key} = {kt:g}")
     expansion = DriveProtocol(nu_initial_khz, nu_final_khz, 1.0)
     hamiltonians = endpoint_hamiltonians(expansion)
     gibbs = tuple(map(gibbs_state, hamiltonians, (kt_cold_pev, kt_hot_pev)))
-    ends = ((nu_initial_khz, kt_cold_pev), (nu_final_khz, kt_hot_pev))
     plan = (
         tuple(propagator.eigensystem(h)[1] for h in hamiltonians),
         tuple(rho - IDENTITY / 2.0 for rho in gibbs),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import UnitaryMap
-from .spin import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
+from .spin import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, _product
 
 #: Operator basis (i*I, sigma_x, sigma_y, sigma_z), stacked.
 BASIS = np.stack([1j * IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
@@ -62,7 +62,7 @@ def choi_from_unitary(unitary: UnitaryMap | np.ndarray) -> ProcessMatrix:
     """
     u = unitary.matrix if isinstance(unitary, UnitaryMap) else np.asarray(unitary)
     u = u.astype(np.complex128)
-    if u.shape != (2, 2) or not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
+    if u.shape != (2, 2) or not np.max(np.abs(_product(u.conj().T, u) - np.eye(2))) <= 1e-10:
         raise ValueError("input must be a 2x2 unitary")
     coeffs = np.einsum("kab,ba->k", _BASIS_DAG, u) / 2.0
     return ProcessMatrix(np.outer(coeffs, coeffs.conj()))

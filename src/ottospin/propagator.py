@@ -146,7 +146,7 @@ class UnitaryMap:
     n_steps: int
 
     def __post_init__(self) -> None:
-        defect = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(2)))
+        defect = np.max(np.abs(_product(self.matrix.conj().T, self.matrix) - np.eye(2)))
         if not defect <= 1e-10:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
@@ -273,7 +273,8 @@ def transition_probability(
 
 def propagate_state(rho: np.ndarray, unitary: UnitaryMap) -> np.ndarray:
     """Conjugate a state by the propagator: U rho U^dagger."""
-    return unitary.matrix @ np.asarray(rho, dtype=np.complex128) @ unitary.matrix.conj().T
+    u = unitary.matrix
+    return _product(_product(u, np.asarray(rho, dtype=np.complex128)), u.conj().T)
 
 
 def _matrices(pairs: np.ndarray) -> np.ndarray:

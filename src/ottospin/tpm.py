@@ -113,14 +113,6 @@ class CharacteristicSamples:
             raise ValueError("chi(-u) must equal conj(chi(u))")
 
 
-def transition_matrix(transition_prob: float) -> np.ndarray:
-    """Doubly stochastic level-transfer matrix of a drive stroke: the
-    off-diagonal entries are the level-swap probability, the diagonal the
-    stay probability."""
-    stay = _stay_probability(transition_prob)
-    return np.array([[stay, transition_prob], [transition_prob, stay]])
-
-
 def characteristic_function(
     dist: EnergyDistribution, u_grid: Sequence[float]
 ) -> CharacteristicSamples:
@@ -291,7 +283,7 @@ def engine_work_distribution(
     endpoint spectra e_i, e_f of ``endpoint_spectra`` and has the weight
     p[n] T[m, n] q[k] T[j, k] (Talkner, Lutz & Hänggi, Phys. Rev. E 75,
     050102 (2007)): p and q are the cold and hot Gibbs populations and T is
-    the ``transition_matrix`` of xi, which both strokes share because the
+    the level-transfer matrix of xi, which both strokes share because the
     compression propagator is the adjoint of the expansion one.  The weights
     are multiplied left to right on Python floats; everything else comes
     from the engine's plan (see ``_engine_plan``).
@@ -317,13 +309,12 @@ def engine_heat_distribution(
     The medium meets the hot bath on level m of the wide gap, with the
     post-expansion populations s = T p, and leaves it rethermalized on level
     k: the heat e_f[k] - e_f[m] has the weight s[m] q[k], the weights of
-    ``engine_work_distribution`` summed over n and j.  Everything but the
-    weights comes from the engine's plan."""
+    ``engine_work_distribution`` summed over n and j, both on Python floats.
+    Everything but the weights comes from the engine's plan."""
     plan = _engine_plan(protocol.nu_initial_khz, protocol.nu_final_khz,
                         thermal.kt_cold_pev, thermal.kt_hot_pev)
-    # s = T p by numpy's 2x2 matmul, whose rounding the heat weights keep and
-    # a*b + c*d on Python floats does not always share
-    s = (transition_matrix(transition_prob) @ plan.p_array).tolist()
+    stay, (p_0, p_1) = _stay_probability(transition_prob), plan.p
+    s = (stay * p_0 + transition_prob * p_1, transition_prob * p_0 + stay * p_1)
     # s_m q_k of heat 2m + k, taken in the atoms' sort order
     probs = [s[i >> 1] * plan.q[i & 1] for i in plan.heat.order]
     return EnergyDistribution(*_merge(plan.heat, probs), "heat")
@@ -404,7 +395,6 @@ class _EnginePlan(NamedTuple):
 
     p: tuple[float, float]
     q: tuple[float, float]
-    p_array: np.ndarray  # p for numpy's matmul, read-only
     work: _SortedAtoms  # the 16 history energies, [n, m, k, j] before sorting
     heat: _SortedAtoms  # the 4 heat energies, [m, k] before sorting
 
@@ -426,10 +416,7 @@ def _engine_plan(
     work = [(e_n - e_m) + (e_k - e_j)
             for e_n in e_initial for e_m in e_final for e_k in e_final for e_j in e_initial]
     heat = [e_k - e_m for e_m in e_final for e_k in e_final]
-    p_array = np.array(p)
-    p_array.flags.writeable = False
-    return _EnginePlan(p, q, p_array, _sorted_atoms(np.array(work)),
-                       _sorted_atoms(np.array(heat)))
+    return _EnginePlan(p, q, _sorted_atoms(np.array(work)), _sorted_atoms(np.array(heat)))
 
 
 # pays on tau_scan: 600 hits / 10 misses over seed 1's 27 s request list.

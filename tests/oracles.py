@@ -221,13 +221,11 @@ def enumerate_histories(cold_populations, hot_populations, transition_prob, spec
     adjoint of the expansion one.  The weight of a history is
     p[n] T[m, n] q[k] T[j, k].
     """
-    import ottospin as o
-
     p = _checked_populations(cold_populations, "cold")
     q = _checked_populations(hot_populations, "hot")
     e_initial, e_final = (_checked_spectrum(s) for s in spectra)
     # transfer_t[n, m] = T[m, n]: the weight of landing on m from n
-    transfer_t = o.transition_matrix(transition_prob).T
+    transfer_t = np.array(_transfer_matrix(transition_prob)).T
 
     probability = (
         p[:, None, None, None] * transfer_t[:, :, None, None] * q[:, None] * transfer_t
@@ -238,13 +236,21 @@ def enumerate_histories(cold_populations, hot_populations, transition_prob, spec
     return delta_e, probability
 
 
-def post_expansion_populations(cold_populations, transition_prob):
-    """Level occupations right after the expansion stroke."""
-    import ottospin as o
+def _transfer_matrix(transition_prob):
+    """The level-transfer matrix T of a drive stroke as nested lists:
+    T[m][n] is the weight of landing on level m from level n, the swap
+    probability off the diagonal and 1 minus it on the diagonal."""
+    if not 0.0 <= transition_prob <= 1.0:
+        raise ValueError(f"transition probability must lie in [0, 1], got {transition_prob}")
+    stay = 1.0 - transition_prob
+    return [[stay, transition_prob], [transition_prob, stay]]
 
-    p = _checked_populations(cold_populations, "cold")
-    s = o.transition_matrix(transition_prob) @ p
-    return float(s[0]), float(s[1])
+
+def post_expansion_populations(cold_populations, transition_prob):
+    """Level occupations s = T p right after the expansion stroke, each
+    summed on Python floats as T[m][0] p[0] + T[m][1] p[1]."""
+    p_0, p_1 = _checked_populations(cold_populations, "cold").tolist()
+    return tuple(t_0 * p_0 + t_1 * p_1 for t_0, t_1 in _transfer_matrix(transition_prob))
 
 
 def heat_distribution(post_expansion, hot_populations, final_spectrum):

@@ -74,7 +74,6 @@ PUBLIC_API = [
     "sweep_with_uncertainty",
     "thermal_populations",
     "to_cycle_config",
-    "transition_matrix",
     "transition_probability",
     "unitality_defect",
 ]

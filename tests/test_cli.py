@@ -306,6 +306,42 @@ def test_a_config_at_the_float_range_is_a_one_line_error(
     assert (rc, out, err) == (1, "", message + "\n")
 
 
+# baths whose gap/kT is past the float range: Python's float division gives
+# inf there and raises nothing, and the cycle report printed an infinite lag
+GAP_OVER_KT_OVERFLOWS = {
+    "cold": ("[thermal]\nkt_cold_pev = 3e-308\n[monte_carlo]\nnoise_width = 0\n",
+             "error: cold bath gap/kT is not finite: nu_initial_khz = 2, kt_cold_pev = 3e-308"),
+    "cold-subnormal": ("[thermal]\nkt_cold_pev = 1e-310\n",
+                       "error: cold bath gap/kT is not finite: "
+                       "nu_initial_khz = 2, kt_cold_pev = 1e-310"),
+    "hot": ("[thermal]\nhot_option = custom\nkt_hot_pev = 4e-308\n"
+            "[monte_carlo]\nnoise_width = 0\n",
+            "error: hot bath gap/kT is not finite: nu_final_khz = 3.6, kt_hot_pev = 4e-308"),
+}
+
+
+@pytest.mark.parametrize("command", ["cycle", "sweep"])
+@pytest.mark.parametrize("bath", sorted(GAP_OVER_KT_OVERFLOWS))
+def test_a_bath_whose_gap_over_kt_overflows_is_a_one_line_error(tmp_path, capsys, bath, command):
+    config_text, message = GAP_OVER_KT_OVERFLOWS[bath]
+    cfg = tmp_path / "bath.cfg"
+    cfg.write_text(config_text)
+    assert _run(capsys, [command, "--config", str(cfg)]) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("command", ["work-dist", "heat-dist"])
+@pytest.mark.parametrize("bath", sorted(GAP_OVER_KT_OVERFLOWS))
+def test_a_distribution_on_a_bath_whose_gap_over_kt_overflows(tmp_path, capsys, bath, command):
+    # the atoms take the populations, which are right at gap/kT = inf
+    cfg = tmp_path / "bath.cfg"
+    cfg.write_text(GAP_OVER_KT_OVERFLOWS[bath][0])
+    rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert rc == 0 and err == ""
+    probabilities = [float(row["probability"]) for row in _rows(out)]
+    assert probabilities and min(probabilities) > 0.0
+    assert sum(probabilities) == pytest.approx(1.0, abs=1e-9)  # 12 digits a cell
+
+
 def _overflow(*args, **kwargs):
     return np.multiply(1e308, 10.0)  # raises under main's errstate
 
@@ -791,6 +827,10 @@ def _run_captured(argv):
 @example({"t_cooling_us": math.inf})
 # two finite stroke times whose sum overflows gave a false power of 0
 @example({"t_thermalization_us": 1e308, "t_cooling_us": 1e308})
+# a gap/kT past the float range gave an infinite lag, as inf or null
+@example({"kt_cold_pev": 3e-308, "mc_noise_width": 0.0})
+@example({"kt_cold_pev": 3e-308, "mc_noise_width": 0.0, "output_format": "json"})
+@example({"hot_option": "custom", "kt_hot_pev": 4e-308, "mc_noise_width": 0.0})
 def test_every_drawn_config_gives_a_report_or_one_error_line(values):
     with tempfile.TemporaryDirectory() as name:
         folder = Path(name)

@@ -483,7 +483,7 @@ def test_efficiency_closed_form_rejects_equal_polarizations():
                          ids=lambda f: f.__name__)
 def test_a_closed_form_rejects_a_transition_probability_outside_0_1(closed_form,
                                                                      transition_prob):
-    # mean_work_closed_form gave -13.43 at 1.5, where transition_matrix raises
+    # mean_work_closed_form gave -13.43 at 1.5, where the TPM distributions raise
     message = f"transition probability must lie in [0, 1], got {transition_prob}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         closed_form(PROTOCOL, THERMAL_B, transition_prob)

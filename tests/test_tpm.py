@@ -34,27 +34,6 @@ def _default_inputs(swap_prob):
     return p, q, swap_prob, (tuple(e_i), tuple(e_f))
 
 
-def test_transition_matrix_limits():
-    np.testing.assert_allclose(o.transition_matrix(0.0), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(o.transition_matrix(0.5), np.full((2, 2), 0.5), atol=1e-15)
-    np.testing.assert_allclose(o.transition_matrix(1.0), [[0, 1], [1, 0]], atol=1e-15)
-
-
-def test_transition_matrix_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        o.transition_matrix(-0.1)
-    with pytest.raises(ValueError):
-        o.transition_matrix(1.1)
-
-
-@given(swap_probs)
-def test_transition_matrix_is_doubly_stochastic(swap_prob):
-    t = o.transition_matrix(swap_prob)
-    np.testing.assert_allclose(t.sum(axis=0), [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(t.sum(axis=1), [1.0, 1.0], atol=1e-12)
-    assert np.all(t >= 0.0)
-
-
 def test_enumerate_histories_covers_all_sixteen_outcomes():
     delta, prob = oracles.enumerate_histories(*_default_inputs(SWAP_100))
     assert delta.shape == prob.shape == (2, 2, 2, 2)
@@ -62,7 +41,8 @@ def test_enumerate_histories_covers_all_sixteen_outcomes():
 
 def test_history_probabilities_factorize():
     p, q, swap_prob, spectra = _default_inputs(SWAP_100)
-    t = o.transition_matrix(swap_prob)
+    # t[m, n]: land on level m from level n, swapping with probability xi
+    t = np.array([[1.0 - swap_prob, swap_prob], [swap_prob, 1.0 - swap_prob]])
     _, prob = oracles.enumerate_histories(p, q, swap_prob, spectra)
     for n, m, k, j in np.ndindex(prob.shape):
         expected = p[n] * t[m, n] * q[k] * t[j, k]
@@ -972,6 +952,33 @@ def test_the_per_point_path_equals_from_atoms_of_its_raw_atoms(u_nu, u_ratio, lo
     samples = o.characteristic_function(o.engine_work_distribution(protocol, thermal, swap), u)
     assert (_outcome(o.invert_characteristic, samples)
             == _outcome(oracles.inversion_by_from_atoms, samples))
+
+
+def test_heat_weights_are_within_four_roundings_of_their_exact_values():
+    # s[m] q[k] takes four roundings from its float inputs xi, p and q: the
+    # stay probability 1 - xi, a product, the sum of s[m] and the product
+    # with q[k]; the atom at 0 adds fsum's rounding of two such weights.
+    # Over tau_scan's engine ranges, each atom stays within 4 units of
+    # 2^-53 of its exact value
+    rng = np.random.default_rng(20070503)
+    worst = 0.0
+    for _ in range(2000):
+        nu_i = round(1.0 + 2.0 * rng.uniform(), 1)
+        nu_f = round(nu_i * (1.2 + 1.2 * rng.uniform()), 1)
+        kt_cold = H * nu_i / (0.1 * 600.0 ** rng.uniform())  # cold gap/kT 0.1-60
+        thermal = o.ThermalParams(kt_cold, kt_cold * rng.uniform(1.5, 6.0))
+        swap = _random_swap(rng)
+        dist = o.engine_heat_distribution(o.DriveProtocol(nu_i, nu_f, 100.0), thermal, swap)
+        p_0, p_1 = map(Fraction, o.thermal_populations(nu_i, thermal.kt_cold_pev))
+        q_0, q_1 = map(Fraction, o.thermal_populations(nu_f, thermal.kt_hot_pev))
+        xi = Fraction(swap)
+        s_0, s_1 = (1 - xi) * p_0 + xi * p_1, xi * p_0 + (1 - xi) * p_1
+        # heats -gap (m = 1, k = 0), 0 (m = k) and +gap (m = 0, k = 1)
+        exact = (s_1 * q_0, s_0 * q_0 + s_1 * q_1, s_0 * q_1)
+        assert len(dist.probabilities) == 3
+        worst = max(worst, *(float(abs(Fraction(w) - e) / e) * 2.0**53
+                             for w, e in zip(dist.probabilities, exact)))
+    assert 0.0 < worst <= 4.0, worst
 
 
 def _chi(energies, weights, u):
