@@ -203,9 +203,9 @@ def sweep_with_uncertainty(
     carried as its real Bloch vector r, rho = (I + r . sigma)/2, and the
     point reports of all durations come from one batched pass over them;
     their lag's relative-entropy sum is a closed form (see
-    ``_drive_relative_entropy``), the samples' ``_relative_entropy_batch``
-    of two unit-trace Bloch vectors, which loses digits only where the
-    polarizations are far below any noise width.
+    ``_drive_relative_entropy``), and the samples' relative entropies are
+    one closed form of two unit-trace Bloch vectors (see
+    ``_relative_entropy_batch``), which takes no eigenvalue's logarithm.
     Every stack of Bloch vectors is component-major, ``(3, n)``, so the
     Monte Carlo math is elementwise on contiguous rows of n samples.
 
@@ -521,59 +521,55 @@ def _repair_batch(t: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _relative_entropy_batch(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """S(a||b) for stacks of unit-trace states a = (I + r . sigma)/2 and
     b = (I + s . sigma)/2 given by their ``(3, n)`` Bloch vectors; +inf
-    where b has an eigenvalue < 1e-12.
+    where b has an eigenvalue (1 - |s|)/2 < 1e-12.  In polarization form,
 
-    With the eigenvalues (1 +- |r|)/2 of a and mu_+- = (1 +- |s|)/2 of b,
-    tr[a ln b] is [(1 + r.s/|s|) ln mu_+ + (1 - r.s/|s|) ln mu_-]/2, with
-    r.s/|s| = 0 at s = 0.  The steps run on six separate scratch rows (see
-    ``_repair_batch``), the first of which is returned; neither stack is
+        S(a||b) = phi(|r|) - ln(1 - |s|^2)/2 - (r . s) atanh(|s|)/|s|,
+
+    phi(x) = x atanh(x) + ln(1 - x^2)/2, the last term 0 at s = 0.  No
+    eigenvalue's logarithm is taken (see ``_atanh_terms``), so S keeps its
+    relative digits near I/2.  A pure a (|r| = 1 up to rounding) is read at
+    the largest double below 1, where phi is ln 2 to 2e-15.  The steps run
+    on five scratch rows, the first of which is returned; neither stack is
     written to.
     """
     shape = np.broadcast_shapes(r.shape[1:], s.shape[1:])
-    entropy, plus, minus, mu_plus, mu_minus, spare = (np.empty(shape) for _ in range(6))
-    r_len = _length(r, entropy, spare)
-    np.add(1.0, r_len, out=plus)
-    plus *= 0.5
-    np.clip(plus, 0.0, None, out=plus)
-    np.subtract(1.0, r_len, out=minus)
-    minus *= 0.5
-    np.clip(minus, 0.0, None, out=minus)
-    # entropy = plus ln plus + minus ln minus, with 0 ln 0 read as 0
-    np.copyto(entropy, plus)
-    entropy[~(plus > 0.0)] = 1.0
-    np.log(entropy, out=entropy)
-    entropy *= plus
-    np.copyto(spare, minus)
-    spare[~(minus > 0.0)] = 1.0
-    np.log(spare, out=spare)
-    spare *= minus
-    entropy += spare
-    s_len = _length(s, plus, spare)
-    np.add(1.0, s_len, out=mu_plus)
-    mu_plus *= 0.5
-    np.subtract(1.0, s_len, out=mu_minus)
-    mu_minus *= 0.5
-    singular = mu_minus < 1e-12
-    mu_plus[singular] = 1.0
-    np.log(mu_plus, out=mu_plus)
-    mu_minus[singular] = 1.0
-    np.log(mu_minus, out=mu_minus)
-    # summed in the order numpy's einsum("ni,ni->n") rounds the (n, 3) dot
-    along = np.multiply(r[0], s[0], out=minus)
-    along += np.multiply(r[2], s[2], out=spare)
-    along += np.multiply(r[1], s[1], out=spare)
-    s_len[~(s_len > 0.0)] = 1.0
-    along /= s_len
-    # cross = ((1 + along) ln mu_+ + (1 - along) ln mu_-) / 2
-    np.subtract(1.0, along, out=spare)
-    spare *= mu_minus
-    np.add(1.0, along, out=along)
-    along *= mu_plus
-    along += spare
-    along *= 0.5
-    entropy -= along
+    entropy, x, y = (np.empty(shape) for _ in range(3))
+    _length(s, y, entropy)
+    singular = 0.5 * (1.0 - y) < 1e-12
+    y[singular] = 0.0  # any |s| below 1 keeps the steps finite there
+    np.minimum(_length(r, x, entropy), 1.0 - 2.0**-53, out=x)
+    atanh, log = np.empty(shape), np.empty(shape)
+    # 2 S, halved at the end
+    _atanh_terms(x, atanh, log)
+    np.multiply(x, atanh, out=entropy)
+    entropy -= log
+    _atanh_terms(y, atanh, log)
+    entropy += log
+    dot = np.multiply(r[0], s[0], out=x)
+    dot += np.multiply(r[1], s[1], out=log)
+    dot += np.multiply(r[2], s[2], out=log)
+    dot *= atanh
+    y[~(y > 0.0)] = 1.0
+    dot /= y
+    entropy -= dot
+    entropy *= 0.5
     entropy[singular] = np.inf
     return entropy
+
+
+def _atanh_terms(v: np.ndarray, atanh: np.ndarray, log: np.ndarray) -> None:
+    """2 atanh(v) = log1p(2q) into ``atanh`` and -ln(1 - v^2) =
+    log1p(q v/(1 + v)) into ``log``, q = v/(1 - v), for 0 <= v < 1: each
+    factor keeps its relative digits (1 - v is exact above 1/2, where v^2
+    would round off those of 1 - v^2)."""
+    np.subtract(1.0, v, out=atanh)
+    np.divide(v, atanh, out=atanh)
+    np.add(1.0, v, out=log)
+    np.divide(v, log, out=log)
+    log *= atanh
+    np.log1p(log, out=log)
+    atanh *= 2.0
+    np.log1p(atanh, out=atanh)
 
 
 def _length(r: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:

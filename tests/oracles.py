@@ -24,10 +24,11 @@ eigendecomposition, the eigensystem of a 2x2 Hermitian matrix comes
 from LAPACK's ``eigh`` rather than the closed form, the eigenvalues of a
 4x4 Hermitian matrix come from LAPACK's ``eigvalsh`` rather than Jacobi
 rotations, the Bloch-form Monte
-Carlo repair and relative entropy are also written row-major, on (n, 3)
-stacks reduced over their component axis, trace norms go through singular
-values, and a run configuration is written back as text, the inverse that
-the parser's round-trip tests read.  Tests compare the two routes; frozen
+Carlo repair is also written row-major, on (n, 3) stacks reduced over their
+component axis, the Monte Carlo's relative entropy goes through the
+eigenvalues of each Bloch pair at 50 decimal digits, trace norms go through
+singular values, and a run configuration is written back as text, the
+inverse that the parser's round-trip tests read.  Tests compare the two routes; frozen
 literals below were produced by these oracles (or, where noted, by an
 equally independent integrator) and are pinned so regressions show up as
 honest failures.
@@ -634,22 +635,6 @@ def repair_batch_rows(t, r):
     return scale[:, None] * r
 
 
-def relative_entropy_batch_rows(r, s):
-    """Bloch-form S(a||b) of unit-trace states a = (I + r . sigma)/2 and
-    b = (I + s . sigma)/2 on row-major (n, 3) Bloch vectors r and s; +inf
-    where b has an eigenvalue < 1e-12.  The eigenvalue pairs are stacked,
-    and r.s is an einsum over the component axis."""
-    r_len, s_len = np.linalg.norm(r, axis=-1), np.linalg.norm(s, axis=-1)
-    eig_a = np.clip(0.5 * np.stack([1.0 + r_len, 1.0 - r_len], axis=-1), 0.0, None)
-    entropy_a = np.sum(eig_a * np.log(np.where(eig_a > 0.0, eig_a, 1.0)), axis=-1)
-    eig_b = 0.5 * np.stack([1.0 + s_len, 1.0 - s_len], axis=-1)
-    singular = eig_b[:, 1] < 1e-12
-    log_b = np.log(np.where(singular[:, None], 1.0, eig_b))
-    along = np.einsum("ni,ni->n", r, s) / np.where(s_len > 0.0, s_len, 1.0)
-    cross = 0.5 * ((1.0 + along) * log_b[:, 0] + (1.0 - along) * log_b[:, 1])
-    return np.where(singular, np.inf, entropy_a - cross)
-
-
 def repair_batch_allocating(t, r):
     """The component-major Bloch repair of ``cycle._repair_batch``, (t (n,),
     r (3, n)) to (3, n), as expressions that each allocate their result:
@@ -665,23 +650,27 @@ def repair_batch_allocating(t, r):
     return scale * r
 
 
-def relative_entropy_batch_allocating(r, s):
-    """The component-major S(a||b) of ``cycle._relative_entropy_batch``, for
-    the ``(3, n)`` Bloch vectors r and s of unit-trace states, as
-    expressions that each allocate their result, in the package's order of
-    operations; +inf where b has an eigenvalue < 1e-12."""
-    r_len, s_len = _length_allocating(r), _length_allocating(s)
-    plus, minus = (np.clip(0.5 * (1.0 + r_len), 0.0, None),
-                   np.clip(0.5 * (1.0 - r_len), 0.0, None))
-    entropy_a = (plus * np.log(np.where(plus > 0.0, plus, 1.0))
-                 + minus * np.log(np.where(minus > 0.0, minus, 1.0)))
-    mu_plus, mu_minus = 0.5 * (1.0 + s_len), 0.5 * (1.0 - s_len)
-    singular = mu_minus < 1e-12
-    log_plus = np.log(np.where(singular, 1.0, mu_plus))
-    log_minus = np.log(np.where(singular, 1.0, mu_minus))
-    along = ((r[0] * s[0] + r[2] * s[2]) + r[1] * s[1]) / np.where(s_len > 0.0, s_len, 1.0)
-    cross = 0.5 * ((1.0 + along) * log_plus + (1.0 - along) * log_minus)
-    return np.where(singular, np.inf, entropy_a - cross)
+def relative_entropy_decimal(r, s, digits=50):
+    """S(a||b) of the unit-trace states a = (I + r . sigma)/2 and
+    b = (I + s . sigma)/2, from the float components of their Bloch vectors
+    r and s at ``digits`` decimal digits, through the eigenvalues
+    (1 +- |r|)/2 of a and mu_+- = (1 +- |s|)/2 of b: sum p ln p (0 ln 0 read
+    as 0, and an |r| above 1 as 1) minus
+    tr[a ln b] = [(1 + c) ln mu_+ + (1 - c) ln mu_-]/2, c = r.s/|s| (0 at
+    s = 0); +inf where mu_- < 1e-12."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        r, s = ([Decimal(float(v)) for v in vector] for vector in (r, s))
+        r_len = min(sum(v * v for v in r).sqrt(), Decimal(1))
+        s_len = sum(v * v for v in s).sqrt()
+        half = Decimal("0.5")
+        mu_plus, mu_minus = half * (1 + s_len), half * (1 - s_len)
+        if mu_minus < Decimal("1e-12"):
+            return math.inf
+        along = sum(u * v for u, v in zip(r, s)) / s_len if s_len > 0 else Decimal(0)
+        entropy = sum(p * p.ln() for p in (half * (1 + r_len), half * (1 - r_len)) if p > 0)
+        cross = half * ((1 + along) * mu_plus.ln() + (1 - along) * mu_minus.ln())
+        return float(entropy - cross)
 
 
 def _length_allocating(r):

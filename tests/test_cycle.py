@@ -813,14 +813,13 @@ def _u64(array):
 @pytest.mark.parametrize("n", [1, 2, 37, 5000])
 @pytest.mark.parametrize("width", [0.01, 0.3, 3.0, 1e200])
 def test_in_place_monte_carlo_math_is_the_allocating_math_bit_for_bit(width, n):
-    # the repairs and relative entropies of one tau's samples, as the Monte
-    # Carlo forms them, against the allocating references of tests/oracles.py
+    # the repairs of one tau's samples, as the Monte Carlo forms them,
+    # against the allocating reference of tests/oracles.py
     cfg = _config(300.0)
     states = cycle._kept_points(cfg, np.array([300.0]).tobytes())[3]
     draws = cycle._draw_noise(7, width, n)
     trace, shift = 1.0 + draws[:, 0], draws[:, 1:]
     branches = np.zeros(3, dtype=int)
-    repaired = []
     for k in range(4):
         t, r = trace[k], states[k] + shift[k]
         before = _u64(t).copy(), _u64(r).copy()
@@ -832,33 +831,75 @@ def test_in_place_monte_carlo_math_is_the_allocating_math_bit_for_bit(width, n):
         t_unit, length = t / size, np.linalg.norm(r / size, axis=0)
         branches += [(length <= t_unit).sum(), ((length > t_unit) & (t_unit + length > 0.0)).sum(),
                      (t_unit + length <= 0.0).sum()]
-        repaired.append(got)
-    cold_s, hot_s, exp_s, comp_s = repaired
-    infinite = 0
-    # the Monte Carlo's two pairs, and a reference that is maximally mixed
-    # (s = 0, where r.s/|s| is read as 0) for every third sample
-    mixed = np.where(np.arange(n) % 3 == 0, 0.0, 1.0) * exp_s
-    for r, s in [(exp_s, hot_s), (comp_s, cold_s), (exp_s, mixed)]:
-        before = _u64(r).copy(), _u64(s).copy()
-        got = cycle._relative_entropy_batch(r, s)
-        assert np.array_equal(_u64(r), before[0]) and np.array_equal(_u64(s), before[1])
-        assert np.array_equal(_u64(got), _u64(oracles.relative_entropy_batch_allocating(r, s)))
-        infinite += np.isinf(got).sum()
     if n == 5000:
-        # each branch and singular references are reached where the noise
-        # is not small against the states
+        # each branch is reached where the noise is not small against the states
         assert branches[0] > 0
         if width > 0.01:
             assert (branches > 0).all(), branches
-            assert infinite > 0
+
+
+HOT_BATHS = o.ThermalParams(1000000.0, 6136363.6)
+
+
+@pytest.mark.parametrize("thermal, width", [
+    (HOT_BATHS, 0.01), (HOT_BATHS, 1e-6), (THERMAL_B, 0.01), (THERMAL_B, 0.3),
+    (COLD_CORNER[1], 0.01),
+], ids=["hot-baths-0.01", "hot-baths-1e-6", "default-0.01", "default-0.3", "cold-bath-0.01"])
+def test_monte_carlo_relative_entropies_match_a_decimal_oracle(thermal, width):
+    # the Monte Carlo's two pairs of one tau's repaired samples, and a
+    # reference that is maximally mixed (s = 0) for every third sample,
+    # against 50 digits of the same Bloch pairs; the polarizations of the
+    # hot baths are ~1e-6, where logarithms of eigenvalues lose digits
+    cfg = _config(300.0, thermal)
+    states = cycle._kept_points(cfg, np.array([300.0]).tobytes())[3]
+    draws = cycle._draw_noise(1, width, 300)
+    trace, shift = 1.0 + draws[:, 0], draws[:, 1:]
+    cold_s, hot_s, exp_s, comp_s = (
+        cycle._repair_batch(trace[k], states[k] + shift[k]) for k in range(4))
+    mixed = np.where(np.arange(300) % 3 == 0, 0.0, 1.0) * hot_s
+    infinite = pure = 0
+    for r, s in [(exp_s, hot_s), (comp_s, cold_s), (exp_s, mixed)]:
+        before = _u64(r).copy(), _u64(s).copy()
+        with np.errstate(all="raise"):
+            got = cycle._relative_entropy_batch(r, s)
+        assert np.array_equal(_u64(r), before[0]) and np.array_equal(_u64(s), before[1])
+        expected = np.array([oracles.relative_entropy_decimal(a, b) for a, b in zip(r.T, s.T)])
+        finite = np.isfinite(expected)
+        assert np.array_equal(np.isinf(got), ~finite)
+        np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-12, atol=0.0)
+        infinite += (~finite).sum()
+        pure += (np.linalg.norm(r, axis=0) > 1.0 - 1e-15).sum()
+    # singular references and pure states are reached where the noise is
+    # not small against the states
+    if (thermal is THERMAL_B and width == 0.3) or thermal is COLD_CORNER[1]:
+        assert infinite > 0 and pure > 0, (infinite, pure)
+
+
+@pytest.mark.parametrize("mu_minus, infinite", [(1.001e-12, False), (0.999e-12, True)])
+def test_the_relative_entropy_is_infinite_below_a_reference_eigenvalue_of_1e_12(
+        mu_minus, infinite):
+    r = np.array([[0.6], [0.0], [0.0]])
+    s = np.array([[0.0], [0.0], [1.0 - 2.0 * mu_minus]])
+    assert 0.5 * (1.0 - s[2, 0]) == pytest.approx(mu_minus, rel=1e-4)
+    got = cycle._relative_entropy_batch(r, s)[0]
+    assert math.isinf(got) == infinite
+    assert math.isinf(oracles.relative_entropy_decimal(r[:, 0], s[:, 0])) == infinite
+
+
+def test_the_relative_entropy_of_a_pure_state_to_i_over_2_is_ln_2():
+    # |r| = 1 up to rounding, either side of it
+    r = np.array([[1.0, 0.6, 0.6], [0.0, 0.8, 0.8 + 2e-16], [0.0, 0.0, 0.0]])
+    with np.errstate(all="raise"):
+        got = cycle._relative_entropy_batch(r, np.zeros((3, 1)))
+    np.testing.assert_allclose(got, math.log(2.0), rtol=1e-14, atol=0.0)
 
 
 def test_component_major_monte_carlo_matches_the_row_major_route(monkeypatch):
-    # the same sweeps with the repair and relative entropy on row-major
-    # (n, 3) stacks, each call also checked against the component-major
-    # result; width 0.3 reaches every repair branch and mostly ends in the
-    # counted rank-deficient error, which must match too
-    repair, relative_entropy = cycle._repair_batch, cycle._relative_entropy_batch
+    # the same sweeps with the repair on row-major (n, 3) stacks, each call
+    # also checked against the component-major result; width 0.3 reaches
+    # every repair branch and mostly ends in the counted rank-deficient
+    # error, which must match too
+    repair = cycle._repair_batch
     branches = np.zeros(3, dtype=int)
 
     def repair_rows(t, r):
@@ -867,12 +908,6 @@ def test_component_major_monte_carlo_matches_the_row_major_route(monkeypatch):
                         (t + length <= 0.0).sum()]
         rows = oracles.repair_batch_rows(t, np.ascontiguousarray(r.T)).T
         np.testing.assert_allclose(repair(t, r), rows, rtol=1e-14, atol=0.0)
-        return rows
-
-    def relative_entropy_rows(r, s):
-        rows = oracles.relative_entropy_batch_rows(
-            np.ascontiguousarray(r.T), np.ascontiguousarray(s.T))
-        np.testing.assert_allclose(relative_entropy(r, s), rows, rtol=1e-14, atol=1e-14)
         return rows
 
     def outcome(cfg, width, n, seed):
@@ -888,7 +923,6 @@ def test_component_major_monte_carlo_matches_the_row_major_route(monkeypatch):
              for n in (1, 2, 37, 1000) for seed in (0, 1, 5)]
     got = [outcome(*case) for case in cases]
     monkeypatch.setattr(cycle, "_repair_batch", repair_rows)
-    monkeypatch.setattr(cycle, "_relative_entropy_batch", relative_entropy_rows)
     expected = [outcome(*case) for case in cases]
 
     assert (branches > 0).all(), branches

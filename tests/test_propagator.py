@@ -235,6 +235,18 @@ def test_grid_rejects_a_kernel_output_off_unitarity(monkeypatch):
         o.evolve_unitary(DEFAULT)
 
 
+@pytest.mark.parametrize("defect, accepted", [(5e-11, True), (2e-10, False)])
+def test_the_unitarity_line_sits_at_a_defect_of_1e_10(defect, accepted):
+    # c U has U^dagger U - I = (c^2 - 1) I
+    matrix = math.sqrt(1.0 + defect) * oracles.haar_unitary(np.random.default_rng(23))
+    if accepted:
+        assert o.UnitaryMap(matrix, DEFAULT, 64).matrix is matrix
+    else:
+        with pytest.raises(ValueError) as info:
+            o.UnitaryMap(matrix, DEFAULT, 64)
+        assert str(info.value) == f"matrix is not unitary (defect {defect:.3e})"
+
+
 def _counting_kernel(monkeypatch):
     """Patch the kernel with a wrapper that records the durations of each
     call; returns the record."""
@@ -357,6 +369,28 @@ def test_batched_overlap_checks_the_symmetry_of_every_propagator():
     good = o.evolve_unitary(DEFAULT).matrix
     with pytest.raises(RuntimeError, match="symmetry violated"):
         propagator._flip_probabilities(np.stack([good, sheared]), vec_i, vec_f)
+
+
+@pytest.mark.parametrize("shear, accepted", [(5.7e-9, True), (2.3e-8, False)])
+def test_the_transition_symmetry_line_sits_at_1e_9(monkeypatch, shear, accepted):
+    # a shear of the endpoint eigenvectors parts the two cross elements by
+    # ~0.087 times the shear at tau = 100 us: 5.0e-10 and 2.0e-9 here
+    exact = propagator.eigensystem
+
+    def sheared(h):
+        energies, vectors = exact(h)
+        return energies, vectors @ np.array([[1.0, shear], [0.0, 1.0]])
+
+    monkeypatch.setattr(propagator, "eigensystem", sheared)
+    cfg = o.CycleConfig(DEFAULT, o.ThermalParams(6.6, 40.5))
+    if accepted:
+        assert o.run_cycle(cfg).transition_prob == pytest.approx(0.3786092, abs=1e-7)
+    else:
+        with pytest.raises(RuntimeError) as info:
+            o.run_cycle(cfg)
+        up, down = map(float, re.fullmatch(
+            r"transition-probability symmetry violated: (\S+) vs (\S+)", str(info.value)).groups())
+        assert 1e-9 < abs(up - down) < 2.1e-9
 
 
 def test_sweep_transition_probabilities_match_the_converged_oracle():

@@ -117,6 +117,16 @@ def test_eigensystem_rejects_degenerate_input():
         o.eigensystem(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("half_gap, degenerate", [(1e-14, False), (2.5e-15, True)])
+def test_the_degenerate_line_sits_at_a_gap_of_1e_14(half_gap, degenerate):
+    h = np.diag([half_gap, -half_gap]).astype(complex)
+    if degenerate:
+        with pytest.raises(ValueError, match="^degenerate Hamiltonian$"):
+            o.eigensystem(h)
+    else:
+        assert o.eigensystem(h)[0].tolist() == [-half_gap, half_gap]
+
+
 def test_eigensystem_rejects_non_hermitian_input():
     with pytest.raises(ValueError):
         o.eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
