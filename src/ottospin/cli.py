@@ -81,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 # RunConfig field -> (flag, argparse options) of each override flag, in the
 # order --help lists them; each flag's dest is its field.  A flag that some
 # _COMMANDS entry lists comes only with the commands that list it, every
-# other flag with every command.
+# other flag (--out, --format: every command writes output) with every command.
 _FLAGS = {
     "output_path": ("--out", {"metavar": "PATH", "help": "output file (default stdout)"}),
     "output_format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
@@ -294,25 +294,25 @@ _COMMANDS = {
     "sweep": (
         "figures of merit across the drive-duration grid",
         "One row per drive duration in the configured tau grid.",
-        _SWEEP_COLUMNS_DOC, ("--mc-samples",),
+        _SWEEP_COLUMNS_DOC, ("--hot", "--seed", "--mc-samples"),
         lambda cfg: _emit_report_rows(cfg, cfg.tau_list_us),
     ),
     "cycle": (
         "figures of merit for a single drive duration",
         "Single-row report for one drive duration.",
-        _SWEEP_COLUMNS_DOC, ("--tau", "--mc-samples"),
+        _SWEEP_COLUMNS_DOC, ("--hot", "--seed", "--tau", "--mc-samples"),
         lambda cfg: _emit_report_rows(cfg, (cfg.tau_us,)),
     ),
     "work-dist": (
         "work atom distribution (and broadened curve)",
         "Exact work distribution of the full cycle at one drive duration.",
-        _DIST_COLUMNS_DOC, ("--tau",),
+        _DIST_COLUMNS_DOC, ("--hot", "--tau"),
         lambda cfg: _emit_distribution(cfg, "work"),
     ),
     "heat-dist": (
         "hot-reservoir heat atom distribution",
         "Exact heat distribution at one drive duration.",
-        _DIST_COLUMNS_DOC, ("--tau",),
+        _DIST_COLUMNS_DOC, ("--hot", "--tau"),
         lambda cfg: _emit_distribution(cfg, "heat"),
     ),
     "qpt": (

@@ -43,13 +43,12 @@ class ConfigError(Exception):
 class RunConfig:
     """Everything a command-line run needs, with defaults matching the
     reference engine (2.0 -> 3.6 kHz ramp, 6.6 peV cold reservoir, hot
-    option B, 7 ms thermalization).
+    option B, 7 ms with both baths per cycle).
 
     Every instance is checked when it is built, from a file, by
     :func:`apply_overrides` or directly: the first value out of range in
-    field order, else stroke times whose sum overflows, else an unordered
-    curve window, else a hot option that does not pair with ``kt_hot_pev``,
-    raises :class:`ConfigError`."""
+    field order, else an unordered curve window, else a hot option that
+    does not pair with ``kt_hot_pev``, raises :class:`ConfigError`."""
 
     nu_initial_khz: float = 2.0
     nu_final_khz: float = 3.6
@@ -60,7 +59,6 @@ class RunConfig:
     tau_us: float = 100.0
     tau_list_us: tuple[float, ...] = DEFAULT_TAU_GRID_US
     t_thermalization_us: float = 7000.0
-    t_cooling_us: float = 0.0
     mc_samples: int = 1000
     mc_noise_width: float = 0.01
     seed: int = 0
@@ -77,10 +75,6 @@ class RunConfig:
             value = getattr(self, field_name)
             if not predicate(value):
                 raise _fault(f"{field_name} {requirement}, got {value}", field_name)
-        if self.t_thermalization_us + self.t_cooling_us == math.inf:
-            raise _fault("t_thermalization_us + t_cooling_us must be finite, got "
-                         f"{self.t_thermalization_us} + {self.t_cooling_us}",
-                         "t_thermalization_us", "t_cooling_us")
         if self.curve_min_pev >= self.curve_max_pev:
             raise _fault("curve_min_pev must be below curve_max_pev",
                          "curve_max_pev", "curve_min_pev")
@@ -137,10 +131,6 @@ _KEYS: dict[str, tuple[str, str, Callable, Callable, str]] = {
     ),
     "t_thermalization_us": (
         "cycle", "t_thermalization_us", float, _finite_positive, _FINITE_POSITIVE
-    ),
-    "t_cooling_us": (
-        "cycle", "t_cooling_us", float,
-        lambda v: math.isfinite(v) and v >= 0, "must be finite and nonnegative",
     ),
     "mc_samples": ("monte_carlo", "samples", int, lambda v: v >= 1, "must be at least 1"),
     "mc_noise_width": (
@@ -227,16 +217,9 @@ def to_cycle_config(cfg: RunConfig, tau_us: float | None = None) -> CycleConfig:
     """Build the simulation configuration for one drive duration."""
     tau_us = cfg.tau_us if tau_us is None else tau_us
     protocol = DriveProtocol(cfg.nu_initial_khz, cfg.nu_final_khz, tau_us)
-    thermal = ThermalParams(
-        kt_cold_pev=cfg.kt_cold_pev, kt_hot_pev=cfg.resolved_kt_hot_pev()
-    )
-    return CycleConfig(
-        protocol=protocol,
-        thermal=thermal,
-        n_steps=cfg.n_steps,
-        t_thermalization_us=cfg.t_thermalization_us,
-        t_cooling_us=cfg.t_cooling_us,
-    )
+    thermal = ThermalParams(kt_cold_pev=cfg.kt_cold_pev, kt_hot_pev=cfg.resolved_kt_hot_pev())
+    return CycleConfig(protocol, thermal, n_steps=cfg.n_steps,
+                       t_thermalization_us=cfg.t_thermalization_us)
 
 
 def apply_overrides(cfg: RunConfig, **overrides: object) -> RunConfig:

@@ -53,13 +53,13 @@ from .spin import (
 
 @dataclass(frozen=True)
 class CycleConfig:
-    """One engine configuration: drive ramp, reservoirs, stroke timing."""
+    """One engine configuration: drive ramp, reservoirs, and the time per
+    cycle spent with both baths together (a cycle lasts 2 tau + that)."""
 
     protocol: DriveProtocol
     thermal: ThermalParams
     n_steps: int = DEFAULT_N_STEPS
     t_thermalization_us: float = 7000.0
-    t_cooling_us: float = 0.0
 
     def __post_init__(self) -> None:
         _check_step_count(self.n_steps)
@@ -67,12 +67,6 @@ class CycleConfig:
             raise ValueError("thermalization time must be positive")
         if self.t_thermalization_us == math.inf:  # every power would be a false 0
             raise ValueError("thermalization time must be finite")
-        if not self.t_cooling_us >= 0.0:
-            raise ValueError("cooling time must be nonnegative")
-        if self.t_cooling_us == math.inf:
-            raise ValueError("cooling time must be finite")
-        if self.t_thermalization_us + self.t_cooling_us == math.inf:
-            raise ValueError("thermalization and cooling times must have a finite sum")
 
 
 @dataclass(frozen=True)
@@ -365,11 +359,18 @@ def _cycle_plan(
         if not math.isfinite(_gap_over_kt(nu, kt)):
             raise ValueError(
                 f"{bath} bath gap/kT is not finite: {nu_key} = {nu:g}, {kt_key} = {kt:g}")
-    expansion = DriveProtocol(nu_initial_khz, nu_final_khz, 1.0)
-    hamiltonians = endpoint_hamiltonians(expansion)
-    gibbs = tuple(map(gibbs_state, hamiltonians, (kt_cold_pev, kt_hot_pev)))
+    hamiltonians = endpoint_hamiltonians(DriveProtocol(nu_initial_khz, nu_final_khz, 1.0))
+    gibbs, vectors = [], []
+    for (bath, nu_key, _), (nu, kt), h in zip(keys, ends, hamiltonians):
+        try:
+            gibbs.append(gibbs_state(h, kt))
+            vectors.append(propagator.eigensystem(h)[1])
+        except ValueError as exc:
+            if str(exc) != "degenerate Hamiltonian":
+                raise
+            raise ValueError(f"{exc} at the {bath} end: {nu_key} = {nu:g}") from None
     plan = (
-        tuple(propagator.eigensystem(h)[1] for h in hamiltonians),
+        tuple(vectors),
         tuple(rho - IDENTITY / 2.0 for rho in gibbs),
         tuple(np.array([f(*end) for end in ends]) for f in (_gap_over_kt, polarization)),
         tuple(_bloch(h) for h in hamiltonians),
@@ -425,7 +426,7 @@ def _figures_of_merit(
     heat_cold = _trace_pairing(field_cold, cold_eq - after_comp)
     work = heat_hot + heat_cold
     divisor = np.where(heat_hot == 0.0, np.nan, heat_hot)
-    period = 2.0 * tau_us + cfg.t_thermalization_us + cfg.t_cooling_us
+    period = 2.0 * tau_us + cfg.t_thermalization_us
     lag = relent_sum / ((1.0 / cfg.thermal.kt_cold_pev) * divisor)
     sigma = entropy_production_drive(heat_cold, heat_hot, cfg.thermal)
     power = US_PER_MS * work / period

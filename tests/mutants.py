@@ -1,19 +1,35 @@
 """One-line mutants of the package's check lines, each run against the
 Tier-1 command with ``-x`` in a copy of the repository.
 
-    python tests/mutants.py
+    python tests/mutants.py                           # the four pinned mutants
+    python tests/mutants.py config.py                 # the catalogue of a module
+    python tests/mutants.py cycle.py CycleConfig.__post_init__
+    python tests/mutants.py config.py --list          # list it, run nothing
 
-Each mutant moves the one number that a check compares against: it is
-located with the standard library's ``ast`` and replaced in the text of a
-copy of the repository in a temporary directory, so nothing in ``src/``
-changes.  The unmutated copy runs first and must pass.  The script prints
-each mutant as killed (with the first failing test) or survived, with its
-run time, and exits 1 if any survives.  pytest does not collect this file.
+With no module, it applies the four mutants that move the number a pinned
+check line compares against.  With one, it applies the catalogue of that
+module, or of one function in it (named bare or as ``Class.method``; a
+nested function or lambda belongs to every function around it):
+
+- each numeric literal in a comparison, other than 0, scaled by 100 and by
+  1/100;
+- each ``<`` swapped with ``<=``, and each ``>`` with ``>=``;
+- each ``raise`` whose statement sits directly under an ``if``, replaced by
+  ``pass``.
+
+Mutants are located with the standard library's ``ast`` and applied to the
+text of a copy of the repository in a temporary directory, so nothing in
+``src/`` changes.  The unmutated copy runs first and must pass.  The script
+prints each mutant as killed (with the first failing test) or survived,
+with its run time, and exits 1 if any survives.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import bisect
 import os
 import shutil
 import subprocess
@@ -21,8 +37,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ottospin"
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x",
           "-p", "no:cacheprovider"]
 
@@ -34,34 +52,108 @@ MUTANTS = (
     ("spin.py", "eigensystem", 1e-14, "1e-16"),
 )
 
-
-def mutate(source: str, function: str, number: float, replacement: str) -> str:
-    """``source`` with the one ``number`` that a comparison in ``function``
-    reads replaced by the text ``replacement``."""
-    tree = ast.parse(source)
-    [definition] = [node for node in ast.walk(tree)
-                    if isinstance(node, ast.FunctionDef) and node.name == function]
-    [constant] = [node for compare in ast.walk(definition) if isinstance(compare, ast.Compare)
-                  for node in ast.walk(compare)
-                  if isinstance(node, ast.Constant) and node.value == number]
-    lines = source.encode().splitlines(keepends=True)
-    line = lines[constant.lineno - 1]  # ast's column offsets count UTF-8 bytes
-    lines[constant.lineno - 1] = (
-        line[:constant.col_offset] + replacement.encode() + line[constant.end_col_offset:])
-    return b"".join(lines).decode()
+_SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 
 
-def run_tier_1(mutant: tuple[str, str, float, str] | None) -> tuple[bool, str, float]:
+class Mutant(NamedTuple):
+    """One edit of a module's text: the UTF-8 bytes ``start:end`` become
+    ``replacement``."""
+
+    module: str
+    scope: str
+    line: int
+    column: int
+    label: str
+    start: int
+    end: int
+    replacement: str
+
+    def apply(self, source: str) -> str:
+        text = source.encode()
+        return (text[:self.start] + self.replacement.encode() + text[self.end:]).decode()
+
+    def __str__(self) -> str:
+        return f"{self.module}:{self.line}:{self.column} {self.scope}: {self.label}"
+
+
+def _scoped(node: ast.AST, scopes: tuple[str, ...] = ()) -> Iterator[
+        tuple[ast.AST, ast.AST, tuple[str, ...]]]:
+    """Every node under ``node`` with its parent and the qualified names of
+    the classes and functions around it, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        inner = scopes
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scopes, f"{scopes[-1]}.{child.name}" if scopes else child.name)
+        yield child, node, inner
+        yield from _scoped(child, inner)
+
+
+def catalogue(module: str, function: str | None = None) -> list[Mutant]:
+    """The mutants of ``module`` (a file name under ``src/ottospin``), or of
+    the named function in it, in the order of their text."""
+    source = (SRC / module).read_text(encoding="utf-8")
+    text = source.encode()
+    starts = [0]
+    for line in text.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+
+    def span(node: ast.AST) -> tuple[int, int]:
+        # ast's column offsets count UTF-8 bytes
+        return (starts[node.lineno - 1] + node.col_offset,
+                starts[node.end_lineno - 1] + node.end_col_offset)
+
+    mutants, seen = [], set()
+    for node, parent, scopes in _scoped(ast.parse(source)):
+        if function is not None and not any(
+                function in (name, name.rsplit(".", 1)[-1]) for name in scopes):
+            continue
+        scope = scopes[-1] if scopes else "<module>"
+
+        def add(label: str, start: int, end: int, replacement: str) -> None:
+            if (start, end, replacement) not in seen:
+                seen.add((start, end, replacement))
+                line = bisect.bisect_right(starts, start)
+                mutants.append(Mutant(module, scope, line, start - starts[line - 1], label,
+                                      start, end, replacement))
+
+        if isinstance(node, ast.Compare):
+            for constant in ast.walk(node):
+                if (isinstance(constant, ast.Constant) and type(constant.value) in (int, float)
+                        and constant.value != 0):
+                    for scaled in (constant.value * 100, constant.value / 100):
+                        add(f"{constant.value!r} -> {scaled!r}", *span(constant), repr(scaled))
+            for left, op, right in zip([node.left, *node.comparators], node.ops,
+                                       node.comparators):
+                if type(op) in _SWAPS:
+                    old, new = _SWAPS[type(op)]
+                    gap_start, gap_end = span(left)[1], span(right)[0]
+                    # only brackets and blanks lie between the operands and the operator
+                    offset = text.index(old.encode(), gap_start, gap_end)
+                    add(f"{old} -> {new}", offset, offset + len(old), new)
+        elif isinstance(node, ast.Raise) and isinstance(parent, ast.If):
+            add("raise -> pass", *span(node), "pass")
+    return sorted(mutants, key=lambda mutant: (mutant.start, mutant.replacement))
+
+
+def pinned(name: str, function: str, number: float, replacement: str) -> Mutant:
+    """The mutant of :data:`MUTANTS` that replaces the one ``number`` that a
+    comparison in ``function`` reads by the text ``replacement``."""
+    [mutant] = {mutant._replace(label=f"{number!r} -> {replacement}", replacement=replacement)
+                for mutant in catalogue(name, function)
+                if mutant.label.startswith(f"{number!r} -> ")}
+    return mutant
+
+
+def run_tier_1(mutant: Mutant | None) -> tuple[bool, str, float]:
     """Whether the Tier-1 command passes on a copy of the repository with
     ``mutant`` applied (none: unmutated), its first failure, and its time."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out"))
         if mutant is not None:
-            name, function, number, replacement = mutant
-            path = copy / "src" / "ottospin" / name
-            path.write_text(mutate(path.read_text(), function, number, replacement))
+            path = copy / "src" / "ottospin" / mutant.module
+            path.write_text(mutant.apply(path.read_text(encoding="utf-8")), encoding="utf-8")
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
             filter(None, ["src", os.environ.get("PYTHONPATH")])))
         start = time.perf_counter()
@@ -71,22 +163,34 @@ def run_tier_1(mutant: tuple[str, str, float, str] | None) -> tuple[bool, str, f
     return done.returncode == 0, (failures or [""])[0], elapsed
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument("module", nargs="?", help="file under src/ottospin, e.g. config.py")
+    parser.add_argument("function", nargs="?", help="function in it, e.g. RunConfig.__post_init__")
+    parser.add_argument("--list", action="store_true", help="print the mutants, run nothing")
+    args = parser.parse_args(argv)
+    if args.module is None:
+        mutants = [pinned(*entry) for entry in MUTANTS]
+    else:
+        mutants = catalogue(args.module, args.function)
+    if args.list:
+        print("\n".join(map(str, mutants)))
+        return 0
+
     start = time.perf_counter()
     passed, failure, elapsed = run_tier_1(None)
     if not passed:
         print(f"the unmutated copy fails ({elapsed:.1f} s): {failure}")
         return 2
-    print(f"unmutated: passed in {elapsed:.1f} s")
+    print(f"unmutated: passed in {elapsed:.1f} s", flush=True)
     survivors = []
-    for mutant in MUTANTS:
-        name, function, number, replacement = mutant
+    for mutant in mutants:
         passed, failure, elapsed = run_tier_1(mutant)
-        label = f"{name}:{function} {number!r} -> {replacement}"
-        print(f"{'SURVIVED' if passed else 'killed'}  {elapsed:5.1f} s  {label}  {failure}")
+        print(f"{'SURVIVED' if passed else 'killed'}  {elapsed:5.1f} s  {mutant}  {failure}",
+              flush=True)
         if passed:
-            survivors.append(label)
-    print(f"{len(survivors)} of {len(MUTANTS)} mutants survived"
+            survivors.append(str(mutant))
+    print(f"{len(survivors)} of {len(mutants)} mutants survived"
           f"{': ' + '; '.join(survivors) if survivors else ''} "
           f"({time.perf_counter() - start:.0f} s in all)")
     return 1 if survivors else 0

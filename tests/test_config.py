@@ -27,7 +27,6 @@ kt_hot_pev = 33.0
 tau_us = 250
 tau_list_us = 150, 250, 350
 t_thermalization_us = 6000
-t_cooling_us = 100
 
 [monte_carlo]
 samples = 200
@@ -65,7 +64,6 @@ def test_full_example_parses_every_section():
     assert cfg.hot_option == "custom"
     assert cfg.kt_hot_pev == 33.0
     assert cfg.tau_list_us == (150.0, 250.0, 350.0)
-    assert cfg.t_cooling_us == 100.0
     assert cfg.mc_samples == 200
     assert cfg.output_format == "json"
     assert cfg.output_path == "out.json"
@@ -118,12 +116,13 @@ def test_duplicate_key_is_rejected():
 
 
 def test_key_before_any_section_is_rejected():
-    with pytest.raises(ConfigError, match="line 1"):
+    with pytest.raises(ConfigError, match=r"^line 1: key outside any \[section\]$"):
         o.parse_config("nu_initial_khz = 2.0\n")
 
 
 def test_line_without_equals_is_rejected():
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ConfigError,
+                       match="^line 2: expected 'key = value', got 'nu_initial_khz'$"):
         o.parse_config("[drive]\nnu_initial_khz\n")
 
 
@@ -170,7 +169,6 @@ def test_to_cycle_config_maps_fields():
     assert cyc.thermal.kt_hot_pev == 33.0
     assert cyc.n_steps == 2000
     assert cyc.t_thermalization_us == 6000.0
-    assert cyc.t_cooling_us == 100.0
     assert o.to_cycle_config(cfg, tau_us=350.0).protocol.tau_us == 350.0
 
 
@@ -293,6 +291,12 @@ def test_a_file_and_an_override_give_one_verdict(field_name, section, key, text,
         ({"curve_min_pev": 40.0}, "curve_min_pev must be below curve_max_pev"),
         ({"hot_option": "custom"}, "hot_option custom requires kt_hot_pev"),
         ({"kt_hot_pev": 30.0}, "kt_hot_pev is only honored with hot_option = custom"),
+        # no file or flag gives these: the parser reads counts as int and
+        # refuses an empty list before the check
+        ({"n_steps": 0.5}, "n_steps must be at least 1, got 0.5"),
+        ({"mc_samples": 0.5}, "mc_samples must be at least 1, got 0.5"),
+        ({"tau_list_us": ()},
+         "tau_list_us must be nonempty, and each entry must be finite and positive, got ()"),
     ],
 )
 def test_a_run_config_is_checked_when_it_is_built(fields, message):
@@ -303,23 +307,45 @@ def test_a_run_config_is_checked_when_it_is_built(fields, message):
         o.apply_overrides(o.RunConfig(), seed=1, **fields)
 
 
-@pytest.mark.parametrize("key, requirement", [("t_thermalization_us", "finite and positive"),
-                                              ("t_cooling_us", "finite and nonnegative")])
-def test_an_infinite_stroke_time_is_a_config_error(key, requirement):
-    # both reached the cycle, which reported a power of 0
-    with pytest.raises(ConfigError, match=f"^line 2: {key} must be {requirement}, got inf$"):
-        o.parse_config(f"[cycle]\n{key} = inf\n")
+def test_an_infinite_stroke_time_is_a_config_error():
+    # it reached the cycle, which reported a power of 0
+    message = "^line 2: t_thermalization_us must be finite and positive, got inf$"
+    with pytest.raises(ConfigError, match=message):
+        o.parse_config("[cycle]\nt_thermalization_us = inf\n")
 
 
-def test_stroke_times_whose_sum_overflows_are_a_config_error():
-    # each time is finite, but the cycle period is not; the line named is
-    # the thermalization time's, the first of the two keys
-    text = "[cycle]\nt_cooling_us = 1e308\nt_thermalization_us = 1e308\n"
-    message = "t_thermalization_us + t_cooling_us must be finite, got 1e+308 + 1e+308"
-    with pytest.raises(ConfigError, match=f"^line 3: {re.escape(message)}$"):
-        o.parse_config(text)
+def test_the_cooling_time_is_not_a_key():
+    # both bath strokes are full rethermalizations, so only their sum reaches
+    # an output: t_thermalization_us is the time with both baths per cycle
+    with pytest.raises(ConfigError,
+                       match=r"^line 2: unknown key 't_cooling_us' in section \[cycle\]$"):
+        o.parse_config("[cycle]\nt_cooling_us = 100\n")
+
+
+@pytest.mark.parametrize("inside, outside, message", [
+    ("[drive]\nnu_initial_khz = 5e-324\n", "[drive]\nnu_initial_khz = 0\n",
+     "line 2: nu_initial_khz must be finite and positive, got 0.0"),
+    ("[thermal]\nhot_option = custom\nkt_hot_pev = 5e-324\n",
+     "[thermal]\nhot_option = custom\nkt_hot_pev = 0\n",
+     "line 3: kt_hot_pev must be positive, got 0.0"),
+    ("[monte_carlo]\nsamples = 1\n", "[monte_carlo]\nsamples = 0\n",
+     "line 2: mc_samples must be at least 1, got 0"),
+    ("[output]\nlorentzian_fwhm_pev = 0\n", "[output]\nlorentzian_fwhm_pev = -5e-324\n",
+     "line 2: lorentzian_fwhm_pev must be finite and nonnegative (0 disables), got -5e-324"),
+    ("[output]\ncurve_points = 2\n", "[output]\ncurve_points = 1\n",
+     "line 2: curve_points must be at least 2, got 1"),
+    ("[output]\ncurve_min_pev = 5\ncurve_max_pev = 5.000000000000001\n",
+     "[output]\ncurve_min_pev = 5\ncurve_max_pev = 5\n",
+     "line 3: curve_min_pev must be below curve_max_pev"),
+    ("[process]\nnoise_mix = 1\n", "[process]\nnoise_mix = 1.0000000000000002\n",
+     "line 2: process_noise_mix must lie in [0, 1], got 1.0000000000000002"),
+], ids=["frequency", "hot-temperature", "samples", "curve-width", "curve-points",
+        "curve-window", "noise-mix"])
+def test_each_range_check_sits_on_its_line(inside, outside, message):
+    # the value just inside the line is taken, the one just outside refused
+    o.parse_config(inside)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        o.apply_overrides(o.RunConfig(), t_thermalization_us=1e308, t_cooling_us=1e308)
+        o.parse_config(outside)
 
 
 def test_of_several_bad_values_the_error_names_the_first_in_field_order():
