@@ -353,15 +353,14 @@ def _cycle_plan(
     nu_initial_khz: float, nu_final_khz: float, kt_cold_pev: float, kt_hot_pev: float
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     ends = ((nu_initial_khz, kt_cold_pev), (nu_final_khz, kt_hot_pev))
-    # a gap/kT past the float range is inf, which the lag would report
     keys = (("cold", "nu_initial_khz", "kt_cold_pev"), ("hot", "nu_final_khz", "kt_hot_pev"))
-    for (bath, nu_key, kt_key), (nu, kt) in zip(keys, ends):
+    hamiltonians = endpoint_hamiltonians(DriveProtocol(nu_initial_khz, nu_final_khz, 1.0))
+    gibbs, vectors = [], []
+    for (bath, nu_key, kt_key), (nu, kt), h in zip(keys, ends, hamiltonians):
+        # a gap/kT past the float range is inf, which the lag would report
         if not math.isfinite(_gap_over_kt(nu, kt)):
             raise ValueError(
                 f"{bath} bath gap/kT is not finite: {nu_key} = {nu:g}, {kt_key} = {kt:g}")
-    hamiltonians = endpoint_hamiltonians(DriveProtocol(nu_initial_khz, nu_final_khz, 1.0))
-    gibbs, vectors = [], []
-    for (bath, nu_key, _), (nu, kt), h in zip(keys, ends, hamiltonians):
         try:
             gibbs.append(gibbs_state(h, kt))
             vectors.append(propagator.eigensystem(h)[1])

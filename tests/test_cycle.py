@@ -105,16 +105,15 @@ def test_report_efficiency_bounds_and_carnot_values():
     assert r_b.efficiency <= r_b.efficiency_otto <= r_b.efficiency_carnot
 
 
-def test_power_is_work_over_total_cycle_duration():
-    r = o.run_cycle(_config(700.0))
-    expected = 1000.0 * r.mean_work_pev / (2 * 700.0 + 7000.0)
-    assert r.power_pev_per_ms == pytest.approx(expected, abs=1e-12)
-
-
-def test_the_period_is_both_drives_plus_the_time_with_the_baths():
-    cfg = o.CycleConfig(o.DriveProtocol(2.0, 3.6, 300.0), THERMAL_B, t_thermalization_us=3000.0)
+@pytest.mark.parametrize("cfg, period", [
+    (_config(700.0), 2 * 700.0 + 7000.0),
+    (o.CycleConfig(o.DriveProtocol(2.0, 3.6, 300.0), THERMAL_B, t_thermalization_us=3000.0),
+     2 * 300.0 + 3000.0),
+], ids=["default", "thermalization-3000"])
+def test_power_is_work_over_total_cycle_duration(cfg, period):
+    # the period is both drives plus the time with both baths
     r = o.run_cycle(cfg)
-    assert r.power_pev_per_ms == 1000.0 * r.mean_work_pev / (2 * 300.0 + 3000.0)
+    assert r.power_pev_per_ms == 1000.0 * r.mean_work_pev / period
 
 
 def test_lag_identity_across_the_grid():
