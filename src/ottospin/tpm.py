@@ -35,8 +35,6 @@ from .spin import (
 #: Atoms closer than this (peV) are merged into one.
 MERGE_TOLERANCE_PEV = 1e-9
 
-_KINDS = ("work", "heat")
-
 
 @dataclass(frozen=True)
 class EnergyDistribution:
@@ -44,11 +42,8 @@ class EnergyDistribution:
 
     energies_pev: tuple[float, ...]
     probabilities: tuple[float, ...]
-    kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         values, probs = self.energies_pev, self.probabilities
         if len(values) != len(probs):
             raise ValueError("energies and probabilities must have equal length")
@@ -70,7 +65,6 @@ class EnergyDistribution:
         cls,
         energies_pev: Iterable[float],
         probabilities: Iterable[float],
-        kind: str,
     ) -> "EnergyDistribution":
         """Normalize raw atoms: sort, merge near-coincident values, drop
         zero-probability entries.
@@ -84,7 +78,7 @@ class EnergyDistribution:
         if values.shape != probs.shape or values.ndim != 1:
             raise ValueError("energies and probabilities must be 1d and equal length")
         atoms = _sorted_atoms(values)
-        return cls(*_merge(atoms, np.take(probs, atoms.order).tolist()), kind)
+        return cls(*_merge(atoms, np.take(probs, atoms.order).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +141,7 @@ def conjugate_u_grid(energy_spacing_pev: float, n_points: int) -> np.ndarray:
     return np.arange(n_points) * du
 
 
-def invert_characteristic(
-    samples: CharacteristicSamples, kind: str = "work"
-) -> EnergyDistribution:
+def invert_characteristic(samples: CharacteristicSamples) -> EnergyDistribution:
     """Recover an atom distribution from uniformly sampled chi(u).
 
     With N samples u_k = u_0 + k du the implied energy grid has spacing
@@ -177,7 +169,7 @@ def invert_characteristic(
     if not len(atoms):
         raise ValueError("inversion recovered no atoms above threshold")
     if not spacing > 2.0 * MERGE_TOLERANCE_PEV:
-        return EnergyDistribution.from_atoms(atoms, kept, kind)
+        return EnergyDistribution.from_atoms(atoms, kept)
     # the lattice is sorted, and rounding j dE cannot bring two atoms within
     # the merge tolerance: each atom is a cluster of its own, kept where its
     # clipped weight is positive
@@ -186,7 +178,7 @@ def invert_characteristic(
     if 0.0 in clipped:
         positive = [c > 0.0 for c in clipped]
         values, clipped = compress(values, positive), compress(clipped, positive)
-    return EnergyDistribution(tuple(values), tuple(clipped), kind)
+    return EnergyDistribution(tuple(values), tuple(clipped))
 
 
 def lorentzian_broaden(
@@ -297,7 +289,7 @@ def engine_work_distribution(
     ptq = [p_n * t_nm * q_k for p_n, row in zip(plan.p, (transfer[:2], transfer[2:]))
            for t_nm in row for q_k in plan.q]
     probs = [ptq[h >> 1] * transfer[h & 3] for h in plan.work.order]
-    return EnergyDistribution(*_merge(plan.work, probs), "work")
+    return EnergyDistribution(*_merge(plan.work, probs))
 
 
 def engine_heat_distribution(
@@ -317,7 +309,7 @@ def engine_heat_distribution(
     s = (stay * p_0 + transition_prob * p_1, transition_prob * p_0 + stay * p_1)
     # s_m q_k of heat 2m + k, taken in the atoms' sort order
     probs = [s[i >> 1] * plan.q[i & 1] for i in plan.heat.order]
-    return EnergyDistribution(*_merge(plan.heat, probs), "heat")
+    return EnergyDistribution(*_merge(plan.heat, probs))
 
 
 # --- plans: what does not change between calls -----------------------------

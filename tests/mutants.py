@@ -21,7 +21,9 @@ Mutants are located with the standard library's ``ast`` and applied to the
 text of a copy of the repository in a temporary directory, so nothing in
 ``src/`` changes.  The unmutated copy runs first and must pass.  The script
 prints each mutant as killed (with the first failing test) or survived,
-with its run time, and exits 1 if any survives.  pytest does not collect
+with its run time, and exits 1 if any survives.  A module that does not
+exist, or a selection with no mutant in it, is refused with one ``error:``
+line and exit code 2 before anything runs.  pytest does not collect
 this file.
 """
 
@@ -171,8 +173,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.module is None:
         mutants = [pinned(*entry) for entry in MUTANTS]
+    elif not (SRC / args.module).is_file():
+        print(f"error: no module {args.module} under src/ottospin", file=sys.stderr)
+        return 2
     else:
         mutants = catalogue(args.module, args.function)
+        if not mutants:
+            where = f"{args.function} in {args.module}" if args.function else args.module
+            print(f"error: {where} selects no mutant", file=sys.stderr)
+            return 2
     if args.list:
         print("\n".join(map(str, mutants)))
         return 0

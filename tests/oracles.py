@@ -271,7 +271,7 @@ def heat_distribution(post_expansion, hot_populations, final_spectrum):
     # [m, k]: enter at level m, leave at level k
     values = e_f - e_f[:, None]
     probs = s[:, None] * q
-    return o.EnergyDistribution.from_atoms(values.ravel(), probs.ravel(), kind="heat")
+    return o.EnergyDistribution.from_atoms(values.ravel(), probs.ravel())
 
 
 def _checked_populations(populations, label):
@@ -305,7 +305,7 @@ def engine_work_distribution_by_table(protocol, thermal, transition_prob):
     delta_e, probability = enumerate_histories(
         p, q, transition_prob, o.endpoint_spectra(protocol)
     )
-    return o.EnergyDistribution.from_atoms(delta_e.ravel(), probability.ravel(), "work")
+    return o.EnergyDistribution.from_atoms(delta_e.ravel(), probability.ravel())
 
 
 def engine_heat_distribution_by_populations(protocol, thermal, transition_prob):
@@ -341,7 +341,7 @@ def characteristic_samples_verdict(u, values):
     return None
 
 
-def inversion_by_from_atoms(samples, kind="work"):
+def inversion_by_from_atoms(samples):
     """FFT inversion of uniformly sampled chi whose kept lattice atoms go
     through ``EnergyDistribution.from_atoms`` (sort, single-linkage merge)."""
     import ottospin as o
@@ -357,7 +357,7 @@ def inversion_by_from_atoms(samples, kind="work"):
     keep = np.abs(weights) > 16.0 * n * np.finfo(float).eps * scale
     if not keep.any():
         raise ValueError("inversion recovered no atoms above threshold")
-    return o.EnergyDistribution.from_atoms(energies[keep], weights[keep], kind)
+    return o.EnergyDistribution.from_atoms(energies[keep], weights[keep])
 
 
 def atoms_characteristic(atoms, u):

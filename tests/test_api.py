@@ -111,7 +111,7 @@ print(sorted(m for m in sys.modules if m.startswith(lazy)))
 import ottospin.cli
 print(sorted(m for m in sys.modules if m.startswith(lazy)))
 samples = ottospin.characteristic_function(
-    ottospin.EnergyDistribution((0.0,), (1.0,), "work"), ottospin.conjugate_u_grid(1.0, 4)
+    ottospin.EnergyDistribution((0.0,), (1.0,)), ottospin.conjugate_u_grid(1.0, 4)
 )
 ottospin.invert_characteristic(samples)
 print("numpy.fft" in sys.modules)

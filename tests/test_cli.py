@@ -144,6 +144,16 @@ def test_json_distribution_is_a_single_object(capsys):
     assert 0.32 <= obj["transition_prob"] <= 0.44
 
 
+def test_json_heat_distribution_is_labelled_by_its_command(capsys):
+    rc, out, _ = _run(capsys, ["heat-dist", "--tau", "100", "--format", "json"])
+    assert rc == 0
+    obj = json.loads(out)
+    assert list(obj) == ["kind", "tau_us", "transition_prob", "atoms", "curve"]
+    assert obj["kind"] == "heat"
+    assert obj["tau_us"] == 100
+    assert len(obj["atoms"]) == 3
+
+
 def test_json_sweep_is_a_list_of_row_objects(capsys):
     rc, out, _ = _run(capsys, ["sweep", "--format", "json", "--mc-samples", "2"])
     assert rc == 0

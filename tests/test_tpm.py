@@ -110,7 +110,7 @@ def test_distribution_mean_equals_history_average(p0, q0, swap_prob):
     p, q = (p0, 1 - p0), (q0, 1 - q0)
     spectra = ((-4.135667696, 4.135667696), (-7.4442018528, 7.4442018528))
     delta, prob = oracles.enumerate_histories(p, q, swap_prob, spectra)
-    dist = o.EnergyDistribution.from_atoms(delta.ravel(), prob.ravel(), "work")
+    dist = o.EnergyDistribution.from_atoms(delta.ravel(), prob.ravel())
     direct = (prob * delta).sum()
     mean = math.fsum(
         energy * weight for energy, weight in zip(dist.energies_pev, dist.probabilities)
@@ -159,7 +159,7 @@ def test_characteristic_function_at_zero_is_one():
 
 
 def test_characteristic_function_single_atom_is_pure_phase():
-    dist = o.EnergyDistribution((3.0,), (1.0,), "work")
+    dist = o.EnergyDistribution((3.0,), (1.0,))
     u = np.array([0.0, 0.5, 1.3])
     chi = o.characteristic_function(dist, u)
     np.testing.assert_allclose(chi.values, np.exp(1j * u * 3.0), atol=1e-15)
@@ -193,7 +193,7 @@ def test_inversion_round_trips_the_engine_distribution():
 
 
 def test_inversion_recovers_two_atom_cosine_spectrum():
-    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5), "work")
+    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5))
     u = o.conjugate_u_grid(2.0, 16)
     chi = o.characteristic_function(dist, u)
     np.testing.assert_allclose(chi.values, np.cos(2.0 * chi.u_per_pev), atol=1e-12)
@@ -219,7 +219,7 @@ def test_inversion_matches_the_dense_fourier_sum(n, u_start):
         rng = np.random.default_rng(seed)
         lattice = np.sort(rng.choice(window, size=n // 3, replace=False))
         dist = o.EnergyDistribution.from_atoms(
-            lattice * spacing, rng.dirichlet(np.ones(len(lattice))), "work"
+            lattice * spacing, rng.dirichlet(np.ones(len(lattice)))
         )
         chi = o.characteristic_function(dist, u)
         recovered = o.invert_characteristic(chi)
@@ -271,7 +271,7 @@ def test_characteristic_samples_reject_a_broken_conjugate_pair(index, shift):
 
 
 def test_inversion_requires_a_uniform_grid():
-    dist = o.EnergyDistribution((1.0,), (1.0,), "work")
+    dist = o.EnergyDistribution((1.0,), (1.0,))
     chi = o.characteristic_function(dist, [0.0, 0.1, 0.3])
     with pytest.raises(ValueError):
         o.invert_characteristic(chi)
@@ -286,7 +286,6 @@ def test_heat_distribution_has_hot_gap_atoms():
     np.testing.assert_allclose(
         dist.energies_pev, [-H * 3.6, 0.0, H * 3.6], atol=1e-12
     )
-    assert dist.kind == "heat"
 
 
 def test_heat_mean_matches_independent_bookkeeping_and_closed_form():
@@ -319,15 +318,13 @@ def test_post_expansion_populations_mix_by_swap_probability():
 
 
 def test_from_atoms_merges_coincident_energies():
-    dist = o.EnergyDistribution.from_atoms(
-        [1.0, 1.0 + 1e-12, -1.0], [0.3, 0.3, 0.4], "work"
-    )
+    dist = o.EnergyDistribution.from_atoms([1.0, 1.0 + 1e-12, -1.0], [0.3, 0.3, 0.4])
     assert len(dist.energies_pev) == 2
     assert dist.probabilities[1] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_from_atoms_drops_zero_probability_atoms():
-    dist = o.EnergyDistribution.from_atoms([1.0, 2.0], [1.0, 0.0], "work")
+    dist = o.EnergyDistribution.from_atoms([1.0, 2.0], [1.0, 0.0])
     assert dist.energies_pev == (1.0,)
 
 
@@ -381,7 +378,7 @@ def test_from_atoms_matches_the_exact_single_linkage_merge():
             (energies.tolist(), weights.tolist()),
             ((e for e in energies.tolist()), iter(weights)),
         )[trial % 3]
-        dist = o.EnergyDistribution.from_atoms(*inputs, "work")
+        dist = o.EnergyDistribution.from_atoms(*inputs)
         assert len(dist.energies_pev) == len(expected)
         for got, prob, (mean, weight, first, last) in zip(
             dist.energies_pev, dist.probabilities, expected
@@ -423,17 +420,15 @@ def _anchor_clusters(values):
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        o.EnergyDistribution((0.0,), (0.5,), "work")  # not normalized
+        o.EnergyDistribution((0.0,), (0.5,))  # not normalized
     with pytest.raises(ValueError):
-        o.EnergyDistribution((0.0, 1.0), (1.1, -0.1), "work")  # negative weight
+        o.EnergyDistribution((0.0, 1.0), (1.1, -0.1))  # negative weight
     with pytest.raises(ValueError):
-        o.EnergyDistribution((1.0, 0.0), (0.5, 0.5), "work")  # not ascending
-    with pytest.raises(ValueError):
-        o.EnergyDistribution((0.0,), (1.0,), "entropy")  # unknown kind
+        o.EnergyDistribution((1.0, 0.0), (0.5, 0.5))  # not ascending
 
 
 def test_lorentzian_peak_height_and_area():
-    dist = o.EnergyDistribution((2.0,), (1.0,), "work")
+    dist = o.EnergyDistribution((2.0,), (1.0,))
     fwhm = 1.2
     grid = np.linspace(-120.0, 124.0, 400001)
     density = o.lorentzian_broaden(dist, fwhm, grid)
@@ -443,7 +438,7 @@ def test_lorentzian_peak_height_and_area():
 
 
 def test_lorentzian_superposes_atom_weights():
-    dist = o.EnergyDistribution((-1.0, 1.0), (0.25, 0.75), "work")
+    dist = o.EnergyDistribution((-1.0, 1.0), (0.25, 0.75))
     grid = np.linspace(-8.0, 8.0, 3201)
     density = o.lorentzian_broaden(dist, 0.5, grid)
     taller = density[np.argmin(np.abs(grid - 1.0))]
@@ -452,13 +447,13 @@ def test_lorentzian_superposes_atom_weights():
 
 
 def test_lorentzian_rejects_nonpositive_width():
-    dist = o.EnergyDistribution((0.0,), (1.0,), "work")
+    dist = o.EnergyDistribution((0.0,), (1.0,))
     with pytest.raises(ValueError):
         o.lorentzian_broaden(dist, 0.0, [0.0])
 
 
 def test_lorentzian_rejects_non_finite_and_unrepresentable_widths():
-    dist = o.EnergyDistribution((0.0,), (1.0,), "work")
+    dist = o.EnergyDistribution((0.0,), (1.0,))
     for fwhm, message in [
         (math.inf, "fwhm must be positive and finite, got inf"),
         (math.nan, "fwhm must be positive and finite, got nan"),
@@ -471,7 +466,7 @@ def test_lorentzian_rejects_non_finite_and_unrepresentable_widths():
 
 
 def test_lorentzian_far_from_every_atom_is_zero_without_a_warning():
-    dist = o.EnergyDistribution((0.0,), (1.0,), "work")
+    dist = o.EnergyDistribution((0.0,), (1.0,))
     curve = o.lorentzian_broaden(dist, 1.2, [-1e300, 0.0, 1e300])
     assert curve[0] == curve[2] == 0.0
     assert curve[1] == pytest.approx(2.0 / (math.pi * 1.2), rel=1e-15)
@@ -484,15 +479,15 @@ def test_lorentzian_far_from_every_atom_is_zero_without_a_warning():
 )
 def test_distribution_rejects_non_finite_atoms(energies, probabilities):
     with pytest.raises(ValueError, match="atoms must be finite"):
-        o.EnergyDistribution(energies, probabilities, "work")
+        o.EnergyDistribution(energies, probabilities)
 
 
 @pytest.mark.parametrize(
     "call, message",
-    [(lambda: o.EnergyDistribution((0.0, 1.0), (1.0,), "work"),
+    [(lambda: o.EnergyDistribution((0.0, 1.0), (1.0,)),
       "energies and probabilities must have equal length"),
-     (lambda: o.EnergyDistribution((), (), "work"), "distribution needs at least one atom"),
-     (lambda: o.EnergyDistribution.from_atoms([[0.0, 1.0]], [[0.5, 0.5]], "work"),
+     (lambda: o.EnergyDistribution((), ()), "distribution needs at least one atom"),
+     (lambda: o.EnergyDistribution.from_atoms([[0.0, 1.0]], [[0.5, 0.5]]),
       "energies and probabilities must be 1d and equal length"),
      (lambda: o.CharacteristicSamples([0.0, 1.0], [1.0]),
       "u grid and samples must be 1d and equal length"),
@@ -549,12 +544,12 @@ def test_inversion_rejects_a_grid_with_non_finite_points(u):
 @pytest.mark.parametrize("u", [[0.0, math.inf], [0.0, math.nan], [-math.inf, 0.0, 1.0]])
 def test_characteristic_function_rejects_a_grid_with_non_finite_points(u):
     with pytest.raises(ValueError, match="u grid must be finite"):
-        o.characteristic_function(o.EnergyDistribution((0.0, 1.0), (0.5, 0.5), "work"), u)
+        o.characteristic_function(o.EnergyDistribution((0.0, 1.0), (0.5, 0.5)), u)
 
 
 def test_an_overflowing_phase_is_rejected_without_a_warning():
     # 1e308 * 2 peV overflows; the suite turns any RuntimeWarning into an error
-    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5), "work")
+    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5))
     with pytest.raises(ValueError, match="chi samples must be finite"):
         o.characteristic_function(dist, [0.0, 1e308])
 
@@ -608,7 +603,7 @@ def test_characteristic_function_is_bit_identical_to_a_fresh_phase_table():
             energies[energies == 0.0] = -0.0 if trial % 8 else 0.0
         weights = rng.dirichlet(np.ones(n))
         dist = o.EnergyDistribution(tuple(energies.tolist()),
-                                    tuple((weights / weights.sum()).tolist()), "work")
+                                    tuple((weights / weights.sum()).tolist()))
         u = rng.choice([0.5, 3.0]) * np.arange(int(rng.integers(1, 40))) - rng.choice([0.0, 5.0])
         negative_zeros += bool(np.signbit(dist.energies_pev).any())
         for call in range(3):  # the second call finds its table kept
@@ -620,7 +615,7 @@ def test_characteristic_function_is_bit_identical_to_a_fresh_phase_table():
 
 
 def test_characteristic_function_checks_the_grid_before_its_table():
-    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5), "work")
+    dist = o.EnergyDistribution((-2.0, 2.0), (0.5, 0.5))
     before = tpm._phase_table.cache_info()
     for u in ([0.0, math.nan], [math.inf, 1.0]):
         with pytest.raises(ValueError, match="u grid must be finite"):
@@ -672,7 +667,7 @@ def _outcome(route, *args):
         dist = route(*args)
     except ValueError as exc:
         return str(exc)
-    return dist.kind, [repr(x) for x in dist.energies_pev], [repr(x) for x in dist.probabilities]
+    return [repr(x) for x in dist.energies_pev], [repr(x) for x in dist.probabilities]
 
 
 def test_engine_distributions_are_bit_identical_to_the_table_routes():
@@ -702,6 +697,14 @@ def test_engine_distributions_are_bit_identical_to_the_table_routes():
     assert min(flat, falling, tiny) > 100, (flat, falling, tiny)
     # single-linkage clusters keep merged atoms apart, even near the tolerance
     assert not errors, errors
+
+
+def test_a_distribution_is_its_atoms_whichever_route_built_it():
+    heat = o.engine_heat_distribution(PROTOCOL, THERMAL_B, SWAP_100)
+    atoms = heat.energies_pev, heat.probabilities
+    assert heat == oracles.engine_heat_distribution_by_populations(PROTOCOL, THERMAL_B, SWAP_100)
+    assert heat == o.EnergyDistribution(*atoms) == o.EnergyDistribution.from_atoms(*atoms)
+    assert heat != o.engine_work_distribution(PROTOCOL, THERMAL_B, SWAP_100)
 
 
 def test_engines_near_the_merge_tolerance_give_distributions():
@@ -848,15 +851,14 @@ def test_lattice_atoms_match_the_from_atoms_route():
     outcomes = {"direct": 0, "fallback": 0, "error": 0}
     for trial in range(3000):
         samples = _lattice_samples(rng)
-        kind = "work" if trial % 50 else "entropy"
         try:
-            expected = oracles.inversion_by_from_atoms(samples, kind)
+            expected = oracles.inversion_by_from_atoms(samples)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                o.invert_characteristic(samples, kind)
+                o.invert_characteristic(samples)
             outcomes["error"] += 1
             continue
-        got = o.invert_characteristic(samples, kind)
+        got = o.invert_characteristic(samples)
         # the lattice atoms are one-atom clusters of the same merge
         assert [repr(x) for x in got.energies_pev] == [repr(x) for x in expected.energies_pev]
         assert [repr(x) for x in got.probabilities] == [repr(x) for x in expected.probabilities]
@@ -992,42 +994,73 @@ def _chi(energies, weights, u):
 # of a coarse one that starts past u = 0, where chi(0) is not checked
 COARSE, FINE = o.conjugate_u_grid(1.0, 8), o.conjugate_u_grid(1e-9, 8)
 PAST_ZERO = 0.37 + o.conjugate_u_grid(1.0, 8)
-KIND = "kind must be one of ('work', 'heat'), got 'foo'"
 
 
 @pytest.mark.parametrize(
     "call, message",
-    [(lambda: o.EnergyDistribution((0.0, 1.0), (math.nan, 1.0), "work"), "atoms must be finite"),
-     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [1.0, math.nan], "work"),
+    [(lambda: o.EnergyDistribution((0.0, 1.0), (math.nan, 1.0)), "atoms must be finite"),
+     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [1.0, math.nan]),
       "atoms must be finite"),
-     (lambda: o.EnergyDistribution((0.0, 1.0), (-2e-12, 1.0 + 2e-12), "work"),
+     (lambda: o.EnergyDistribution((0.0, 1.0), (-2e-12, 1.0 + 2e-12)),
       "probabilities must be nonnegative"),
-     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [-2e-12, 1.0 + 2e-12], "work"),
+     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [-2e-12, 1.0 + 2e-12]),
       "probabilities must be nonnegative"),
      (lambda: o.invert_characteristic(_chi([0.0, 1.0], [1.0 + 2e-12, -2e-12], COARSE)),
       "probabilities must be nonnegative"),
      (lambda: o.invert_characteristic(_chi([0.0, 1e-9], [1.0 + 2e-12, -2e-12], FINE)),
       "probabilities must be nonnegative"),
-     (lambda: o.EnergyDistribution((0.0,), (1.0,), "foo"), KIND),
-     (lambda: o.EnergyDistribution.from_atoms([0.0], [1.0], "foo"), KIND),
-     (lambda: o.invert_characteristic(_chi([0.0], [1.0], COARSE), "foo"), KIND),
-     (lambda: o.invert_characteristic(_chi([0.0], [1.0], FINE), "foo"), KIND),
-     (lambda: o.EnergyDistribution((0.0, 1.0), (0.5, 0.5 + 2e-12), "work"),
+     (lambda: o.EnergyDistribution((0.0, 1.0), (0.5, 0.5 + 2e-12)),
       "probabilities sum to 1.000000000002, expected 1"),
-     (lambda: o.EnergyDistribution.from_atoms([1.0, 0.0], [0.5 + 2e-12, 0.5], "work"),
+     (lambda: o.EnergyDistribution.from_atoms([1.0, 0.0], [0.5 + 2e-12, 0.5]),
       "probabilities sum to 1.000000000002, expected 1"),
      (lambda: o.invert_characteristic(_chi([0.0, 1.0], [0.5, 0.5 + 2e-12], PAST_ZERO)),
       "probabilities sum to 1.000000000002, expected 1"),
-     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [0.0, -0.0], "work"),
+     (lambda: o.EnergyDistribution.from_atoms([0.0, 1.0], [0.0, -0.0]),
       "distribution needs at least one atom"),
      (lambda: o.invert_characteristic(_chi([0.0], [1e-15], PAST_ZERO)),
       "inversion recovered no atoms above threshold")],
     ids=["nan-weight", "nan-raw-weight", "negative-weight", "negative-raw-weight",
-         "negative-coarse-inversion", "negative-fine-inversion", "kind", "raw-kind",
-         "coarse-inversion-kind", "fine-inversion-kind", "sum", "raw-sum", "inversion-sum",
+         "negative-coarse-inversion", "negative-fine-inversion", "sum", "raw-sum", "inversion-sum",
          "no-raw-weight", "no-inverted-weight"],
 )
 def test_each_check_of_the_per_point_path_raises_its_message(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "energies, probabilities, message",
+    [((0.0, 1.0), (0.0, 1.0), None),
+     ((0.0, 1.0), (-5e-324, 1.0), "probabilities must be nonnegative"),
+     ((0.0, 1.0), (0.5, 0.5 + 9.9e-13), None),
+     ((0.0, 1.0), (0.5, 0.5 + 1.01e-12), "probabilities sum to 1.0000000000010099, expected 1"),
+     ((0.0, math.nextafter(1e-9, 1.0)), (0.5, 0.5), None),
+     ((0.0, 1e-9), (0.5, 0.5), "energies must be ascending with separated atoms")],
+    ids=["zero-weight", "subnormal-negative-weight", "sum-inside", "sum-outside",
+         "gap-past-tolerance", "gap-at-tolerance"],
+)
+def test_each_distribution_check_sits_on_its_line(energies, probabilities, message):
+    if message is None:
+        dist = o.EnergyDistribution(energies, probabilities)
+        assert (dist.energies_pev, dist.probabilities) == (energies, probabilities)
+    else:
+        with pytest.raises(ValueError) as exc:
+            o.EnergyDistribution(energies, probabilities)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spacing, through_from_atoms",
+                         [(2e-9, True), (math.nextafter(2e-9, 1.0), False)])
+def test_the_lattice_route_line_sits_at_twice_the_merge_tolerance(
+        monkeypatch, spacing, through_from_atoms):
+    # both routes give the same atoms; past the line the inversion takes the
+    # lattice values as they are, without from_atoms' sort and merge
+    samples = _chi([-spacing, 0.0, spacing], [0.25, 0.5, 0.25], o.conjugate_u_grid(spacing, 8))
+    expected = oracles.inversion_by_from_atoms(samples)
+    calls, from_atoms = [], o.EnergyDistribution.from_atoms
+    monkeypatch.setattr(o.EnergyDistribution, "from_atoms",
+                        staticmethod(lambda *atoms: calls.append(atoms) or from_atoms(*atoms)))
+    assert o.invert_characteristic(samples) == expected
+    assert len(expected.energies_pev) == 3
+    assert bool(calls) is through_from_atoms
